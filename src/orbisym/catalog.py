@@ -25,7 +25,13 @@ from importlib import resources
 from pathlib import Path
 
 from .coset import EnumerationLimits, group_order
-from .errors import InvalidParameter, MismatchError, UnknownCase, WordSyntaxError
+from .errors import (
+    InvalidParameter,
+    MismatchError,
+    OrbisymError,
+    UnknownCase,
+    WordSyntaxError,
+)
 from .presentation import family_15e, family_19, load_presentation_with_aliases
 from .scenario import (
     AlwaysOrientable,
@@ -268,8 +274,29 @@ def _parse_constraints(text: str, names: tuple[str, ...], aliases: dict[str, Wor
     return tuple(constraints)
 
 
+def _scenario_fields(body: str, required: tuple[str, ...]) -> dict[str, str]:
+    fields = {}
+    for item in body.split():
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise WordSyntaxError(f"scenario item {item!r} needs key=value")
+        fields[key] = value
+    missing = [f"{key}=" for key in required if key not in fields]
+    if missing:
+        raise WordSyntaxError(f"scenario line needs {' and '.join(missing)}")
+    return fields
+
+
+def _line_error(lineno: int, exc: Exception) -> OrbisymError:
+    """exc with the case-file line number in front; ValueError becomes
+    WordSyntaxError."""
+    kind = type(exc) if isinstance(exc, OrbisymError) else WordSyntaxError
+    return kind(f"line {lineno}: {exc}")
+
+
 def parse_case_text(text: str) -> CatalogEntry:
-    """Parse one .case file."""
+    """Parse one .case file; malformed lines raise an OrbisymError that
+    names the line."""
     case_id: str | None = None
     arithmetic = False
     alpha: int | None = None
@@ -278,57 +305,63 @@ def parse_case_text(text: str) -> CatalogEntry:
     surfaces: tuple[SurfaceType, ...] = ()
     expected_order: int | None = None
     scenario_kind: str | None = None
+    scenario_lineno = 0
     scenario_alpha: int | None = None
     dashed_spec: dict[str, str] | None = None
-    pattern_lines: list[str] = []
+    pattern_lines: list[tuple[int, str]] = []
+    # Presentation lines in place, other lines blank, so that errors from
+    # the presentation parser carry case-file line numbers.
     pres_lines: list[str] = []
 
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
+        pres_lines.append("")
         if not line:
             continue
-        if line.startswith("case:"):
-            case_id = line[len("case:"):].strip()
-        elif line.startswith("arithmetic_only:"):
-            arithmetic = line.split(":", 1)[1].strip().lower() == "true"
-        elif line.startswith("alpha:"):
-            alpha = int(line.split(":", 1)[1])
-        elif line.startswith("m:"):
-            body = line.split(":", 1)[1]
-            label, _, value = body.rpartition("=")
-            m_label, m_value = label.strip(), int(value)
-        elif line.startswith("surfaces:"):
-            surfaces = tuple(surface_from_str(s)
-                             for s in _SURFACE_RE.findall(line.split(":", 1)[1]))
-        elif line.startswith("expect"):
-            m = _EXPECT_RE.match(line)
-            if not m:
-                raise WordSyntaxError(f"bad expect line: {line!r}")
-            expected_order = int(m.group(1))
-            surfaces = tuple(surface_from_str(s) for s in _SURFACE_RE.findall(m.group(2)))
-        elif line.startswith("scenario"):
-            parts = line.split(None, 2)
-            if len(parts) < 3:
-                raise WordSyntaxError(f"bad scenario line: {line!r}")
-            scenario_kind = parts[1]
-            body = parts[2]
-            if scenario_kind == "edge":
-                kv = dict(item.split("=", 1) for item in body.split())
+        try:
+            if line.startswith("case:"):
+                case_id = line[len("case:"):].strip()
+            elif line.startswith("arithmetic_only:"):
+                arithmetic = line.split(":", 1)[1].strip().lower() == "true"
+            elif line.startswith("alpha:"):
+                alpha = int(line.split(":", 1)[1])
+            elif line.startswith("m:"):
+                body = line.split(":", 1)[1]
+                label, _, value = body.rpartition("=")
+                m_label, m_value = label.strip(), int(value)
+            elif line.startswith("surfaces:"):
+                surfaces = tuple(surface_from_str(s)
+                                 for s in _SURFACE_RE.findall(line.split(":", 1)[1]))
+            elif line.startswith("expect"):
+                m = _EXPECT_RE.match(line)
+                if not m:
+                    raise WordSyntaxError(f"bad expect line: {line!r}")
+                expected_order = int(m.group(1))
+                surfaces = tuple(surface_from_str(s) for s in _SURFACE_RE.findall(m.group(2)))
+            elif line.startswith("scenario"):
+                parts = line.split(None, 2)
+                if len(parts) < 3:
+                    raise WordSyntaxError(f"bad scenario line: {line!r}")
+                scenario_kind, body = parts[1], parts[2]
+                scenario_lineno = lineno
+                if scenario_kind == "edge":
+                    kv = _scenario_fields(body, ("alpha",))
+                elif scenario_kind == "dashed":
+                    hom = _HOM_RE.search(body)
+                    if not hom:
+                        raise WordSyntaxError("dashed scenario needs a hom(...) clause")
+                    kv = _scenario_fields(body[:hom.start()], ("alpha", "fixed", "arc"))
+                    kv["hom"] = hom.group(1)
+                    dashed_spec = kv
+                else:
+                    raise WordSyntaxError(f"unknown scenario kind {scenario_kind!r}")
                 scenario_alpha = int(kv["alpha"])
-            elif scenario_kind == "dashed":
-                hom = _HOM_RE.search(body)
-                if not hom:
-                    raise WordSyntaxError("dashed scenario needs a hom(...) clause")
-                kv = dict(item.split("=", 1) for item in body[:hom.start()].split())
-                kv["hom"] = hom.group(1)
-                scenario_alpha = int(kv["alpha"])
-                dashed_spec = kv
+            elif line.startswith("pattern"):
+                pattern_lines.append((lineno, line))
             else:
-                raise WordSyntaxError(f"unknown scenario kind {scenario_kind!r}")
-        elif line.startswith("pattern"):
-            pattern_lines.append(line)
-        else:
-            pres_lines.append(line)
+                pres_lines[-1] = line
+        except (OrbisymError, ValueError) as exc:
+            raise _line_error(lineno, exc) from None
 
     if case_id is None:
         raise WordSyntaxError("case file needs a 'case:' line")
@@ -343,29 +376,11 @@ def parse_case_text(text: str) -> CatalogEntry:
     names = pres.generator_names
     if scenario_kind == "edge":
         patterns = []
-        for line in pattern_lines:
-            m = _PATTERN_RE.match(line)
-            if not m:
-                raise WordSyntaxError(f"bad pattern line: {line!r}")
-            name, body = m.group(1), m.group(2)
-            clauses = dict()
-            for clause in body.split(";"):
-                key, _, value = clause.partition("=")
-                clauses[key.strip()] = value.strip()
-            if "subgroup" not in clauses or "orient" not in clauses:
-                raise WordSyntaxError(f"pattern {name!r} needs subgroup and orient clauses")
-            words = tuple(parse_word(w.strip(), names, aliases)
-                          for w in clauses["subgroup"].split(","))
-            orient_text = clauses["orient"]
-            rule: AlwaysOrientable | Z2HomRule
-            if orient_text == "always":
-                rule = AlwaysOrientable()
-            else:
-                hom = _HOM_RE.match(orient_text)
-                if not hom:
-                    raise WordSyntaxError(f"bad orient clause {orient_text!r}")
-                rule = Z2HomRule(_parse_constraints(hom.group(1), names, aliases))
-            patterns.append(BoundaryPattern(name, words, rule))
+        for lineno, line in pattern_lines:
+            try:
+                patterns.append(_parse_pattern(line, names, aliases))
+            except (OrbisymError, ValueError) as exc:
+                raise _line_error(lineno, exc) from None
         if scenario_alpha is None or not patterns:
             raise WordSyntaxError("edge case needs a scenario line and pattern lines")
         scenario = EdgeScenario(pres, scenario_alpha, tuple(patterns))
@@ -373,14 +388,43 @@ def parse_case_text(text: str) -> CatalogEntry:
                             expected_order=expected_order, expected_surfaces=surfaces)
     if scenario_kind == "dashed":
         assert dashed_spec is not None and scenario_alpha is not None
-        scenario = DashedArcScenario(
-            pres, scenario_alpha,
-            fixed_word=parse_word(dashed_spec["fixed"], names, aliases),
-            arc_word=parse_word(dashed_spec["arc"], names, aliases),
-            hom_constraints=_parse_constraints(dashed_spec["hom"], names, aliases))
+        try:
+            scenario = DashedArcScenario(
+                pres, scenario_alpha,
+                fixed_word=parse_word(dashed_spec["fixed"], names, aliases),
+                arc_word=parse_word(dashed_spec["arc"], names, aliases),
+                hom_constraints=_parse_constraints(dashed_spec["hom"], names, aliases))
+        except (OrbisymError, ValueError) as exc:
+            raise _line_error(scenario_lineno, exc) from None
         return CatalogEntry(id=case_id, kind="dashed", scenario=scenario,
                             expected_order=expected_order, expected_surfaces=surfaces)
     raise WordSyntaxError("case file needs a scenario line or arithmetic_only: true")
+
+
+def _parse_pattern(line: str, names: tuple[str, ...],
+                   aliases: dict[str, Word]) -> BoundaryPattern:
+    m = _PATTERN_RE.match(line)
+    if not m:
+        raise WordSyntaxError(f"bad pattern line: {line!r}")
+    name, body = m.group(1), m.group(2)
+    clauses = dict()
+    for clause in body.split(";"):
+        key, _, value = clause.partition("=")
+        clauses[key.strip()] = value.strip()
+    if "subgroup" not in clauses or "orient" not in clauses:
+        raise WordSyntaxError(f"pattern {name!r} needs subgroup and orient clauses")
+    words = tuple(parse_word(w.strip(), names, aliases)
+                  for w in clauses["subgroup"].split(","))
+    orient_text = clauses["orient"]
+    rule: AlwaysOrientable | Z2HomRule
+    if orient_text == "always":
+        rule = AlwaysOrientable()
+    else:
+        hom = _HOM_RE.match(orient_text)
+        if not hom:
+            raise WordSyntaxError(f"bad orient clause {orient_text!r}")
+        rule = Z2HomRule(_parse_constraints(hom.group(1), names, aliases))
+    return BoundaryPattern(name, words, rule)
 
 
 def _builtin_case_texts() -> dict[str, str]:
@@ -428,7 +472,10 @@ def load_case_dir(directory: Path | None = None) -> dict[str, CatalogEntry]:
     entries: dict[str, CatalogEntry] = {}
     if directory.is_dir():
         for path in sorted(directory.glob("*.case")):
-            entry = parse_case_text(path.read_text())
+            try:
+                entry = parse_case_text(path.read_text())
+            except OrbisymError as exc:
+                raise type(exc)(f"{path}: {exc}") from None
             entries[entry.id] = entry
     return entries
 

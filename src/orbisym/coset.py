@@ -16,17 +16,32 @@ in column order, so equal inputs give byte-for-byte equal tables.
 Coincidences are resolved by union-find with path compression, keeping
 the smallest label as representative; the merge queue transfers every
 edge of a dead coset to its representative.
+
+HLT skips relator scans that provably change nothing.  If a relator
+r = w^k (k >= 2, w primitive) closes at coset a, it also closes at a*w:
+the path of r from a*w is the same cycle entered one copy of w later.
+So after r's scan at a, the cosets of a's w-orbit that HLT has not yet
+reached are marked, and r is not scanned there; a merged-away coset hands
+its marks to its representative.  A closed relator stays closed through
+every later definition and coincidence, so a skipped scan would have
+defined, deduced and merged nothing: the definition sequence, the
+standardized table and the point where LimitExceeded fires are those of
+scanning everywhere.  Only long powers (MIN_MARKED_POWER letters or
+more) are marked.  verify_coset_table does not use this argument: it
+traces every relator letter by letter from every coset, so a skipped
+scan that was needed shows up there as a relator left open.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import LimitExceeded
 from .permgroup import PermGroup, Permutation
 from .presentation import Presentation
-from .words import Word
+from .words import Word, letter_columns
 
 __all__ = [
     "EnumerationLimits",
@@ -70,8 +85,23 @@ class CosetTable:
     subgroup_generators: tuple[Word, ...]
 
 
-def _word_cols(w: Word) -> tuple[int, ...]:
-    return tuple(2 * (abs(l) - 1) + (0 if l > 0 else 1) for l in w.letters)
+# Relators at least this long that are proper powers get their scans
+# skipped where they are known to close (see the module docstring).
+# Shorter powers, such as the (x*y)^7 of the (2,3,7) triangle group, are
+# rescanned: their marks cost more than the scans they save.
+MIN_MARKED_POWER = 16
+
+
+def _power_root(cols: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The primitive root w of cols = w^k with k >= 2, for relators of at
+    least MIN_MARKED_POWER letters; None otherwise."""
+    n = len(cols)
+    if n < MIN_MARKED_POWER:
+        return None
+    for period in range(1, n // 2 + 1):
+        if n % period == 0 and cols[:period] * (n // period) == cols:
+            return cols[:period]
+    return None
 
 
 def _cyclic_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -96,14 +126,17 @@ class _Enumerator:
                 raise ValueError("subgroup word uses a generator outside the alphabet")
         self.pres = pres
         self.ncols = 2 * pres.n_generators
-        self.relator_cols = tuple(_word_cols(r) for r in pres.relators)
-        self.sub_cols = tuple(_word_cols(w) for w in subgroup)
+        self.relator_cols = pres.relator_columns
+        self.sub_cols = tuple(letter_columns(w) for w in subgroup)
         self.limits = limits
         self.felsch = strategy == "felsch"
         self.table: list[list[int | None]] = [[None] * self.ncols]
         self.p: list[int] = [0]
         self.assignments = 0
         self.deductions: list[tuple[int, int]] = []
+        # HLT only: coset -> bitmask of relators (bit i for relator i)
+        # known to close there, so their scans can be skipped.
+        self.closed: dict[int, int] = {}
         if self.felsch:
             self.buckets = self._deduction_buckets()
 
@@ -116,7 +149,7 @@ class _Enumerator:
         for r in self.pres.relators:
             core = _cyclic_reduce(r.letters)
             for letters in (core, tuple(-l for l in reversed(core))):
-                cols = _word_cols(Word(letters))
+                cols = letter_columns(Word(letters))
                 for s in range(len(cols)):
                     rot = cols[s:] + cols[:s]
                     if rot and rot not in seen[rot[0]]:
@@ -142,6 +175,9 @@ class _Enumerator:
                 a, b = b, a
             self.p[b] = a
             queue.append(b)
+            bits = self.closed.pop(b, 0)
+            if bits:
+                self.closed[a] = self.closed.get(a, 0) | bits
 
     def _coincidence(self, a: int, b: int) -> None:
         table = self.table
@@ -246,7 +282,11 @@ class _Enumerator:
     # -- space management ----------------------------------------------
 
     def _make_room(self, alpha: int) -> int:
-        """Lookahead collapse then compaction; returns alpha's new index."""
+        """Lookahead collapse then compaction.
+
+        Returns the new index of the first live coset at or after alpha;
+        alpha itself may have died in the lookahead.
+        """
         for c in range(len(self.table)):
             if self.p[c] != c:
                 continue
@@ -262,12 +302,14 @@ class _Enumerator:
             [None if e is None else renum[self.rep(e)] for e in self.table[old]]
             for old in live
         ]
-        self.p = list(range(len(live)))
         if self.felsch:
             self.deductions = [
                 (renum[self.rep(a)], col) for a, col in self.deductions
             ]
-        return renum[self.rep(alpha)]
+        self.closed = {renum[c]: bits for c, bits in self.closed.items()
+                       if c >= alpha and self.p[c] == c}
+        self.p = list(range(len(live)))
+        return bisect_left(live, alpha)
 
     # -- strategies ----------------------------------------------------
 
@@ -287,14 +329,22 @@ class _Enumerator:
         return self.table
 
     def _run_hlt(self) -> None:
+        # Scans skipped through self.closed are no-ops (module docstring).
+        relators = [(1 << i, cols, _power_root(cols))
+                    for i, cols in enumerate(self.relator_cols)]
         alpha = 0
         while alpha < len(self.table):
             if self.p[alpha] == alpha:
+                skip = self.closed.pop(alpha, 0)
                 try:
-                    for cols in self.relator_cols:
+                    for bit, cols, root in relators:
+                        if skip & bit:
+                            continue
                         self._scan(alpha, cols, fill=True)
                         if self.p[alpha] != alpha:
                             break
+                        if root is not None:
+                            self._mark_closed(alpha, root, len(cols) // len(root), bit)
                     if self.p[alpha] == alpha:
                         row = self.table[alpha]
                         for col in range(self.ncols):
@@ -304,6 +354,20 @@ class _Enumerator:
                     alpha = self._make_room(alpha)
                     continue
             alpha += 1
+
+    def _mark_closed(self, alpha: int, root: tuple[int, ...], k: int, bit: int) -> None:
+        """Mark the cosets alpha*w^i (0 < i < k) after alpha as closing
+        w^k, which has just closed at alpha."""
+        table = self.table
+        closed = self.closed
+        c = alpha
+        for _ in range(k - 1):
+            for col in root:
+                c = table[c][col]
+            if c == alpha:
+                break
+            if c > alpha:
+                closed[c] = closed.get(c, 0) | bit
 
     def _run_felsch(self) -> None:
         alpha = 0
@@ -322,37 +386,34 @@ class _Enumerator:
             alpha += 1
 
 
-def _standardize(table: list[list[int | None]], p: list[int], ncols: int) -> tuple[tuple[int, ...], ...]:
+def _standardize(table: list[list[int | None]], p: list[int]) -> tuple[tuple[int, ...], ...]:
     def find(k: int) -> int:
         while p[k] != k:
             k = p[k]
         return k
 
     live = [c for c in range(len(table)) if p[c] == c]
-    renum = {old: new for new, old in enumerate(live)}
+    renum = [-1] * len(table)
+    for new, old in enumerate(live):
+        renum[old] = new
     rows = []
     for old in live:
         row = table[old]
-        if any(e is None for e in row):
+        if None in row:
             raise AssertionError("enumeration finished with an incomplete row")
         rows.append([renum[find(e)] for e in row])  # type: ignore[arg-type]
+    # Breadth-first from coset 0 in column order; pos[d] is d's new label.
     order = [0]
-    pos: dict[int, int] = {0: 0}
-    qi = 0
-    while qi < len(order):
-        c = order[qi]
-        qi += 1
-        for col in range(ncols):
-            d = rows[c][col]
-            if d not in pos:
+    pos = [-1] * len(rows)
+    pos[0] = 0
+    for c in order:
+        for d in rows[c]:
+            if pos[d] < 0:
                 pos[d] = len(order)
                 order.append(d)
     if len(order) != len(rows):
         raise AssertionError("completed table is not transitive")
-    out = [[0] * ncols for _ in rows]
-    for c, old in enumerate(order):
-        out[c] = [pos[rows[old][col]] for col in range(ncols)]
-    return tuple(tuple(r) for r in out)
+    return tuple(tuple([pos[d] for d in rows[old]]) for old in order)
 
 
 def enumerate_cosets(pres: Presentation, subgroup: Iterable[Word] = (),
@@ -368,7 +429,7 @@ def enumerate_cosets(pres: Presentation, subgroup: Iterable[Word] = (),
     limits = limits or EnumerationLimits()
     enum = _Enumerator(pres, subgroup, limits, strategy)
     table = enum.run()
-    action = _standardize(table, enum.p, enum.ncols)
+    action = _standardize(table, enum.p)
     result = CosetTable(
         generator_names=pres.generator_names,
         n_cosets=len(action),
@@ -392,7 +453,7 @@ def trace_word(table: CosetTable, start: int, w: Word) -> int:
     if w.max_generator_index() >= len(table.generator_names):
         raise ValueError("word uses a generator outside the table's alphabet")
     c = start
-    for col in _word_cols(w):
+    for col in letter_columns(w):
         c = table.action[c][col]
     return c
 
@@ -418,8 +479,7 @@ def verify_coset_table(table: CosetTable, pres: Presentation) -> None:
                 raise AssertionError(f"entry ({c},{col}) out of range")
             if table.action[d][col ^ 1] != c:
                 raise AssertionError(f"entry ({c},{col}) has no inverse pairing")
-    for r in pres.relators:
-        cols = _word_cols(r)
+    for cols in pres.relator_columns:
         for c in range(table.n_cosets):
             cur = c
             for col in cols:

@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+
 from .errors import (
     DuplicateGenerator,
     EmptyRelator,
     InvalidParameter,
     WordSyntaxError,
 )
-from .words import Word, format_word, parse_word
+from .words import Word, format_word, letter_columns, parse_word
 
 __all__ = [
     "Presentation",
@@ -59,6 +61,11 @@ class Presentation:
     @property
     def n_generators(self) -> int:
         return len(self.generator_names)
+
+    @cached_property
+    def relator_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Each relator as coset-table columns (see ``letter_columns``), computed once."""
+        return tuple(letter_columns(r) for r in self.relators)
 
 
 def load_presentation_with_aliases(text: str) -> tuple[Presentation, dict[str, Word]]:

@@ -104,6 +104,11 @@ class Word:
         return max((abs(l) - 1 for l in self.letters), default=-1)
 
 
+def letter_columns(w: Word) -> tuple[int, ...]:
+    """w's letters as coset-table columns: 2*i for generator i, 2*i+1 for its inverse."""
+    return tuple(2 * (abs(l) - 1) + (0 if l > 0 else 1) for l in w.letters)
+
+
 def concat(u: Word, v: Word) -> Word:
     """The freely reduced product u*v."""
     return u * v

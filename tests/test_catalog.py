@@ -158,6 +158,35 @@ def test_parse_case_errors():
             "pattern P1: subgroup = x, y"))
 
 
+DASHED_CASE = """\
+case: tiny-dashed
+generators: x y
+relators: x^3 y^2 (x*y)^2
+scenario dashed alpha=2 fixed=y arc=x hom(y=1)
+expect order=6 surfaces=S_{1,1}
+"""
+
+
+@pytest.mark.parametrize("text,missing", [
+    (EDGE_CASE.replace("scenario edge alpha=2", "scenario edge beta=2"), "alpha="),
+    (DASHED_CASE.replace(" alpha=2", ""), "alpha="),
+    (DASHED_CASE.replace(" fixed=y", ""), "fixed="),
+    (DASHED_CASE.replace(" arc=x", ""), "arc="),
+])
+def test_bad_case_file_names_file_and_line(tmp_path, text, missing):
+    parse_case_text(DASHED_CASE)  # intact, so only the edit breaks it
+    path = tmp_path / "broken.case"
+    path.write_text(text)
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_case_text(text)
+    assert str(exc.value) == f"line 4: scenario line needs {missing}"
+    # One broken file in the search directory blocks every lookup, and
+    # the error says where it is.
+    with pytest.raises(WordSyntaxError) as exc:
+        find_case("orbifold-28-edge", search_dir=tmp_path)
+    assert str(exc.value).startswith(f"{path}: line 4: ")
+
+
 def test_find_case_builtin_and_unknown():
     entry = find_case("orbifold-28-dashed")
     assert entry.kind == "dashed"

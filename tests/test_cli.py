@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -173,6 +176,27 @@ def test_case_mismatch_exit_code(capsys, tmp_path, monkeypatch):
     out = capsys.readouterr().out
     assert "mismatch" in out
     assert "119" in out
+
+
+def test_bad_case_file_is_an_input_error(capsys, tmp_path, monkeypatch):
+    (tmp_path / "broken.case").write_text(
+        "case: broken\ngenerators: x\nrelators: x^2\nscenario edge a=2\n")
+    monkeypatch.setenv("ORBISYM_CATALOG", str(tmp_path))
+    assert main(["case", "orbifold-28-edge"]) == 2
+    assert "broken.case: line 4: scenario line needs alpha=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["orbisym", "orbisym.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    path = tmp_path / "z7.txt"
+    path.write_text("generators: x\nrelators: x^7\n")
+    done = subprocess.run([sys.executable, "-m", module, "order", str(path), "--json"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["items"][0]["order"] == 7
 
 
 def test_missing_file(capsys):

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbisym import (
     EnumerationLimits,
@@ -19,6 +23,9 @@ from orbisym import (
     trace_word,
     verify_coset_table,
 )
+from orbisym import coset
+from orbisym.coset import _Enumerator
+from orbisym.presentation import Presentation, family_15e
 from conftest import dihedral_generators, mulclose, triangle_rotation_generators
 
 D7 = "generators: x y\nrelators: x^7 y^2 (x*y)^2\n"
@@ -203,3 +210,130 @@ def test_table_to_tsv():
     row = lines[1].split("\t")
     assert row[0] == "0"
     assert all(cell.isdigit() for cell in row[1:])
+
+
+@pytest.mark.parametrize("relators,max_cosets,order", [
+    # The lookahead shrinks 30 rows to 7 live cosets while HLT is at
+    # coset 9, an index past the end of the compacted table.
+    ("x^6 y^7 x^-1", 30, 7),
+    # The lookahead merges away the coset HLT is working on.
+    ("y^-1*x*y*x^-5 x^25 y^-15", 147, 15),
+])
+def test_make_room_resumes_after_collapse(relators, max_cosets, order):
+    pres = load_presentation(f"generators: x y\nrelators: {relators}\n")
+    tight = enumerate_cosets(pres, limits=EnumerationLimits(max_cosets=max_cosets))
+    assert tight.action == enumerate_cosets(pres).action
+    assert tight.n_cosets == order
+
+
+def _cyclically_reduced(letters):
+    w = Word(tuple(letters)).letters
+    return bool(w) and (len(w) == 1 or w[0] != -w[-1])
+
+
+@st.composite
+def long_power_presentations(draw):
+    """Long powers w^k (16..60 letters, roots of 1-3 letters) next to
+    short relators that often make the group finite: small powers,
+    dihedral and metacyclic relations, or random words."""
+    n_gens = draw(st.integers(1, 3))
+    letters = st.sampled_from([s * i for i in range(1, n_gens + 1) for s in (1, -1)])
+    gens = [Word.generator(i) for i in range(n_gens)]
+
+    def short_word(max_size):
+        return Word(tuple(draw(st.lists(letters, min_size=1, max_size=max_size))))
+
+    relators = []
+    for _ in range(draw(st.integers(1, 2))):
+        root = Word(tuple(draw(st.lists(letters, min_size=1, max_size=3)
+                               .filter(_cyclically_reduced))))
+        k = draw(st.integers(max(2, -(-16 // len(root))), 60 // len(root)))
+        relators.append(root ** k)
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            relators.append(a ** draw(st.integers(2, 4)))
+        elif kind == 1:
+            relators.append((a * b) ** 2)
+        elif kind == 2:
+            relators.append(~b * a * b * a ** -draw(st.integers(-3, 4)))
+        else:
+            relators.append(short_word(6))
+    relators = [r for r in relators if r]
+    draw(st.randoms()).shuffle(relators)
+    subgroup = tuple(short_word(4) for _ in range(draw(st.integers(0, 2))))
+    return Presentation(tuple("xyz"[:n_gens]), tuple(relators)), subgroup
+
+
+def _hlt_run(pres, subgroup, limits):
+    """The raw HLT table, union-find and assignment count, or the
+    LimitExceeded message."""
+    enum = _Enumerator(pres, subgroup, limits, "hlt")
+    try:
+        return enum.run(), enum.p, enum.assignments
+    except LimitExceeded as exc:
+        return str(exc)
+
+
+def _assert_skip_changes_nothing(pres, subgroup, limits):
+    # With no relator long enough to mark, HLT scans every relator at
+    # every coset.  Skipping must leave every definition, deduction and
+    # merge, and so the point where a budget runs out, as it was.
+    hlt = _hlt_run(pres, subgroup, limits)
+    with mock.patch.object(coset, "MIN_MARKED_POWER", math.inf):
+        assert _hlt_run(pres, subgroup, limits) == hlt
+    return hlt
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_power_presentations(), st.integers(10, 400))
+def test_long_power_skip_changes_nothing(case, max_cosets):
+    pres, subgroup = case
+    limits = EnumerationLimits(max_cosets=max_cosets, max_deductions=20_000)
+    hlt = _assert_skip_changes_nothing(pres, subgroup, limits)
+    if isinstance(hlt, str):
+        return
+    try:
+        felsch = enumerate_cosets(pres, subgroup, limits, strategy="felsch")
+    except LimitExceeded:
+        return
+    assert coset._standardize(hlt[0], hlt[1]) == felsch.action
+
+
+def test_long_power_is_scanned_once_per_orbit(monkeypatch):
+    # <x, y | x^2, y^200, [x, y]> has 400 cosets in two y-orbits: the
+    # y^200 scans at cosets 0 and 0*x close every other coset.
+    pres = family_15e(200)
+    power = pres.relator_columns[1]
+    assert len(power) == 200
+    scans = []
+    original = _Enumerator._scan
+
+    def counting_scan(self, alpha, cols, fill):
+        if cols == power:
+            scans.append(alpha)
+        return original(self, alpha, cols, fill)
+
+    monkeypatch.setattr(_Enumerator, "_scan", counting_scan)
+    assert group_order(pres) == 400
+    assert len(scans) <= 2
+
+
+def test_tight_cap_with_long_power_marks(monkeypatch):
+    # 6 cosets, but HLT's raw table peaks at 613 rows: a cap of 157
+    # compacts while many cosets are marked and work remains.
+    pres = load_presentation("generators: x y\nrelators: x^22 y^6 y^-1*x*y*x^-2\n")
+    base = enumerate_cosets(pres)
+    marks_at_compaction = []
+    original = _Enumerator._make_room
+
+    def recording_make_room(self, alpha):
+        marks_at_compaction.append(len(self.closed))
+        return original(self, alpha)
+
+    monkeypatch.setattr(_Enumerator, "_make_room", recording_make_room)
+    tight = EnumerationLimits(max_cosets=157)
+    assert enumerate_cosets(pres, limits=tight).action == base.action
+    assert marks_at_compaction and marks_at_compaction[0] > 0
+    _assert_skip_changes_nothing(pres, (), tight)
