@@ -6,17 +6,21 @@ fixed rows, the perfect-square family, and the generic remainder.
 ``verify_table`` recomputes each row's arithmetic (surface invariants
 against the row's algebraic genus, maximal order against the formula
 class) and reports one check result per fact.
+The surfaces of the square and generic rows are the closed forms in
+``surface``, re-exported here; the families in ``scenario`` use them too.
 
 ``builtin_cases`` returns the four rows that come with printed
 presentations and are therefore runnable end to end: the order-120
 orbifold in both singular-set variants, and the two parametric
-families.  Cases live in a human-readable file format (see data/); a
-directory of ``*.case`` files (environment variable ORBISYM_CATALOG,
-default ./catalog) overrides the compiled-in copies by id.
+families.  Cases live in a human-readable file format (see data/, the
+only built-in copy); an optional directory of ``*.case`` files
+(environment variable ORBISYM_CATALOG, default ./catalog) overrides
+them by id.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
@@ -32,7 +36,7 @@ from .errors import (
     UnknownCase,
     WordSyntaxError,
 )
-from .presentation import family_15e, family_19, load_presentation_with_aliases
+from .presentation import load_presentation_with_aliases
 from .scenario import (
     AlwaysOrientable,
     BoundaryPattern,
@@ -45,6 +49,7 @@ from .scenario import (
     evaluate_dashed_arc_scenario,
     evaluate_edge_scenario,
     evaluate_family,
+    family_spec,
 )
 from .surface import (
     EXCEPTIONAL_ALPHA_CLASSES,
@@ -54,6 +59,8 @@ from .surface import (
     SurfaceType,
     algebraic_genus,
     m_alpha,
+    remaining_family_surfaces,
+    square_family_surface,
     surface_from_str,
 )
 from .words import Word, parse_word
@@ -145,19 +152,6 @@ def builtin_table() -> tuple[TableRow, ...]:
     return tuple(rows)
 
 
-def square_family_surface(k: int) -> SurfaceType:
-    """The surface the square family assigns to a = k^2."""
-    return _s(k * (k - 1) // 2, k + 1)
-
-
-def remaining_family_surfaces(alpha: int) -> tuple[SurfaceType, ...]:
-    """The generic surface pair at algebraic genus a."""
-    first = _s(0, alpha + 1)
-    if alpha % 2 == 0:
-        return (first, _s(alpha // 2, 1))
-    return (first, _s((alpha - 1) // 2, 2))
-
-
 def is_remaining_alpha(alpha: int) -> bool:
     """True when no exceptional class or square family covers alpha."""
     for _, _, _, members in EXCEPTIONAL_ALPHA_CLASSES:
@@ -174,6 +168,21 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+
+
+def _row_checks(alpha: int, surfaces: tuple[SurfaceType, ...],
+                m_label: str | None, m_value: int | None) -> list[CheckResult]:
+    """Each surface sits at alpha, and m_alpha gives the row's label and value."""
+    checks = [CheckResult(f"a={alpha}:surface {s}", algebraic_genus(s) == alpha,
+                          f"surface {s} has algebraic genus {algebraic_genus(s)}, "
+                          f"row says {alpha}")
+              for s in surfaces]
+    computed = m_alpha(alpha)
+    checks.append(CheckResult(f"a={alpha}:m-formula",
+                              (computed.label, computed.value) == (m_label, m_value),
+                              f"m_alpha gives {computed.label}={computed.value}, "
+                              f"row says {m_label}={m_value}"))
+    return checks
 
 
 def verify_table(rows: tuple[TableRow, ...] | None = None) -> tuple[CheckResult, ...]:
@@ -201,16 +210,8 @@ def verify_table(rows: tuple[TableRow, ...] | None = None) -> tuple[CheckResult,
 
     for row in rows:
         if row.kind == "fixed":
-            assert row.alpha is not None and row.m_value is not None
-            for surface in row.surfaces:
-                check(f"a={row.alpha}:surface {surface}",
-                      algebraic_genus(surface) == row.alpha,
-                      f"algebraic genus {algebraic_genus(surface)}")
-            computed = m_alpha(row.alpha)
-            check(f"a={row.alpha}:m-formula",
-                  (computed.label, computed.value) == (row.m_label, row.m_value),
-                  f"m_alpha gives {computed.label}={computed.value}, "
-                  f"row says {row.m_label}={row.m_value}")
+            assert row.alpha is not None
+            results.extend(_row_checks(row.alpha, row.surfaces, row.m_label, row.m_value))
         elif row.kind == "square":
             for k in SQUARE_CHECK_ROOTS:
                 if k in SQUARE_RULE_EXCLUDED_ROOTS:
@@ -427,30 +428,18 @@ def _parse_pattern(line: str, names: tuple[str, ...],
     return BoundaryPattern(name, words, rule)
 
 
-def _builtin_case_texts() -> dict[str, str]:
-    texts = {}
-    data = resources.files("orbisym").joinpath("data")
-    for entry in sorted(data.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".case"):
-            texts[entry.name] = entry.read_text()
-    return texts
-
-
-def _family_entries() -> tuple[CatalogEntry, ...]:
-    return (
-        CatalogEntry(id="15E", kind="family", family=FAMILY_15E),
-        CatalogEntry(id="19", kind="family", family=FAMILY_19),
-    )
-
-
+@functools.cache
 def _builtin_entries() -> dict[str, CatalogEntry]:
-    """All compiled-in entries by id, including arithmetic-only rows."""
+    """All compiled-in entries by id, including arithmetic-only rows;
+    parsed once per process, since package data is read-only."""
     by_id = {}
-    for _, text in sorted(_builtin_case_texts().items()):
-        entry = parse_case_text(text)
-        by_id[entry.id] = entry
-    for entry in _family_entries():
-        by_id[entry.id] = entry
+    data = resources.files("orbisym").joinpath("data")
+    for path in sorted(data.iterdir(), key=lambda e: e.name):
+        if path.name.endswith(".case"):
+            entry = parse_case_text(path.read_text())
+            by_id[entry.id] = entry
+    for family in (FAMILY_15E, FAMILY_19):
+        by_id[family] = CatalogEntry(id=family, kind="family", family=family)
     return by_id
 
 
@@ -482,14 +471,10 @@ def load_case_dir(directory: Path | None = None) -> dict[str, CatalogEntry]:
 
 def find_case(case_id: str, search_dir: Path | None = None) -> CatalogEntry:
     """File entries override compiled-in entries by id; UnknownCase otherwise."""
-    from_files = load_case_dir(search_dir)
-    if case_id in from_files:
-        return from_files[case_id]
-    builtin = _builtin_entries()
-    if case_id in builtin:
-        return builtin[case_id]
-    known = sorted(set(from_files) | set(builtin))
-    raise UnknownCase(f"no case {case_id!r}; known: {', '.join(known)}")
+    entries = {**_builtin_entries(), **load_case_dir(search_dir)}
+    if case_id not in entries:
+        raise UnknownCase(f"no case {case_id!r}; known: {', '.join(sorted(entries))}")
+    return entries[case_id]
 
 
 @dataclass(frozen=True)
@@ -497,6 +482,7 @@ class CaseReport:
     """Outcome of run_case: expectations next to computed values."""
 
     case_id: str
+    kind: str  # CatalogEntry.kind
     status: str  # "match" | "mismatch"
     expected_order: int | None
     computed_order: int | None
@@ -514,98 +500,62 @@ def _sorted_surfaces(surfaces) -> tuple[SurfaceType, ...]:
     return tuple(sorted(surfaces, key=lambda s: (not s.orientable, s.genus, s.boundary)))
 
 
-def _family_expectations(family: str, n: int) -> tuple[int, tuple[SurfaceType, ...], tuple[str | None, ...]]:
-    if family == FAMILY_15E:
-        if n % 2 == 1:
-            surfaces = (SurfaceType(True, 0, n), SurfaceType(True, (n - 1) // 2, 1))
-        else:
-            surfaces = (SurfaceType(True, 0, n), SurfaceType(True, (n - 2) // 2, 2))
-        return 2 * n, surfaces, ("A", "B")
-    if family == FAMILY_19:
-        return n * n, (SurfaceType(True, (n - 1) * (n - 2) // 2, n),), (None,)
-    raise InvalidParameter(f"unknown family {family!r}")
-
-
 def run_case(case_id: str, n: int | None = None,
              limits: EnumerationLimits | None = None,
              threads: int = 1, early_stop: bool = False,
              search_dir: Path | None = None) -> CaseReport:
-    """Run a catalog case and compare against its expectations."""
+    """Run a catalog case and compare against its expectations; the
+    status is "mismatch" exactly when a detail was recorded."""
     entry = find_case(case_id, search_dir)
-    detail: list[str] = []
 
     if entry.kind == "arithmetic":
         assert entry.alpha is not None
-        ok = True
-        for surface in entry.expected_surfaces:
-            if algebraic_genus(surface) != entry.alpha:
-                ok = False
-                detail.append(f"surface {surface} has algebraic genus "
-                              f"{algebraic_genus(surface)}, row says {entry.alpha}")
-        computed = m_alpha(entry.alpha)
-        if (computed.label, computed.value) != (entry.m_label, entry.m_value):
-            ok = False
-            detail.append(f"m_alpha gives {computed.label}={computed.value}, "
-                          f"row says {entry.m_label}={entry.m_value}")
-        return CaseReport(case_id=entry.id, status="match" if ok else "mismatch",
+        detail = [c.detail for c in _row_checks(entry.alpha, entry.expected_surfaces,
+                                                entry.m_label, entry.m_value)
+                  if not c.passed]
+        return CaseReport(case_id=entry.id, kind=entry.kind,
+                          status="mismatch" if detail else "match",
                           expected_order=None, computed_order=None,
                           expected_surfaces=_sorted_surfaces(entry.expected_surfaces),
                           computed_surfaces=(), outcomes=(), detail=tuple(detail))
 
+    detail = []
     if entry.kind == "family":
         assert entry.family is not None
         if n is None:
             raise InvalidParameter(f"case {entry.id!r} needs a family parameter n")
-        expected_order, expected_surfaces, embeddings = _family_expectations(entry.family, n)
-        pres = family_15e(n) if entry.family == FAMILY_15E else family_19(n)
-        computed_order = group_order(pres, limits)
-        computed: list[SurfaceType] = []
-        outcomes: list[PatternOutcome] = []
-        status = "match"
-        for embedding in embeddings:
+        family = family_spec(entry.family)
+        expected_order, expected_surfaces = family.order(n), family.surfaces(n)
+        computed_order = group_order(family.presentation(n), limits)
+        computed, outcomes = [], []
+        for name in family.embeddings:
             try:
-                surface = evaluate_family(entry.family, n, embedding, limits)
+                surface = evaluate_family(entry.family, n, name, limits)
             except MismatchError as exc:
-                status = "mismatch"
                 detail.append(str(exc))
                 continue
             computed.append(surface)
-            outcomes.append(PatternOutcome(
-                pattern=f"embedding {embedding or 'A'}",
-                boundary=surface.boundary,
-                orientable=surface.orientable,
-                genus=surface.genus))
-        if computed_order != expected_order:
-            status = "mismatch"
-            detail.append(f"order {computed_order}, expected {expected_order}")
-        if set(computed) != set(expected_surfaces):
-            status = "mismatch"
-            detail.append(f"surfaces {sorted(map(str, computed))}, "
-                          f"expected {sorted(map(str, expected_surfaces))}")
-        return CaseReport(case_id=entry.id, status=status,
-                          expected_order=expected_order, computed_order=computed_order,
-                          expected_surfaces=_sorted_surfaces(expected_surfaces),
-                          computed_surfaces=_sorted_surfaces(computed),
-                          outcomes=tuple(outcomes), detail=tuple(detail))
-
-    assert entry.scenario is not None
-    pres = entry.scenario.presentation
-    computed_order = group_order(pres, limits)
-    if entry.kind == "edge":
-        result = evaluate_edge_scenario(entry.scenario, limits)
+            outcomes.append(PatternOutcome(f"embedding {name}", surface.boundary,
+                                           surface.orientable, surface.genus))
     else:
-        result = evaluate_dashed_arc_scenario(entry.scenario, limits,
-                                              threads=threads, early_stop=early_stop)
-    status = "match"
-    if entry.expected_order is not None and computed_order != entry.expected_order:
-        status = "mismatch"
-        detail.append(f"order {computed_order}, expected {entry.expected_order}")
-    if set(result.surfaces) != set(entry.expected_surfaces):
-        status = "mismatch"
-        detail.append(f"surfaces {sorted(map(str, result.surfaces))}, "
-                      f"expected {sorted(map(str, entry.expected_surfaces))}")
-    return CaseReport(case_id=entry.id, status=status,
-                      expected_order=entry.expected_order, computed_order=computed_order,
-                      expected_surfaces=_sorted_surfaces(entry.expected_surfaces),
-                      computed_surfaces=_sorted_surfaces(result.surfaces),
-                      outcomes=result.per_pattern, detail=tuple(detail))
+        assert entry.scenario is not None
+        expected_order, expected_surfaces = entry.expected_order, entry.expected_surfaces
+        computed_order = group_order(entry.scenario.presentation, limits)
+        if entry.kind == "edge":
+            result = evaluate_edge_scenario(entry.scenario, limits)
+        else:
+            result = evaluate_dashed_arc_scenario(entry.scenario, limits,
+                                                  threads=threads, early_stop=early_stop)
+        computed, outcomes = result.surfaces, result.per_pattern
+
+    if expected_order is not None and computed_order != expected_order:
+        detail.append(f"order {computed_order}, expected {expected_order}")
+    if set(computed) != set(expected_surfaces):
+        detail.append(f"surfaces {sorted(map(str, computed))}, "
+                      f"expected {sorted(map(str, expected_surfaces))}")
+    return CaseReport(case_id=entry.id, kind=entry.kind,
+                      status="mismatch" if detail else "match",
+                      expected_order=expected_order, computed_order=computed_order,
+                      expected_surfaces=_sorted_surfaces(expected_surfaces),
+                      computed_surfaces=_sorted_surfaces(computed),
+                      outcomes=tuple(outcomes), detail=tuple(detail))

@@ -155,7 +155,7 @@ def _case_text(report: CaseReport) -> list[str]:
     if report.computed_order is not None:
         expected = f" (expected {report.expected_order})" if report.expected_order else ""
         lines.append(f"  order: {report.computed_order}{expected}")
-    if report.case_id.startswith("orbifold-28-dashed"):
+    if report.kind == "dashed":
         admissible = len({o.conjugator for o in report.outcomes})
         lines.append(f"  conjugators: {admissible} admissible, "
                      f"{len(report.outcomes)} patterns evaluated")

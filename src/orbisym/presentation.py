@@ -21,6 +21,7 @@ from .errors import (
     DuplicateGenerator,
     EmptyRelator,
     InvalidParameter,
+    OrbisymError,
     WordSyntaxError,
 )
 from .words import Word, format_word, letter_columns, parse_word
@@ -100,10 +101,13 @@ def load_presentation_with_aliases(text: str) -> tuple[Presentation, dict[str, W
                 if names is None:
                     raise WordSyntaxError("relators before generators line")
                 for token in line[len("relators:"):].split():
-                    relators.append(parse_word(token, names, aliases))
+                    relator = parse_word(token, names, aliases)
+                    if not relator:
+                        raise EmptyRelator("relator freely reduces to the empty word")
+                    relators.append(relator)
             else:
                 raise WordSyntaxError(f"unrecognized directive {line.split()[0]!r}")
-        except (WordSyntaxError, DuplicateGenerator) as exc:
+        except OrbisymError as exc:
             raise type(exc)(f"line {lineno}: {exc}") from None
     if names is None:
         raise WordSyntaxError("missing generators line")

@@ -12,19 +12,27 @@ Genus always comes from the scenario's algebraic genus and the computed
 boundary count; a parity or genus failure aborts the whole scenario
 (ClassificationError) instead of skipping the pattern, since it signals
 an inconsistent scenario definition.
+
+Families 15E and 19 are defined once, in ``_FAMILIES``; their surfaces
+are the row closed forms in ``surface``.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .coset import EnumerationLimits, enumerate_cosets, permutation_rep
 from .errors import InvalidParameter, MismatchError
 from .permgroup import enumerate_elements, evaluate_word
 from .presentation import Presentation, family_15e, family_19
-from .surface import SurfaceType, classify_surface
+from .surface import (
+    SurfaceType,
+    classify_surface,
+    remaining_family_surfaces,
+    square_family_surface,
+)
 from .words import Word, conjugate, format_word, invert
 from .z2hom import Z2Constraint, solve_hom_to_z2
 
@@ -221,35 +229,56 @@ def evaluate_dashed_arc_scenario(scenario: DashedArcScenario,
     return ScenarioResult(frozenset(surfaces), tuple(outcomes))
 
 
+@dataclass(frozen=True)
+class Family:
+    """A parametric family at parameter n; ``embeddings`` maps names to subgroup
+    words and always-orientable flags, in the order of ``surfaces(n)``."""
+
+    presentation: Callable[[int], Presentation]
+    alpha: Callable[[int], int]
+    order: Callable[[int], int]
+    surfaces: Callable[[int], tuple[SurfaceType, ...]]
+    embeddings: dict[str, tuple[tuple[Word, ...], bool]]
+
+
+_X, _Y = Word.generator(0), Word.generator(1)
+
+# Family 15E at n realises the generic row at a = n - 1, family 19 the
+# square row at a = (n - 1)^2.
+_FAMILIES = {
+    FAMILY_15E: Family(family_15e, lambda n: n - 1, lambda n: 2 * n,
+                       lambda n: remaining_family_surfaces(n - 1),
+                       {"A": ((_X,), False), "B": ((_X * _Y,), True)}),
+    FAMILY_19: Family(family_19, lambda n: (n - 1) ** 2, lambda n: n * n,
+                      lambda n: (square_family_surface(n - 1),),
+                      {"A": ((_X * _Y,), True)}),
+}
+
+
+def family_spec(family: str) -> Family:
+    """The family of that name; InvalidParameter for any other name."""
+    if family not in _FAMILIES:
+        raise InvalidParameter(f"unknown family {family!r}")
+    return _FAMILIES[family]
+
+
 def _family_closed_form(family: str, n: int, embedding: str | None) -> tuple[SurfaceType, tuple[Word, ...], bool]:
-    """Expected surface, subgroup words, and always-orientable flag."""
-    x, y = Word.generator(0), Word.generator(1)
-    if family == FAMILY_15E:
-        if embedding == "A":
-            expected = SurfaceType(True, 0, n)
-            return expected, (x,), False
-        if embedding == "B":
-            if n % 2 == 1:
-                expected = SurfaceType(True, (n - 1) // 2, 1)
-            else:
-                expected = SurfaceType(True, (n - 2) // 2, 2)
-            return expected, (x * y,), True
-        raise InvalidParameter(f"family 15E has embeddings A and B, got {embedding!r}")
-    if family == FAMILY_19:
-        if embedding not in (None, "A"):
-            raise InvalidParameter(f"family 19 has a single embedding, got {embedding!r}")
-        expected = SurfaceType(True, (n - 1) * (n - 2) // 2, n)
-        return expected, (x * y,), True
-    raise InvalidParameter(f"unknown family {family!r}")
+    """Expected surface, subgroup words, and always-orientable flag; None
+    names the embedding of a family that has only one."""
+    spec = family_spec(family)
+    names = list(spec.embeddings)
+    if embedding is None and len(names) == 1:
+        embedding = names[0]
+    if embedding not in spec.embeddings:
+        raise InvalidParameter(f"family {family} has embeddings "
+                               f"{' and '.join(names)}, got {embedding!r}")
+    subgroup, always = spec.embeddings[embedding]
+    return spec.surfaces(n)[names.index(embedding)], subgroup, always
 
 
 def family_alpha(family: str, n: int) -> int:
     """Algebraic genus of the family member."""
-    if family == FAMILY_15E:
-        return n - 1
-    if family == FAMILY_19:
-        return (n - 1) ** 2
-    raise InvalidParameter(f"unknown family {family!r}")
+    return family_spec(family).alpha(n)
 
 
 def evaluate_family(family: str, n: int, embedding: str | None = None,
@@ -258,9 +287,8 @@ def evaluate_family(family: str, n: int, embedding: str | None = None,
     the result against the closed form; MismatchError if they disagree."""
     if n < 3:
         raise InvalidParameter(f"family evaluation needs n >= 3, got {n}")
-    pres = family_15e(n) if family == FAMILY_15E else family_19(n) if family == FAMILY_19 else None
     expected, subgroup, always = _family_closed_form(family, n, embedding)
-    assert pres is not None
+    pres = family_spec(family).presentation(n)
     boundary = enumerate_cosets(pres, subgroup, limits).n_cosets
     if always:
         orientable = True

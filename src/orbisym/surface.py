@@ -28,6 +28,8 @@ __all__ = [
     "m_alpha",
     "EXCEPTIONAL_ALPHA_CLASSES",
     "SQUARE_RULE_EXCLUDED_ROOTS",
+    "square_family_surface",
+    "remaining_family_surfaces",
 ]
 
 
@@ -132,3 +134,16 @@ def m_alpha(alpha: int) -> MaxOrderClass:
     if root * root == alpha and root not in SQUARE_RULE_EXCLUDED_ROOTS:
         return MaxOrderClass(SQUARE_RULE_LABEL, 4 * (root + 1) ** 2)
     return MaxOrderClass(GENERIC_LABEL, 4 * (alpha + 1))
+
+
+def square_family_surface(k: int) -> SurfaceType:
+    """The surface the square row assigns to a = k^2."""
+    return SurfaceType(True, k * (k - 1) // 2, k + 1)
+
+
+def remaining_family_surfaces(alpha: int) -> tuple[SurfaceType, ...]:
+    """The generic surface pair at algebraic genus a."""
+    first = SurfaceType(True, 0, alpha + 1)
+    if alpha % 2 == 0:
+        return (first, SurfaceType(True, alpha // 2, 1))
+    return (first, SurfaceType(True, (alpha - 1) // 2, 2))

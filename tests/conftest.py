@@ -19,6 +19,24 @@ relators: x^5 y^2 z^2 (x*z)^3 (x*y)^2 (y*z^-1)^2
 """
 
 
+EDGE_CASE = """\
+case: tiny-edge
+generators: x y
+relators: x^3 y^2 (x*y)^2
+scenario edge alpha=2
+pattern P1: subgroup = x, y ; orient = always
+expect order=6 surfaces=S_{1,1}
+"""
+
+DASHED_CASE = """\
+case: tiny-dashed
+generators: x y
+relators: x^3 y^2 (x*y)^2
+scenario dashed alpha=2 fixed=y arc=x hom(y=1)
+expect order=6 surfaces=S_{1,1}
+"""
+
+
 @pytest.fixture(scope="session")
 def orbifold_28():
     return load_presentation(ORBIFOLD_28_TEXT)

@@ -9,6 +9,7 @@ import pytest
 from orbisym import (
     CatalogEntry,
     InvalidParameter,
+    MismatchError,
     SurfaceType,
     TableRow,
     UnknownCase,
@@ -26,6 +27,10 @@ from orbisym.catalog import (
     remaining_family_surfaces,
     square_family_surface,
 )
+from orbisym.cli import main
+from orbisym.scenario import FAMILY_19, evaluate_family
+import orbisym.scenario as scenario_module
+from conftest import DASHED_CASE, EDGE_CASE
 
 
 def S(g, b):
@@ -110,15 +115,6 @@ m: 4(a+1) = 120
 surfaces: S_{0,30} S_{9,12} S_{14,2}
 """
 
-EDGE_CASE = """\
-case: tiny-edge
-generators: x y
-relators: x^3 y^2 (x*y)^2
-scenario edge alpha=2
-pattern P1: subgroup = x, y ; orient = always
-expect order=6 surfaces=S_{1,1}
-"""
-
 
 def test_parse_arithmetic_case():
     entry = parse_case_text(ARITHMETIC_CASE)
@@ -156,15 +152,6 @@ def test_parse_case_errors():
         parse_case_text(EDGE_CASE.replace(
             "pattern P1: subgroup = x, y ; orient = always",
             "pattern P1: subgroup = x, y"))
-
-
-DASHED_CASE = """\
-case: tiny-dashed
-generators: x y
-relators: x^3 y^2 (x*y)^2
-scenario dashed alpha=2 fixed=y arc=x hom(y=1)
-expect order=6 surfaces=S_{1,1}
-"""
 
 
 @pytest.mark.parametrize("text,missing", [
@@ -237,6 +224,26 @@ def test_run_family_case():
     assert report.computed_surfaces == (S(3, 4),)
 
 
+def test_run_family_case_reports_closed_form_mismatch(monkeypatch, capsys):
+    # a wrong closed form must surface as a mismatch of the case, not an error
+    real = scenario_module._family_closed_form
+
+    def wrong(family, n, embedding):
+        expected, subgroup, always = real(family, n, embedding)
+        bad = SurfaceType(expected.orientable, expected.genus + 1, expected.boundary)
+        return bad, subgroup, always
+
+    monkeypatch.setattr(scenario_module, "_family_closed_form", wrong)
+    with pytest.raises(MismatchError) as exc:
+        evaluate_family(FAMILY_19, 4)
+    report = run_case("19", n=4)
+    assert report.status == "mismatch"
+    assert str(exc.value) in report.detail
+    assert report.computed_order == 16
+    assert main(["case", "19", "--n", "4"]) == 1
+    assert f"note: {exc.value}" in capsys.readouterr().out
+
+
 def test_run_family_needs_n():
     with pytest.raises(InvalidParameter):
         run_case("15E")
@@ -267,16 +274,6 @@ def test_run_arithmetic_mismatch(tmp_path):
     report = run_case("little-row", search_dir=tmp_path)
     assert not report.matched
     assert any("124" in d for d in report.detail)
-
-
-def test_repo_catalog_matches_package_data():
-    # the repo-root catalog/ files must stay in sync with the built-in copies
-    package_dir = REPO_ROOT / "src/orbisym/data"
-    repo_dir = REPO_ROOT / "catalog"
-    paths = sorted(repo_dir.glob("*.case"))
-    assert len(paths) == 3
-    for path in paths:
-        assert (package_dir / path.name).read_text() == path.read_text()
 
 
 def test_builtin_entry_ids_match_case_ids():

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 from orbisym.cli import main
-from conftest import ORBIFOLD_28_TEXT
+from conftest import DASHED_CASE, EDGE_CASE, ORBIFOLD_28_TEXT
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -184,6 +184,45 @@ def test_bad_case_file_is_an_input_error(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("ORBISYM_CATALOG", str(tmp_path))
     assert main(["case", "orbifold-28-edge"]) == 2
     assert "broken.case: line 4: scenario line needs alpha=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,case_id,dashed", [
+    (DASHED_CASE, "tiny-dashed", True),
+    (DASHED_CASE.replace("tiny-dashed", "orbifold-28-dashed-small"),
+     "orbifold-28-dashed-small", True),
+    (EDGE_CASE.replace("tiny-edge", "orbifold-28-dashed-edge"),
+     "orbifold-28-dashed-edge", False),
+], ids=["dashed", "dashed-with-orbifold-prefix", "edge-with-orbifold-prefix"])
+def test_case_text_layout_follows_entry_kind(capsys, tmp_path, monkeypatch,
+                                             text, case_id, dashed):
+    # the layout depends on the kind of case, whatever its id says
+    (tmp_path / "tiny.case").write_text(text)
+    monkeypatch.setenv("ORBISYM_CATALOG", str(tmp_path))
+    main(["case", case_id])
+    out = capsys.readouterr().out
+    assert ("  conjugators: " in out) == dashed
+    assert ("  loop: " in out or "  P1: " in out) != dashed
+
+
+@pytest.mark.parametrize("relators,message", [
+    ("x^3 q^2", "unknown generator 'q'"),
+    ("x^3 y*y^-1", "relator freely reduces to the empty word"),
+])
+@pytest.mark.parametrize("kind", ["presentation", "case"])
+def test_presentation_errors_name_the_line(capsys, tmp_path, monkeypatch,
+                                           relators, message, kind):
+    if kind == "presentation":
+        path = tmp_path / "bad.txt"
+        path.write_text(f"generators: x y\nrelators: {relators}\n")
+        argv, where = ["order", str(path)], "line 2"
+    else:
+        path = tmp_path / "bad.case"
+        path.write_text(EDGE_CASE.replace("relators: x^3 y^2 (x*y)^2",
+                                          f"relators: {relators}"))
+        monkeypatch.setenv("ORBISYM_CATALOG", str(tmp_path))
+        argv, where = ["case", "tiny-edge"], f"{path}: line 3"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {where}: {message}\n"
 
 
 @pytest.mark.parametrize("module", ["orbisym", "orbisym.cli"])
