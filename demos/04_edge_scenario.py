@@ -1,7 +1,7 @@
 """Edge scenario: four boundary patterns of one order-120 group.
 
-Each pattern is a pair of subgroup words; its coset count is the number
-of boundary components, and a Z2 check decides orientability.  Together
+Each pattern is a pair of subgroup words; its index in the group is the
+number of boundary components, and a Z2 check decides orientability.  Together
 with the algebraic genus (11 here), that pins down the surface.
 """
 

@@ -16,9 +16,11 @@ Subpackage-free library layout:
 from .coset import (
     CosetTable,
     EnumerationLimits,
+    coset_words,
     enumerate_cosets,
     group_order,
     permutation_rep,
+    subgroup_index,
     table_to_tsv,
     trace_word,
     verify_coset_table,

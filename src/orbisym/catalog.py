@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .coset import EnumerationLimits, group_order
+from .coset import EnumerationLimits, enumerate_cosets
 from .errors import (
     InvalidParameter,
     MismatchError,
@@ -49,7 +49,7 @@ from .scenario import (
     evaluate_dashed_arc_scenario,
     evaluate_edge_scenario,
     evaluate_family,
-    family_spec,
+    family_member,
 )
 from .surface import (
     EXCEPTIONAL_ALPHA_CLASSES,
@@ -490,6 +490,7 @@ class CaseReport:
     computed_surfaces: tuple[SurfaceType, ...]
     outcomes: tuple[PatternOutcome, ...]
     detail: tuple[str, ...]
+    admissible: int = 0  # ScenarioResult.admissible of a dashed-arc sweep
 
     @property
     def matched(self) -> bool:
@@ -519,18 +520,21 @@ def run_case(case_id: str, n: int | None = None,
                           expected_surfaces=_sorted_surfaces(entry.expected_surfaces),
                           computed_surfaces=(), outcomes=(), detail=tuple(detail))
 
+    # One enumeration per case: the regular table gives the order, and every
+    # index is read off it.
     detail = []
+    admissible = 0
     if entry.kind == "family":
         assert entry.family is not None
         if n is None:
             raise InvalidParameter(f"case {entry.id!r} needs a family parameter n")
-        family = family_spec(entry.family)
+        family = family_member(entry.family, n)
         expected_order, expected_surfaces = family.order(n), family.surfaces(n)
-        computed_order = group_order(family.presentation(n), limits)
+        regular = enumerate_cosets(family.presentation(n), (), limits)
         computed, outcomes = [], []
         for name in family.embeddings:
             try:
-                surface = evaluate_family(entry.family, n, name, limits)
+                surface = evaluate_family(entry.family, n, name, limits, regular=regular)
             except MismatchError as exc:
                 detail.append(str(exc))
                 continue
@@ -540,13 +544,15 @@ def run_case(case_id: str, n: int | None = None,
     else:
         assert entry.scenario is not None
         expected_order, expected_surfaces = entry.expected_order, entry.expected_surfaces
-        computed_order = group_order(entry.scenario.presentation, limits)
+        regular = enumerate_cosets(entry.scenario.presentation, (), limits)
         if entry.kind == "edge":
-            result = evaluate_edge_scenario(entry.scenario, limits)
+            result = evaluate_edge_scenario(entry.scenario, limits, regular=regular)
         else:
             result = evaluate_dashed_arc_scenario(entry.scenario, limits,
-                                                  threads=threads, early_stop=early_stop)
-        computed, outcomes = result.surfaces, result.per_pattern
+                                                  threads=threads, early_stop=early_stop,
+                                                  regular=regular)
+        computed, outcomes, admissible = result.surfaces, result.per_pattern, result.admissible
+    computed_order = regular.n_cosets
 
     if expected_order is not None and computed_order != expected_order:
         detail.append(f"order {computed_order}, expected {expected_order}")
@@ -558,4 +564,5 @@ def run_case(case_id: str, n: int | None = None,
                       expected_order=expected_order, computed_order=computed_order,
                       expected_surfaces=_sorted_surfaces(expected_surfaces),
                       computed_surfaces=_sorted_surfaces(computed),
-                      outcomes=tuple(outcomes), detail=tuple(detail))
+                      outcomes=tuple(outcomes), detail=tuple(detail),
+                      admissible=admissible)

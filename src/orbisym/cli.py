@@ -54,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="coset budget per enumeration")
         if threads:
             p.add_argument("--threads", type=int, default=1,
-                           help="worker threads for independent evaluations")
+                           help="accepted for compatibility; has no effect, since "
+                                "a case is evaluated in one pass over one coset table")
 
     p = sub.add_parser("order", help="order of the presented group")
     p.add_argument("file", help="presentation file")
@@ -156,8 +157,7 @@ def _case_text(report: CaseReport) -> list[str]:
         expected = f" (expected {report.expected_order})" if report.expected_order else ""
         lines.append(f"  order: {report.computed_order}{expected}")
     if report.kind == "dashed":
-        admissible = len({o.conjugator for o in report.outcomes})
-        lines.append(f"  conjugators: {admissible} admissible, "
+        lines.append(f"  conjugators: {report.admissible} admissible, "
                      f"{len(report.outcomes)} patterns evaluated")
     else:
         for outcome in report.outcomes:

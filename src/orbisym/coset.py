@@ -49,6 +49,8 @@ __all__ = [
     "enumerate_cosets",
     "group_order",
     "trace_word",
+    "subgroup_index",
+    "coset_words",
     "permutation_rep",
     "verify_coset_table",
     "table_to_tsv",
@@ -456,6 +458,57 @@ def trace_word(table: CosetTable, start: int, w: Word) -> int:
     for col in letter_columns(w):
         c = table.action[c][col]
     return c
+
+
+def subgroup_index(regular: CosetTable, words: Iterable[Word]) -> int:
+    """Index of <words> in a finite group, read off its regular table.
+
+    In the table of cosets of the trivial subgroup every coset is a group
+    element, so the orbit of coset 0 under the words is the subgroup H
+    itself and [G:H] = |G| / |H|, which is
+    enumerate_cosets(pres, words).n_cosets without a second enumeration.
+    """
+    if regular.subgroup_generators:
+        raise ValueError("subgroup_index needs the table of the trivial subgroup")
+    words = tuple(words)
+    if any(w.max_generator_index() >= len(regular.generator_names) for w in words):
+        raise ValueError("word uses a generator outside the table's alphabet")
+    action = regular.action
+    word_cols = [letter_columns(w) for w in words]
+    seen = bytearray(regular.n_cosets)
+    seen[0] = 1
+    orbit = [0]
+    for c in orbit:
+        for cols in word_cols:
+            d = c
+            for col in cols:
+                d = action[d][col]
+            if not seen[d]:
+                seen[d] = 1
+                orbit.append(d)
+    return regular.n_cosets // len(orbit)
+
+
+def coset_words(table: CosetTable) -> tuple[Word, ...]:
+    """The shortlex-least word reaching each coset from coset 0, by coset.
+
+    Breadth-first from coset 0 in column order, as _standardize numbers
+    cosets; on the regular table these are the words of
+    enumerate_elements(permutation_rep(table)), in the same order.
+    """
+    letters = [(col // 2 + 1) * (-1 if col & 1 else 1)
+               for col in range(2 * len(table.generator_names))]
+    order = [0]
+    words: list[tuple[int, ...]] = [()] * table.n_cosets
+    seen = bytearray(table.n_cosets)
+    seen[0] = 1
+    for c in order:
+        for col, d in enumerate(table.action[c]):
+            if not seen[d]:
+                seen[d] = 1
+                words[d] = words[c] + (letters[col],)
+                order.append(d)
+    return tuple(Word(w) for w in words)
 
 
 def permutation_rep(table: CosetTable) -> PermGroup:

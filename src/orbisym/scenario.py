@@ -1,12 +1,19 @@
 """Boundary-pattern evaluation for embedded-surface scenarios.
 
 An edge scenario lists boundary patterns directly: each pattern names
-the subgroup words whose coset count is the boundary-component count,
-plus an orientability rule (always orientable, or the solvability of a
-Z2 constraint system).  A dashed-arc scenario sweeps a conjugating
-element c over the whole group: whenever <fixed, c*arc*c^-1> is the
-full group, two loop patterns (always orientable) and two reflection
-patterns (Z2 rule) are evaluated for that c.
+the subgroup words whose index is the boundary-component count, plus an
+orientability rule (always orientable, or the solvability of a Z2
+constraint system).  A dashed-arc scenario sweeps a conjugating element
+c over the whole group: whenever <fixed, c*arc*c^-1> is the full group,
+two loop patterns (always orientable) and two reflection patterns (Z2
+rule) are evaluated for that c.
+
+Every evaluator works from one table: the regular coset table of the
+group (cosets of the trivial subgroup), enumerated once and passed in
+as ``regular=`` by a caller that already has it.  Each subgroup index is
+an orbit size in that table (``coset.subgroup_index``), and the sweep's
+conjugators are its coset words (``coset.coset_words``), so a sweep is
+one pass over one table with no further enumeration.
 
 Genus always comes from the scenario's algebraic genus and the computed
 boundary count; a parity or genus failure aborts the whole scenario
@@ -19,13 +26,18 @@ are the row closed forms in ``surface``.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .coset import EnumerationLimits, enumerate_cosets, permutation_rep
+from .coset import (
+    CosetTable,
+    EnumerationLimits,
+    coset_words,
+    enumerate_cosets,
+    subgroup_index,
+    trace_word,
+)
 from .errors import InvalidParameter, MismatchError
-from .permgroup import enumerate_elements, evaluate_word
 from .presentation import Presentation, family_15e, family_19
 from .surface import (
     SurfaceType,
@@ -77,7 +89,7 @@ OrientabilityRule = AlwaysOrientable | Z2HomRule
 
 @dataclass(frozen=True)
 class BoundaryPattern:
-    """Subgroup words whose coset count is the boundary-component count."""
+    """Subgroup words whose index is the boundary-component count."""
 
     name: str
     subgroup_words: tuple[Word, ...]
@@ -118,10 +130,14 @@ class PatternOutcome:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Deduped surface set plus the per-pattern audit trail."""
+    """Deduped surface set plus the per-pattern audit trail; a dashed-arc
+    sweep also counts the conjugators it probed (visited) and those for
+    which <fixed, c*arc*c^-1> is the whole group (admissible)."""
 
     surfaces: frozenset[SurfaceType]
     per_pattern: tuple[PatternOutcome, ...]
+    visited: int = 0
+    admissible: int = 0
 
 
 def _rule_orientable(pres: Presentation, rule: OrientabilityRule) -> bool:
@@ -131,13 +147,20 @@ def _rule_orientable(pres: Presentation, rule: OrientabilityRule) -> bool:
 
 
 def evaluate_edge_scenario(scenario: EdgeScenario,
-                           limits: EnumerationLimits | None = None) -> ScenarioResult:
-    """Evaluate every pattern; surfaces are deduped, the audit trail is not."""
+                           limits: EnumerationLimits | None = None,
+                           regular: CosetTable | None = None) -> ScenarioResult:
+    """Evaluate every pattern; surfaces are deduped, the audit trail is not.
+
+    regular is the group's regular coset table; it is enumerated under
+    limits when not given.
+    """
     pres = scenario.presentation
+    if regular is None:
+        regular = enumerate_cosets(pres, (), limits)
     outcomes = []
     surfaces = set()
     for pattern in scenario.patterns:
-        boundary = enumerate_cosets(pres, pattern.subgroup_words, limits).n_cosets
+        boundary = subgroup_index(regular, pattern.subgroup_words)
         orientable = _rule_orientable(pres, pattern.rule)
         surface = classify_surface(scenario.alpha, boundary, orientable)
         outcomes.append(PatternOutcome(pattern.name, boundary, orientable, surface.genus))
@@ -159,74 +182,56 @@ def _dashed_pattern_words(scenario: DashedArcScenario, c: Word) -> tuple[tuple[s
     )
 
 
-def _evaluate_conjugator(scenario: DashedArcScenario, index: int, c: Word,
-                         reflections_orientable: bool,
-                         limits: EnumerationLimits | None) -> list[PatternOutcome]:
-    pres = scenario.presentation
-    probe = (scenario.fixed_word, conjugate(scenario.arc_word, c))
-    if enumerate_cosets(pres, probe, limits).n_cosets != 1:
-        return []
-    label = f"c{index}={format_word(c, pres.generator_names)}"
-    outcomes = []
-    for name, words in _dashed_pattern_words(scenario, c):
-        boundary = enumerate_cosets(pres, words, limits).n_cosets
-        orientable = True if name.startswith("loop") else reflections_orientable
-        surface = classify_surface(scenario.alpha, boundary, orientable)
-        outcomes.append(PatternOutcome(name, boundary, orientable, surface.genus,
-                                       conjugator=label, sweep_index=index))
-    return outcomes
-
-
 def evaluate_dashed_arc_scenario(scenario: DashedArcScenario,
                                  limits: EnumerationLimits | None = None,
                                  threads: int = 1,
                                  early_stop: bool = False,
-                                 conjugators: Sequence[Word] | None = None) -> ScenarioResult:
+                                 conjugators: Sequence[Word] | None = None,
+                                 regular: CosetTable | None = None) -> ScenarioResult:
     """Sweep the conjugating element over the whole group.
 
-    By default every element's representative word is visited; with
-    early_stop, conjugators whose moved arc word repeats an already
-    processed permutation image are skipped (the four patterns depend
-    on c only through c*arc*c^-1).  An explicit conjugators sequence
-    replaces the element sweep, e.g. to probe a single element.
+    By default every element's shortlex word (coset_words of the regular
+    table) is visited; with early_stop, conjugators whose moved arc
+    c*arc*c^-1 is an element already processed are skipped (the four
+    patterns depend on c only through it).  An explicit conjugators
+    sequence replaces the element sweep, e.g. to probe a single element.
+    regular is the group's regular coset table; it is enumerated under
+    limits when not given, also for explicit conjugators.  threads is
+    accepted and has no effect: the sweep is one pass over one table.
     """
     pres = scenario.presentation
     reflections_orientable = solve_hom_to_z2(pres, scenario.hom_constraints).solvable
-    group = None
-    if conjugators is None:
+    if regular is None:
         regular = enumerate_cosets(pres, (), limits)
-        group = permutation_rep(regular)
-        sweep = [word for _, word in enumerate_elements(group, regular.n_cosets).entries]
-    else:
-        sweep = list(conjugators)
+    sweep = coset_words(regular) if conjugators is None else tuple(conjugators)
     if early_stop:
-        if group is None:
-            group = permutation_rep(enumerate_cosets(pres, (), limits))
         picked = []
-        seen_images = set()
+        seen_moved = set()
         for c in sweep:
-            image = evaluate_word(group, conjugate(scenario.arc_word, c)).images
-            if image not in seen_images:
-                seen_images.add(image)
+            moved = trace_word(regular, 0, conjugate(scenario.arc_word, c))
+            if moved not in seen_moved:
+                seen_moved.add(moved)
                 picked.append(c)
-        sweep = picked
+        sweep = tuple(picked)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(
-                lambda ic: _evaluate_conjugator(scenario, ic[0], ic[1], reflections_orientable, limits),
-                enumerate(sweep)))
-    else:
-        chunks = [_evaluate_conjugator(scenario, i, c, reflections_orientable, limits)
-                  for i, c in enumerate(sweep)]
-
-    outcomes: list[PatternOutcome] = []
+    outcomes = []
     surfaces = set()
-    for chunk in chunks:
-        for outcome in chunk:
-            outcomes.append(outcome)
-            surfaces.add(classify_surface(scenario.alpha, outcome.boundary, outcome.orientable))
-    return ScenarioResult(frozenset(surfaces), tuple(outcomes))
+    admissible = 0
+    for index, c in enumerate(sweep):
+        probe = (scenario.fixed_word, conjugate(scenario.arc_word, c))
+        if subgroup_index(regular, probe) != 1:
+            continue
+        admissible += 1
+        label = f"c{index}={format_word(c, pres.generator_names)}"
+        for name, words in _dashed_pattern_words(scenario, c):
+            boundary = subgroup_index(regular, words)
+            orientable = True if name.startswith("loop") else reflections_orientable
+            surface = classify_surface(scenario.alpha, boundary, orientable)
+            outcomes.append(PatternOutcome(name, boundary, orientable, surface.genus,
+                                           conjugator=label, sweep_index=index))
+            surfaces.add(surface)
+    return ScenarioResult(frozenset(surfaces), tuple(outcomes),
+                          visited=len(sweep), admissible=admissible)
 
 
 @dataclass(frozen=True)
@@ -262,6 +267,14 @@ def family_spec(family: str) -> Family:
     return _FAMILIES[family]
 
 
+def family_member(family: str, n: int) -> Family:
+    """family_spec for a parameter the evaluators accept; InvalidParameter
+    for n < 3, checked before anything is built at n."""
+    if n < 3:
+        raise InvalidParameter(f"family evaluation needs n >= 3, got {n}")
+    return family_spec(family)
+
+
 def _family_closed_form(family: str, n: int, embedding: str | None) -> tuple[SurfaceType, tuple[Word, ...], bool]:
     """Expected surface, subgroup words, and always-orientable flag; None
     names the embedding of a family that has only one."""
@@ -282,14 +295,20 @@ def family_alpha(family: str, n: int) -> int:
 
 
 def evaluate_family(family: str, n: int, embedding: str | None = None,
-                    limits: EnumerationLimits | None = None) -> SurfaceType:
-    """Classify one family embedding by coset enumeration and cross-check
-    the result against the closed form; MismatchError if they disagree."""
-    if n < 3:
-        raise InvalidParameter(f"family evaluation needs n >= 3, got {n}")
+                    limits: EnumerationLimits | None = None,
+                    regular: CosetTable | None = None) -> SurfaceType:
+    """Classify one family embedding from its subgroup index and cross-check
+    the result against the closed form; MismatchError if they disagree.
+
+    regular is the regular coset table of the family's group at n; it is
+    enumerated under limits when not given.
+    """
+    spec = family_member(family, n)
     expected, subgroup, always = _family_closed_form(family, n, embedding)
-    pres = family_spec(family).presentation(n)
-    boundary = enumerate_cosets(pres, subgroup, limits).n_cosets
+    pres = spec.presentation(n)
+    if regular is None:
+        regular = enumerate_cosets(pres, (), limits)
+    boundary = subgroup_index(regular, subgroup)
     if always:
         orientable = True
     else:

@@ -8,7 +8,9 @@ import pytest
 
 from orbisym import (
     CatalogEntry,
+    EnumerationLimits,
     InvalidParameter,
+    LimitExceeded,
     MismatchError,
     SurfaceType,
     TableRow,
@@ -17,6 +19,7 @@ from orbisym import (
     builtin_cases,
     builtin_table,
     find_case,
+    group_order,
     run_case,
     verify_table,
 )
@@ -242,6 +245,40 @@ def test_run_family_case_reports_closed_form_mismatch(monkeypatch, capsys):
     assert report.computed_order == 16
     assert main(["case", "19", "--n", "4"]) == 1
     assert f"note: {exc.value}" in capsys.readouterr().out
+
+
+def raises_limit(run):
+    try:
+        run()
+    except LimitExceeded:
+        return True
+    return False
+
+
+def limit_cases():
+    for case_id in ("orbifold-28-edge", "orbifold-28-dashed"):
+        pres = find_case(case_id).scenario.presentation
+        for m in range(100, 261):
+            yield case_id, None, pres, m
+    for case_id in ("15E", "19"):
+        spec = scenario_module.family_spec(case_id)
+        for n in range(3, 13):
+            for m in range(1, 3 * n * n + 1):
+                yield case_id, n, spec.presentation(n), m
+
+
+def test_run_case_hits_the_limit_exactly_when_group_order_does():
+    # run_case enumerates only the regular table, so a cap that lets the
+    # group order through lets the whole case through
+    completed = overflowed = 0
+    for case_id, n, pres, m in limit_cases():
+        limits = EnumerationLimits(max_cosets=m)
+        expected = raises_limit(lambda: group_order(pres, limits))
+        assert raises_limit(lambda: run_case(case_id, n=n, limits=limits)) == expected, \
+            (case_id, n, m)
+        completed += not expected
+        overflowed += expected
+    assert completed and overflowed
 
 
 def test_run_family_needs_n():

@@ -151,6 +151,21 @@ def test_case_family_missing_n(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family, n", [("15E", 2), ("19", 0)])
+def test_case_family_n_too_small(capsys, family, n):
+    assert main(["case", family, "--n", str(n)]) == 2
+    assert f"family evaluation needs n >= 3, got {n}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, line", [
+    ([], "conjugators: 48 admissible, 192 patterns evaluated"),
+    (["--early-stop"], "conjugators: 8 admissible, 32 patterns evaluated"),
+])
+def test_case_dashed_text_counts(capsys, flags, line):
+    assert main(["case", "orbifold-28-dashed", *flags]) == 0
+    assert f"  {line}\n" in capsys.readouterr().out
+
+
 def test_case_unknown(capsys):
     assert main(["case", "no-such-case"]) == 2
     assert "known" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from unittest import mock
@@ -15,17 +16,21 @@ from orbisym import (
     LimitExceeded,
     Word,
     conjugate,
+    coset_words,
     enumerate_cosets,
+    enumerate_elements,
     group_order,
     load_presentation,
     parse_word,
+    permutation_rep,
+    subgroup_index,
     table_to_tsv,
     trace_word,
     verify_coset_table,
 )
 from orbisym import coset
 from orbisym.coset import _Enumerator
-from orbisym.presentation import Presentation, family_15e
+from orbisym.presentation import Presentation, family_15e, family_19
 from conftest import dihedral_generators, mulclose, triangle_rotation_generators
 
 D7 = "generators: x y\nrelators: x^7 y^2 (x*y)^2\n"
@@ -337,3 +342,52 @@ def test_tight_cap_with_long_power_marks(monkeypatch):
     assert enumerate_cosets(pres, limits=tight).action == base.action
     assert marks_at_compaction and marks_at_compaction[0] > 0
     _assert_skip_changes_nothing(pres, (), tight)
+
+
+# -- indices and coset words read off the regular table ------------------
+
+SMALL_FINITE = (
+    *(load_presentation(f"generators: x y\nrelators: x^{n} y^2 (x*y)^2\n") for n in (3, 4, 7)),
+    load_presentation("generators: a b c\n"
+                      "relators: a^2 b^2 c^2 (a*b)^3 (b*c)^3 (a*c)^2\n"),
+    load_presentation("generators: a b c d\n"
+                      "relators: a^2 b^2 c^2 d^2 (a*b)^3 (b*c)^3 (c*d)^3 "
+                      "(a*c)^2 (a*d)^2 (b*d)^2\n"),
+    *(family_15e(n) for n in (3, 4, 6)),
+    *(family_19(n) for n in (3, 4, 5)),
+)
+SMALL_ORDERS = (6, 8, 14, 24, 120, 6, 8, 12, 9, 16, 25)
+
+
+@functools.cache
+def regular_table(index):
+    return enumerate_cosets(SMALL_FINITE[index])
+
+
+@pytest.mark.parametrize("index", range(len(SMALL_FINITE)))
+def test_coset_words_are_the_element_words(index):
+    regular = regular_table(index)
+    assert regular.n_cosets == SMALL_ORDERS[index]
+    elements = enumerate_elements(permutation_rep(regular))
+    assert list(coset_words(regular)) == [w for _, w in elements.entries]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_subgroup_index_matches_enumeration(data):
+    index = data.draw(st.integers(0, len(SMALL_FINITE) - 1))
+    pres = SMALL_FINITE[index]
+    k = pres.n_generators
+    letter = st.integers(1, k).flatmap(lambda g: st.sampled_from((g, -g)))
+    words = data.draw(st.lists(st.lists(letter, max_size=8).map(lambda ls: Word(tuple(ls))),
+                               max_size=3))
+    expected = enumerate_cosets(pres, words).n_cosets
+    assert subgroup_index(regular_table(index), words) == expected
+
+
+def test_subgroup_index_rejects_other_tables():
+    pres = load_presentation(D7)
+    with pytest.raises(ValueError):
+        subgroup_index(enumerate_cosets(pres, (Word((1,)),)), ())
+    with pytest.raises(ValueError):
+        subgroup_index(enumerate_cosets(pres), (Word((3,)),))

@@ -10,16 +10,29 @@ from orbisym import (
     ClassificationError,
     DashedArcScenario,
     EdgeScenario,
+    EnumerationLimits,
     InvalidParameter,
+    LimitExceeded,
     MismatchError,
     SurfaceType,
     Word,
     Z2Constraint,
+    classify_surface,
+    conjugate,
+    coset_words,
+    enumerate_cosets,
+    enumerate_elements,
     evaluate_dashed_arc_scenario,
     evaluate_edge_scenario,
     evaluate_family,
+    evaluate_word,
     family_19,
+    format_word,
+    load_presentation,
     parse_word,
+    permutation_rep,
+    solve_hom_to_z2,
+    subgroup_index,
 )
 import orbisym.scenario as scenario_module
 from orbisym.scenario import FAMILY_15E, FAMILY_19, family_alpha
@@ -210,3 +223,97 @@ def test_family_crosscheck_bites(monkeypatch):
     monkeypatch.setattr(scenario_module, "_family_closed_form", wrong)
     with pytest.raises(MismatchError):
         evaluate_family(FAMILY_19, 4)
+
+
+# -- the regular table against the per-subgroup enumerations it replaces --
+
+
+def per_subgroup_sweep(scenario, early_stop):
+    """The dashed-arc sweep with one enumeration per probe and pattern, and
+    the conjugators from the element closure of the permutation group."""
+    pres = scenario.presentation
+    reflections = solve_hom_to_z2(pres, scenario.hom_constraints).solvable
+    group = permutation_rep(enumerate_cosets(pres))
+    sweep = [word for _, word in enumerate_elements(group).entries]
+    if early_stop:
+        images = {}
+        for c in sweep:
+            images.setdefault(evaluate_word(group, conjugate(scenario.arc_word, c)).images, c)
+        sweep = list(images.values())
+    outcomes = []
+    for index, c in enumerate(sweep):
+        probe = (scenario.fixed_word, conjugate(scenario.arc_word, c))
+        if enumerate_cosets(pres, probe).n_cosets != 1:
+            continue
+        label = f"c{index}={format_word(c, pres.generator_names)}"
+        for name, words in scenario_module._dashed_pattern_words(scenario, c):
+            boundary = enumerate_cosets(pres, words).n_cosets
+            orientable = name.startswith("loop") or reflections
+            genus = classify_surface(scenario.alpha, boundary, orientable).genus
+            outcomes.append(scenario_module.PatternOutcome(
+                name, boundary, orientable, genus, conjugator=label, sweep_index=index))
+    return tuple(outcomes)
+
+
+@pytest.mark.parametrize("early_stop", [False, True])
+def test_dashed_sweep_matches_per_subgroup_path(orbifold_28, early_stop):
+    scenario = dashed_scenario(orbifold_28)
+    result = evaluate_dashed_arc_scenario(scenario, early_stop=early_stop)
+    assert result.per_pattern == per_subgroup_sweep(scenario, early_stop)
+
+
+def test_every_sweep_index_matches_enumeration(orbifold_28):
+    # every probe and every pattern, admissible conjugator or not
+    scenario = dashed_scenario(orbifold_28)
+    regular = enumerate_cosets(orbifold_28)
+    for c in coset_words(regular):
+        probe = (scenario.fixed_word, conjugate(scenario.arc_word, c))
+        patterns = [words for _, words in scenario_module._dashed_pattern_words(scenario, c)]
+        for words in (probe, *patterns):
+            assert subgroup_index(regular, words) == enumerate_cosets(orbifold_28, words).n_cosets
+
+
+def test_edge_indices_match_enumeration(orbifold_28):
+    regular = enumerate_cosets(orbifold_28)
+    for pattern in orbifold_edge_scenario(orbifold_28).patterns:
+        expected = enumerate_cosets(orbifold_28, pattern.subgroup_words).n_cosets
+        assert subgroup_index(regular, pattern.subgroup_words) == expected
+
+
+@pytest.mark.parametrize("family", [FAMILY_15E, FAMILY_19])
+def test_family_indices_match_enumeration(family):
+    spec = scenario_module.family_spec(family)
+    for n in range(3, 13):
+        pres = spec.presentation(n)
+        regular = enumerate_cosets(pres)
+        for name, (words, _) in spec.embeddings.items():
+            assert subgroup_index(regular, words) == enumerate_cosets(pres, words).n_cosets
+            assert evaluate_family(family, n, name, regular=regular) == \
+                evaluate_family(family, n, name)
+
+
+def test_sweep_accounting(orbifold_28):
+    scenario = dashed_scenario(orbifold_28)
+    full = evaluate_dashed_arc_scenario(scenario)
+    assert (full.visited, full.admissible) == (120, 48)
+    stopped = evaluate_dashed_arc_scenario(scenario, early_stop=True)
+    assert (stopped.visited, stopped.admissible) == (20, 8)
+    assert len(stopped.per_pattern) == 4 * stopped.admissible
+    probe = evaluate_dashed_arc_scenario(scenario, conjugators=(Word.identity(),))
+    assert (probe.visited, probe.admissible) == (1, 1)
+    edge = evaluate_edge_scenario(orbifold_edge_scenario(orbifold_28))
+    assert (edge.visited, edge.admissible) == (0, 0)
+
+
+def test_regular_table_is_required(orbifold_28):
+    # an explicit conjugator still needs the regular table, so an infinite
+    # group ends in LimitExceeded; a non-trivial subgroup's table is refused
+    infinite = load_presentation("generators: x y\nrelators: x^2 y^3\n")
+    scenario = DashedArcScenario(infinite, 2, Word.generator(0), Word.generator(1), (
+        Z2Constraint(Word.generator(0), 1),))
+    with pytest.raises(LimitExceeded):
+        evaluate_dashed_arc_scenario(scenario, EnumerationLimits(max_cosets=200),
+                                     conjugators=(Word.identity(),))
+    table = enumerate_cosets(orbifold_28, (Word.generator(0),))
+    with pytest.raises(ValueError):
+        evaluate_dashed_arc_scenario(dashed_scenario(orbifold_28), regular=table)
