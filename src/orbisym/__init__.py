@@ -4,7 +4,7 @@ Subpackage-free library layout:
 
 - words:        freely reduced words, parsing, canonical printing
 - presentation: presentations, the file format, the two parametric families
-- coset:        Todd-Coxeter coset enumeration (HLT default, Felsch optional)
+- coset:        Todd-Coxeter coset enumeration (HLT)
 - permgroup:    permutations, BFS element closure with shortlex words
 - z2hom:        homomorphisms onto Z2 via GF(2) elimination
 - surface:      surface invariants, classification, maximal orders

@@ -258,6 +258,9 @@ class CatalogEntry:
 
 
 _SURFACE_RE = re.compile(r"[SN]_\{\d+,\d+\}")
+# Commas and whitespace separate surface labels, except the comma inside
+# a label's braces.
+_SURFACE_SEP_RE = re.compile(r"[\s,]+(?![^{]*\})")
 _EXPECT_RE = re.compile(r"expect\s+order=(\d+)\s+surfaces=(.+)$")
 _PATTERN_RE = re.compile(r"pattern\s+([A-Za-z0-9_]+)\s*:\s*(.+)$")
 _HOM_RE = re.compile(r"hom\((.*)\)\s*$")
@@ -286,6 +289,15 @@ def _scenario_fields(body: str, required: tuple[str, ...]) -> dict[str, str]:
     if missing:
         raise WordSyntaxError(f"scenario line needs {' and '.join(missing)}")
     return fields
+
+
+def _parse_surfaces(text: str) -> tuple[SurfaceType, ...]:
+    surfaces = []
+    for token in filter(None, _SURFACE_SEP_RE.split(text)):
+        if not _SURFACE_RE.fullmatch(token):
+            raise WordSyntaxError(f"not a surface label: {token!r}")
+        surfaces.append(surface_from_str(token))
+    return tuple(surfaces)
 
 
 def _line_error(lineno: int, exc: Exception) -> OrbisymError:
@@ -331,14 +343,13 @@ def parse_case_text(text: str) -> CatalogEntry:
                 label, _, value = body.rpartition("=")
                 m_label, m_value = label.strip(), int(value)
             elif line.startswith("surfaces:"):
-                surfaces = tuple(surface_from_str(s)
-                                 for s in _SURFACE_RE.findall(line.split(":", 1)[1]))
+                surfaces = _parse_surfaces(line.split(":", 1)[1])
             elif line.startswith("expect"):
                 m = _EXPECT_RE.match(line)
                 if not m:
                     raise WordSyntaxError(f"bad expect line: {line!r}")
                 expected_order = int(m.group(1))
-                surfaces = tuple(surface_from_str(s) for s in _SURFACE_RE.findall(m.group(2)))
+                surfaces = _parse_surfaces(m.group(2))
             elif line.startswith("scenario"):
                 parts = line.split(None, 2)
                 if len(parts) < 3:

@@ -1,12 +1,9 @@
 """Todd-Coxeter coset enumeration over finite presentations.
 
-The default strategy is HLT: every live coset is scanned against every
-relator, with new cosets defined to complete each scan.  When the coset
-budget fills up, a lookahead pass (coincidence-only scanning) runs and
-dead rows are compacted away before giving up.  A Felsch-style strategy
-(define one entry at a time, then chase deductions against relator
-rotations) is available behind ``strategy="felsch"``; both produce the
-identical standardized table.
+The strategy is HLT (Hasselgrove-Leech-Trotter): every live coset is
+scanned against every relator, with new cosets defined to complete each
+scan.  When the coset budget fills up, a lookahead pass (coincidence-only
+scanning) runs and dead rows are compacted away before giving up.
 
 Tables index cosets from 0 (the subgroup itself) and act on the right:
 column 2*i is the action of generator i, column 2*i+1 of its inverse.
@@ -106,58 +103,26 @@ def _power_root(cols: tuple[int, ...]) -> tuple[int, ...] | None:
     return None
 
 
-def _cyclic_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i] == -letters[j - 1]:
-        i += 1
-        j -= 1
-    return letters[i:j]
-
-
 class _NeedRoom(Exception):
     pass
 
 
 class _Enumerator:
     def __init__(self, pres: Presentation, subgroup: Sequence[Word],
-                 limits: EnumerationLimits, strategy: str):
-        if strategy not in ("hlt", "felsch"):
-            raise ValueError(f"unknown strategy {strategy!r}")
+                 limits: EnumerationLimits):
         for w in subgroup:
             if w.max_generator_index() >= pres.n_generators:
                 raise ValueError("subgroup word uses a generator outside the alphabet")
-        self.pres = pres
         self.ncols = 2 * pres.n_generators
         self.relator_cols = pres.relator_columns
         self.sub_cols = tuple(letter_columns(w) for w in subgroup)
         self.limits = limits
-        self.felsch = strategy == "felsch"
         self.table: list[list[int | None]] = [[None] * self.ncols]
         self.p: list[int] = [0]
         self.assignments = 0
-        self.deductions: list[tuple[int, int]] = []
-        # HLT only: coset -> bitmask of relators (bit i for relator i)
-        # known to close there, so their scans can be skipped.
+        # coset -> bitmask of relators (bit i for relator i) known to
+        # close there, so their scans can be skipped.
         self.closed: dict[int, int] = {}
-        if self.felsch:
-            self.buckets = self._deduction_buckets()
-
-    def _deduction_buckets(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        # Rotations of cyclically reduced relators and their inverses,
-        # grouped by first column.  Cyclic reduction keeps the normal
-        # closure, so the completed table is unchanged.
-        buckets: list[list[tuple[int, ...]]] = [[] for _ in range(self.ncols)]
-        seen: list[set[tuple[int, ...]]] = [set() for _ in range(self.ncols)]
-        for r in self.pres.relators:
-            core = _cyclic_reduce(r.letters)
-            for letters in (core, tuple(-l for l in reversed(core))):
-                cols = letter_columns(Word(letters))
-                for s in range(len(cols)):
-                    rot = cols[s:] + cols[:s]
-                    if rot and rot not in seen[rot[0]]:
-                        seen[rot[0]].add(rot)
-                        buckets[rot[0]].append(rot)
-        return tuple(tuple(b) for b in buckets)
 
     # -- union-find ---------------------------------------------------
 
@@ -212,8 +177,6 @@ class _Enumerator:
         self.assignments += 1
         if self.limits.max_deductions is not None and self.assignments > self.limits.max_deductions:
             raise LimitExceeded(f"deduction budget {self.limits.max_deductions} exhausted")
-        if self.felsch:
-            self.deductions.append((a, col))
 
     def _define(self, alpha: int, col: int) -> int:
         if len(self.table) >= self.limits.max_cosets:
@@ -229,9 +192,10 @@ class _Enumerator:
     def _scan(self, alpha: int, cols: tuple[int, ...], fill: bool) -> None:
         """Scan a relator (or subgroup word) loop at alpha.
 
-        With fill, missing entries are created so the scan always
-        completes (HLT).  Without fill, the scan stops at a gap of two
-        or more but still applies forced deductions and coincidences.
+        With fill (the HLT pass), missing entries are created so the scan
+        always completes.  Without fill (the lookahead in _make_room), the
+        scan stops at a gap of two or more but still applies forced
+        deductions and coincidences.
         """
         table = self.table
         f = b = alpha
@@ -263,24 +227,6 @@ class _Enumerator:
                 return
             self._define(f, cols[i])
 
-    def _process_deductions(self) -> None:
-        table = self.table
-        while self.deductions:
-            alpha, col = self.deductions.pop()
-            if self.p[alpha] == alpha:
-                for cols in self.buckets[col]:
-                    self._scan(alpha, cols, fill=False)
-                    if self.p[alpha] != alpha:
-                        break
-            if self.p[alpha] != alpha:
-                continue
-            beta = table[alpha][col]
-            if beta is not None and self.p[beta] == beta:
-                for cols in self.buckets[col ^ 1]:
-                    self._scan(beta, cols, fill=False)
-                    if self.p[beta] != beta:
-                        break
-
     # -- space management ----------------------------------------------
 
     def _make_room(self, alpha: int) -> int:
@@ -304,16 +250,12 @@ class _Enumerator:
             [None if e is None else renum[self.rep(e)] for e in self.table[old]]
             for old in live
         ]
-        if self.felsch:
-            self.deductions = [
-                (renum[self.rep(a)], col) for a, col in self.deductions
-            ]
         self.closed = {renum[c]: bits for c, bits in self.closed.items()
                        if c >= alpha and self.p[c] == c}
         self.p = list(range(len(live)))
         return bisect_left(live, alpha)
 
-    # -- strategies ----------------------------------------------------
+    # -- HLT -----------------------------------------------------------
 
     def run(self) -> list[list[int | None]]:
         for cols in self.sub_cols:
@@ -323,14 +265,6 @@ class _Enumerator:
                     break
                 except _NeedRoom:
                     self._make_room(0)
-        if self.felsch:
-            self._process_deductions()
-            self._run_felsch()
-        else:
-            self._run_hlt()
-        return self.table
-
-    def _run_hlt(self) -> None:
         # Scans skipped through self.closed are no-ops (module docstring).
         relators = [(1 << i, cols, _power_root(cols))
                     for i, cols in enumerate(self.relator_cols)]
@@ -356,6 +290,7 @@ class _Enumerator:
                     alpha = self._make_room(alpha)
                     continue
             alpha += 1
+        return self.table
 
     def _mark_closed(self, alpha: int, root: tuple[int, ...], k: int, bit: int) -> None:
         """Mark the cosets alpha*w^i (0 < i < k) after alpha as closing
@@ -370,22 +305,6 @@ class _Enumerator:
                 break
             if c > alpha:
                 closed[c] = closed.get(c, 0) | bit
-
-    def _run_felsch(self) -> None:
-        alpha = 0
-        while alpha < len(self.table):
-            if self.p[alpha] == alpha:
-                try:
-                    for col in range(self.ncols):
-                        if self.p[alpha] != alpha:
-                            break
-                        if self.table[alpha][col] is None:
-                            self._define(alpha, col)
-                            self._process_deductions()
-                except _NeedRoom:
-                    alpha = self._make_room(alpha)
-                    continue
-            alpha += 1
 
 
 def _standardize(table: list[list[int | None]], p: list[int]) -> tuple[tuple[int, ...], ...]:
@@ -419,8 +338,7 @@ def _standardize(table: list[list[int | None]], p: list[int]) -> tuple[tuple[int
 
 
 def enumerate_cosets(pres: Presentation, subgroup: Iterable[Word] = (),
-                     limits: EnumerationLimits | None = None,
-                     strategy: str = "hlt") -> CosetTable:
+                     limits: EnumerationLimits | None = None) -> CosetTable:
     """Enumerate cosets of <subgroup> in the presented group.
 
     Returns a complete standardized CosetTable or raises LimitExceeded;
@@ -429,7 +347,7 @@ def enumerate_cosets(pres: Presentation, subgroup: Iterable[Word] = (),
     """
     subgroup = tuple(subgroup)
     limits = limits or EnumerationLimits()
-    enum = _Enumerator(pres, subgroup, limits, strategy)
+    enum = _Enumerator(pres, subgroup, limits)
     table = enum.run()
     action = _standardize(table, enum.p)
     result = CosetTable(
@@ -442,10 +360,9 @@ def enumerate_cosets(pres: Presentation, subgroup: Iterable[Word] = (),
     return result
 
 
-def group_order(pres: Presentation, limits: EnumerationLimits | None = None,
-                strategy: str = "hlt") -> int:
+def group_order(pres: Presentation, limits: EnumerationLimits | None = None) -> int:
     """Order of the presented group: cosets of the trivial subgroup."""
-    return enumerate_cosets(pres, (), limits, strategy).n_cosets
+    return enumerate_cosets(pres, (), limits).n_cosets
 
 
 def trace_word(table: CosetTable, start: int, w: Word) -> int:

@@ -97,12 +97,6 @@ class ElementList:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def index_of(self, perm: Permutation) -> int:
-        for i, (q, _) in enumerate(self.entries):
-            if q == perm:
-                return i
-        raise ValueError("permutation is not in the closure")
-
 
 def evaluate_word(group: PermGroup, w: Word) -> Permutation:
     """The permutation of w, letters applied left to right."""

@@ -155,6 +155,16 @@ def test_parse_case_errors():
         parse_case_text(EDGE_CASE.replace(
             "pattern P1: subgroup = x, y ; orient = always",
             "pattern P1: subgroup = x, y"))
+    # Every token of a surface list must be a whole surface label.
+    for text, message in (
+        (ARITHMETIC_CASE.replace("S_{9,12}", "S_{9.12}"),
+         "line 5: not a surface label: 'S_{9.12}'"),
+        (EDGE_CASE.replace("surfaces=S_{1,1}", "surfaces=S_{1,1},N_{6,6}x"),
+         "line 6: not a surface label: 'N_{6,6}x'"),
+    ):
+        with pytest.raises(WordSyntaxError) as exc:
+            parse_case_text(text)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("text,missing", [

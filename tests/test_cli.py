@@ -199,6 +199,14 @@ def test_bad_case_file_is_an_input_error(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("ORBISYM_CATALOG", str(tmp_path))
     assert main(["case", "orbifold-28-edge"]) == 2
     assert "broken.case: line 4: scenario line needs alpha=" in capsys.readouterr().err
+    # A malformed expected surface is an input error too, not a silently
+    # shorter expected set and a mismatch.
+    base = (Path(__file__).resolve().parents[1]
+            / "src/orbisym/data/orbifold-28-edge.case").read_text()
+    (tmp_path / "broken.case").write_text(base.replace("N_{6,6}", "N_{6.6}"))
+    assert main(["case", "orbifold-28-edge"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "broken.case: line 16: not a surface label: 'N_{6.6}'\n")
 
 
 @pytest.mark.parametrize("text,case_id,dashed", [

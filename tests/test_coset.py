@@ -29,9 +29,11 @@ from orbisym import (
     verify_coset_table,
 )
 from orbisym import coset
-from orbisym.coset import _Enumerator
+from orbisym.coset import _Enumerator, _NeedRoom
 from orbisym.presentation import Presentation, family_15e, family_19
-from conftest import dihedral_generators, mulclose, triangle_rotation_generators
+from orbisym.words import letter_columns
+from conftest import (ORBIFOLD_28_TEXT, dihedral_generators, mulclose,
+                      triangle_rotation_generators)
 
 D7 = "generators: x y\nrelators: x^7 y^2 (x*y)^2\n"
 
@@ -40,6 +42,95 @@ TRIANGLE = "generators: x y\nrelators: x^3 y^2 (x*y)^{q}\n"
 
 def triangle_presentation(q):
     return load_presentation(TRIANGLE.replace("{q}", str(q)))
+
+
+SMALL_FINITE = (
+    *(load_presentation(f"generators: x y\nrelators: x^{n} y^2 (x*y)^2\n") for n in (3, 4, 7)),
+    load_presentation("generators: a b c\n"
+                      "relators: a^2 b^2 c^2 (a*b)^3 (b*c)^3 (a*c)^2\n"),
+    load_presentation("generators: a b c d\n"
+                      "relators: a^2 b^2 c^2 d^2 (a*b)^3 (b*c)^3 (c*d)^3 "
+                      "(a*c)^2 (a*d)^2 (b*d)^2\n"),
+    *(family_15e(n) for n in (3, 4, 6)),
+    *(family_19(n) for n in (3, 4, 5)),
+)
+SMALL_ORDERS = (6, 8, 14, 24, 120, 6, 8, 12, 9, 16, 25)
+
+
+# -- Felsch: the reference enumerator HLT is compared against -------------
+
+
+def _cyclic_reduce(letters):
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == -letters[j - 1]:
+        i += 1
+        j -= 1
+    return letters[i:j]
+
+
+class FelschReference(_Enumerator):
+    """Felsch's strategy (Havas, "Coset enumeration strategies", ISSAC
+    1991): define the first undefined entry, then chase every deduction
+    against the relator rotations that start with its column.  It reuses
+    the enumerator's table, union-find, scan and coincidence code, but
+    defines cosets in its own order and has no lookahead or compaction:
+    running out of rows raises LimitExceeded."""
+
+    def __init__(self, pres, subgroup, limits):
+        super().__init__(pres, subgroup, limits)
+        self.deductions = []
+        # Rotations of cyclically reduced relators and their inverses,
+        # by first column.  Cyclic reduction keeps the normal closure.
+        self.buckets = [[] for _ in range(self.ncols)]
+        for r in pres.relators:
+            core = _cyclic_reduce(r.letters)
+            for letters in (core, tuple(-l for l in reversed(core))):
+                cols = letter_columns(Word(letters))
+                for s in range(len(cols)):
+                    rot = cols[s:] + cols[:s]
+                    if rot not in self.buckets[rot[0]]:
+                        self.buckets[rot[0]].append(rot)
+
+    def _assign(self, a, col, b):
+        super()._assign(a, col, b)
+        self.deductions.append((a, col))
+
+    def _scan_rotations(self, alpha, col):
+        for cols in self.buckets[col]:
+            if self.p[alpha] != alpha:
+                return
+            self._scan(alpha, cols, fill=False)
+
+    def _chase(self):
+        while self.deductions:
+            alpha, col = self.deductions.pop()
+            self._scan_rotations(alpha, col)
+            if self.p[alpha] == alpha and self.table[alpha][col] is not None:
+                self._scan_rotations(self.table[alpha][col], col ^ 1)
+
+    def run(self):
+        try:
+            for cols in self.sub_cols:
+                self._scan(0, cols, fill=True)
+            self._chase()
+            alpha = 0
+            while alpha < len(self.table):
+                for col in range(self.ncols):
+                    if self.p[alpha] != alpha:
+                        break
+                    if self.table[alpha][col] is None:
+                        self._define(alpha, col)
+                        self._chase()
+                alpha += 1
+        except _NeedRoom:
+            raise LimitExceeded(f"coset budget {self.limits.max_cosets} exhausted") from None
+        return self.table
+
+
+def felsch_action(pres, subgroup=(), limits=EnumerationLimits()):
+    """The reference's standardized table, or LimitExceeded."""
+    enum = FelschReference(pres, tuple(subgroup), limits)
+    return coset._standardize(enum.run(), enum.p)
 
 
 def test_dihedral_order_matches_oracle():
@@ -93,15 +184,24 @@ def test_orbifold_order_and_indices(orbifold_28):
     assert indices == [12, 12, 6, 6]
 
 
-def test_strategies_agree(orbifold_28):
-    hlt = enumerate_cosets(orbifold_28, strategy="hlt")
-    felsch = enumerate_cosets(orbifold_28, strategy="felsch")
-    assert hlt.action == felsch.action
+def _agree_cases():
+    orbifold = load_presentation(ORBIFOLD_28_TEXT)
+    yield pytest.param(orbifold, (), None, id="orbifold-28")
+    # The regular run's raw peak is around 142 rows, so HLT runs its
+    # lookahead-and-compact path under this cap; the reference runs under
+    # the default cap.
+    yield pytest.param(orbifold, (), 121, id="orbifold-28-cap-121")
+    x, y = Word.generator(0), Word.generator(1)
+    for index, pres in enumerate(SMALL_FINITE):
+        for name, subgroup in (("trivial", ()), ("x", (x,)), ("y,xyx", (y, x * y * x))):
+            yield pytest.param(pres, subgroup, None, id=f"small{index}-{name}")
 
 
-def test_unknown_strategy(orbifold_28):
-    with pytest.raises(ValueError):
-        enumerate_cosets(orbifold_28, strategy="nope")
+@pytest.mark.parametrize("pres,subgroup,max_cosets", _agree_cases())
+def test_strategies_agree(pres, subgroup, max_cosets):
+    limits = EnumerationLimits() if max_cosets is None else EnumerationLimits(max_cosets)
+    hlt = enumerate_cosets(pres, subgroup, limits)
+    assert hlt.action == felsch_action(pres, subgroup)
 
 
 def test_relator_order_irrelevant(orbifold_28):
@@ -274,7 +374,7 @@ def long_power_presentations(draw):
 def _hlt_run(pres, subgroup, limits):
     """The raw HLT table, union-find and assignment count, or the
     LimitExceeded message."""
-    enum = _Enumerator(pres, subgroup, limits, "hlt")
+    enum = _Enumerator(pres, subgroup, limits)
     try:
         return enum.run(), enum.p, enum.assignments
     except LimitExceeded as exc:
@@ -291,6 +391,13 @@ def _assert_skip_changes_nothing(pres, subgroup, limits):
     return hlt
 
 
+# The reference never compacts, so its raw table can outgrow a cap that
+# HLT fits under by compacting.  With 20_000 rows, far above HLT's caps,
+# it finished every one of 2000 generated examples that a compacting
+# Felsch finished under HLT's cap.
+REFERENCE_LIMITS = EnumerationLimits(max_cosets=20_000, max_deductions=20_000)
+
+
 @settings(max_examples=60, deadline=None)
 @given(long_power_presentations(), st.integers(10, 400))
 def test_long_power_skip_changes_nothing(case, max_cosets):
@@ -300,10 +407,10 @@ def test_long_power_skip_changes_nothing(case, max_cosets):
     if isinstance(hlt, str):
         return
     try:
-        felsch = enumerate_cosets(pres, subgroup, limits, strategy="felsch")
+        felsch = felsch_action(pres, subgroup, REFERENCE_LIMITS)
     except LimitExceeded:
         return
-    assert coset._standardize(hlt[0], hlt[1]) == felsch.action
+    assert coset._standardize(hlt[0], hlt[1]) == felsch
 
 
 def test_long_power_is_scanned_once_per_orbit(monkeypatch):
@@ -345,19 +452,6 @@ def test_tight_cap_with_long_power_marks(monkeypatch):
 
 
 # -- indices and coset words read off the regular table ------------------
-
-SMALL_FINITE = (
-    *(load_presentation(f"generators: x y\nrelators: x^{n} y^2 (x*y)^2\n") for n in (3, 4, 7)),
-    load_presentation("generators: a b c\n"
-                      "relators: a^2 b^2 c^2 (a*b)^3 (b*c)^3 (a*c)^2\n"),
-    load_presentation("generators: a b c d\n"
-                      "relators: a^2 b^2 c^2 d^2 (a*b)^3 (b*c)^3 (c*d)^3 "
-                      "(a*c)^2 (a*d)^2 (b*d)^2\n"),
-    *(family_15e(n) for n in (3, 4, 6)),
-    *(family_19(n) for n in (3, 4, 5)),
-)
-SMALL_ORDERS = (6, 8, 14, 24, 120, 6, 8, 12, 9, 16, 25)
-
 
 @functools.cache
 def regular_table(index):

@@ -101,14 +101,6 @@ def test_enumerate_elements_words_are_shortlex_minimal():
                 assert evaluate_word(g, Word(candidate)) != perm or Word(candidate) == word
 
 
-def test_element_index_of():
-    elements = enumerate_elements(d7_group())
-    for i, (perm, _) in enumerate(elements.entries):
-        assert elements.index_of(perm) == i
-    with pytest.raises(ValueError):
-        elements.index_of(Permutation.identity(3))
-
-
 def test_enumeration_cap():
     with pytest.raises(LimitExceeded):
         enumerate_elements(d7_group(), max_order=5)
