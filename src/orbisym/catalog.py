@@ -466,16 +466,27 @@ def catalog_search_dir() -> Path:
     return Path(os.environ.get(CATALOG_ENV_VAR, DEFAULT_CATALOG_DIR))
 
 
+@functools.lru_cache(maxsize=64)
+def _parse_case_file(path: Path, mtime_ns: int, size: int) -> CatalogEntry:
+    """One case file, parsed once while its mtime and size stay the same.
+
+    Entries are frozen, so callers can share them; lru_cache keeps no
+    exceptions, so a broken file fails every call with its path.
+    """
+    try:
+        return parse_case_text(path.read_text())
+    except OrbisymError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def load_case_dir(directory: Path | None = None) -> dict[str, CatalogEntry]:
-    """Parse every *.case file in the search directory (may be empty)."""
+    """Every *.case file in the search directory (may be empty), by id."""
     directory = directory if directory is not None else catalog_search_dir()
     entries: dict[str, CatalogEntry] = {}
     if directory.is_dir():
         for path in sorted(directory.glob("*.case")):
-            try:
-                entry = parse_case_text(path.read_text())
-            except OrbisymError as exc:
-                raise type(exc)(f"{path}: {exc}") from None
+            stat = path.stat()
+            entry = _parse_case_file(path, stat.st_mtime_ns, stat.st_size)
             entries[entry.id] = entry
     return entries
 

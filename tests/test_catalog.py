@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from orbisym import (
     InvalidParameter,
     LimitExceeded,
     MismatchError,
+    OrbisymError,
     SurfaceType,
     TableRow,
     UnknownCase,
@@ -23,6 +25,7 @@ from orbisym import (
     run_case,
     verify_table,
 )
+from orbisym import catalog
 from orbisym.catalog import (
     is_remaining_alpha,
     load_case_dir,
@@ -204,6 +207,39 @@ def test_find_case_file_overrides_builtin(tmp_path):
     assert entry.m_value == 121
     builtin = find_case("alpha-29", search_dir=tmp_path / "missing")
     assert builtin.m_value == 120
+
+
+def test_case_files_are_parsed_once_until_rewritten(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse_case_text(text)
+
+    catalog._builtin_entries()  # the package data is parsed once per process
+    monkeypatch.setattr(catalog, "parse_case_text", counting_parse)
+    text = ARITHMETIC_CASE.replace("case: little-row", "case: alpha-29")
+    path = tmp_path / "override.case"
+    path.write_text(text.replace("m: 4(a+1) = 120", "m: 4(a+1) = 121"))
+    (tmp_path / "edge.case").write_text(EDGE_CASE)
+    for _ in range(5):
+        assert find_case("alpha-29", search_dir=tmp_path).m_value == 121
+        assert run_case("orbifold-28-edge", search_dir=tmp_path).matched
+    assert len(calls) == 2
+    # A rewritten file (new size, so a new key even within one mtime
+    # tick) is parsed again on the next call.
+    path.write_text(text.replace("m: 4(a+1) = 120", "m: 4(a+1) = 1210"))
+    assert find_case("alpha-29", search_dir=tmp_path).m_value == 1210
+    assert len(calls) == 3
+    # Errors are not cached: a broken rewrite fails every lookup, and a
+    # repaired file is read again.
+    path.write_text(text.replace("S_{9,12}", "S_{9.12}"))
+    for _ in range(2):
+        with pytest.raises(OrbisymError, match=rf"^{re.escape(str(path))}: line 5: "):
+            find_case("orbifold-28-edge", search_dir=tmp_path)
+    assert len(calls) == 5
+    path.write_text(text)
+    assert find_case("alpha-29", search_dir=tmp_path).m_value == 120
 
 
 def test_load_case_dir_missing(tmp_path):

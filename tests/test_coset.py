@@ -31,7 +31,7 @@ from orbisym import (
 from orbisym import coset
 from orbisym.coset import _Enumerator, _NeedRoom
 from orbisym.presentation import Presentation, family_15e, family_19
-from orbisym.words import letter_columns
+from orbisym.words import format_word, letter_columns
 from conftest import (ORBIFOLD_28_TEXT, dihedral_generators, mulclose,
                       triangle_rotation_generators)
 
@@ -291,6 +291,211 @@ def test_verify_coset_table_catches_corruption(orbifold_28):
     )
     with pytest.raises(AssertionError):
         verify_coset_table(broken, orbifold_28)
+
+
+# -- column-wise verification against the letter-by-letter reference -----
+
+
+def reference_verify(table, pres):
+    """The letter-by-letter check: every entry, its inverse, and every
+    relator traced from every coset one letter at a time."""
+    ncols = 2 * pres.n_generators
+    for c, row in enumerate(table.action):
+        if len(row) != ncols:
+            raise AssertionError(f"row {c} has {len(row)} columns, wanted {ncols}")
+        for col, d in enumerate(row):
+            if not 0 <= d < table.n_cosets:
+                raise AssertionError(f"entry ({c},{col}) out of range")
+            if table.action[d][col ^ 1] != c:
+                raise AssertionError(f"entry ({c},{col}) has no inverse pairing")
+    for cols in pres.relator_columns:
+        for c in range(table.n_cosets):
+            cur = c
+            for col in cols:
+                cur = table.action[cur][col]
+            if cur != c:
+                raise AssertionError(f"relator does not close at coset {c}")
+    for w in table.subgroup_generators:
+        if trace_word(table, 0, w) != 0:
+            raise AssertionError("subgroup generator does not stabilize coset 0")
+
+
+COXETER_S6 = load_presentation(
+    "generators: a b c d e\n"
+    "relators: a^2 b^2 c^2 d^2 e^2 (a*b)^3 (b*c)^3 (c*d)^3 (d*e)^3 "
+    "(a*c)^2 (a*d)^2 (a*e)^2 (b*d)^2 (b*e)^2 (c*e)^2\n")
+
+
+@functools.cache
+def verified_cases():
+    """(presentation, table) pairs of valid tables, by id."""
+    x, y = Word.generator(0), Word.generator(1)
+    cases = {}
+    for index, pres in enumerate(SMALL_FINITE):
+        for name, subgroup in (("trivial", ()), ("x", (x,)), ("y,xyx", (y, x * y * x))):
+            cases[f"small{index}-{name}"] = (pres, enumerate_cosets(pres, subgroup))
+    orbifold = load_presentation(ORBIFOLD_28_TEXT)
+    cases["orbifold-28"] = (orbifold, enumerate_cosets(orbifold))
+    cases["orbifold-28-xy"] = (orbifold, enumerate_cosets(orbifold, (Word((1, 2)),)))
+    cases["coxeter-s6"] = (COXETER_S6, enumerate_cosets(COXETER_S6))
+    for n in (2, 17, 64):
+        cases[f"15E-{n}"] = (family_15e(n), enumerate_cosets(family_15e(n)))
+    for n in (2, 7, 12):
+        cases[f"19-{n}"] = (family_19(n), enumerate_cosets(family_19(n)))
+    return cases
+
+
+VERIFIED_IDS = ("small0-trivial", "small4-y,xyx", "orbifold-28-xy", "coxeter-s6",
+                "15E-17", "19-7")
+
+
+def _with_rows(table, rows, **changes):
+    return type(table)(
+        generator_names=table.generator_names,
+        n_cosets=changes.get("n_cosets", len(rows)),
+        action=tuple(tuple(r) for r in rows),
+        subgroup_generators=changes.get("subgroup_generators", table.subgroup_generators),
+    )
+
+
+def assert_both_reject(table, pres):
+    with pytest.raises(AssertionError):
+        reference_verify(table, pres)
+    with pytest.raises(AssertionError):
+        verify_coset_table(table, pres)
+
+
+def test_both_verifiers_accept_every_valid_table():
+    cases = verified_cases()
+    assert len(cases) == 3 * len(SMALL_FINITE) + 9
+    for pres, table in cases.values():
+        reference_verify(table, pres)
+        verify_coset_table(table, pres)
+    assert cases["coxeter-s6"][1].n_cosets == 720
+
+
+@pytest.mark.parametrize("case_id", VERIFIED_IDS)
+def test_both_verifiers_reject_one_changed_entry(case_id):
+    pres, table = verified_cases()[case_id]
+    rows = [list(r) for r in table.action]
+    last = table.n_cosets - 1
+    rows[last][1] = (rows[last][1] + 1) % table.n_cosets
+    assert_both_reject(_with_rows(table, rows), pres)
+
+
+@pytest.mark.parametrize("case_id", VERIFIED_IDS)
+def test_both_verifiers_reject_a_broken_inverse_pair(case_id):
+    # Swapping two entries of a column keeps it a permutation, but the
+    # inverse column no longer undoes it.
+    pres, table = verified_cases()[case_id]
+    rows = [list(r) for r in table.action]
+    col = 2 * (pres.n_generators - 1)
+    c = next(c for c in range(1, table.n_cosets) if rows[c][col] != rows[0][col])
+    rows[0][col], rows[c][col] = rows[c][col], rows[0][col]
+    assert_both_reject(_with_rows(table, rows), pres)
+
+
+@pytest.mark.parametrize("case_id", VERIFIED_IDS)
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("bad", ["-1", "n"])
+def test_both_verifiers_reject_an_entry_out_of_range(case_id, where, bad):
+    pres, table = verified_cases()[case_id]
+    rows = [list(r) for r in table.action]
+    c, col = (0, 0) if where == "first" else (table.n_cosets - 1, 2 * pres.n_generators - 1)
+    rows[c][col] = -1 if bad == "-1" else table.n_cosets
+    broken = _with_rows(table, rows)
+    assert_both_reject(broken, pres)
+    with pytest.raises(AssertionError, match=rf"entry \({c},{col}\) out of range"):
+        verify_coset_table(broken, pres)
+
+
+@pytest.mark.parametrize("case_id", VERIFIED_IDS)
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_both_verifiers_reject_a_row_of_the_wrong_width(case_id, delta):
+    # Row 0, because the reference checks rows in order and follows each
+    # entry into a later row: a later short row makes it raise IndexError.
+    pres, table = verified_cases()[case_id]
+    rows = [list(r) for r in table.action]
+    rows[0] = rows[0][:-1] if delta < 0 else rows[0] + [0]
+    assert_both_reject(_with_rows(table, rows), pres)
+
+
+@pytest.mark.parametrize("case_id", VERIFIED_IDS)
+def test_verify_rejects_shapes_the_reference_crashes_on(case_id):
+    # Each of these escapes the letter-by-letter check as IndexError.
+    pres, table = verified_cases()[case_id]
+    rows = [list(r) for r in table.action]
+    n = table.n_cosets
+    with pytest.raises(AssertionError, match=rf"table has {n} rows, n_cosets is {n + 1}"):
+        verify_coset_table(_with_rows(table, rows, n_cosets=n + 1), pres)
+    with pytest.raises(AssertionError, match=rf"table has {n - 1} rows, n_cosets is {n}"):
+        verify_coset_table(_with_rows(table, rows[:-1], n_cosets=n), pres)
+    rows[-1] = rows[-1][:-1]
+    with pytest.raises(AssertionError, match=rf"row {n - 1} has"):
+        verify_coset_table(_with_rows(table, rows), pres)
+
+
+@pytest.mark.parametrize("family,n,power", [
+    (family_15e, 6, 5), (family_15e, 6, 3), (family_15e, 6, 4), (family_15e, 64, 63),
+    (family_19, 12, 8), (family_19, 7, 1),
+])
+def test_both_verifiers_reject_a_power_the_cycles_do_not_divide(family, n, power):
+    # y's permutation on the 15E/19 table has cycles of length n, so
+    # y^power acts trivially only when n divides power.
+    pres = family(n)
+    table = enumerate_cosets(pres)
+    relators = list(pres.relators)
+    relators[1] = Word.generator(1) ** power
+    wrong = Presentation(pres.generator_names, tuple(relators))
+    assert_both_reject(table, wrong)
+    with pytest.raises(AssertionError, match=r"relator y(\^\d+)? does not close at coset 0"):
+        verify_coset_table(table, wrong)
+    relators[1] = Word.generator(1) ** (2 * n)
+    verify_coset_table(table, Presentation(pres.generator_names, tuple(relators)))
+
+
+@pytest.mark.parametrize("case_id,extra,coset", [
+    # A relator that holds on part of a table: it fixes cosets 0-2 of
+    # Coxeter S5 over <b, a*b*a>, and coset 0 of the orbifold over <x*y>.
+    ("small4-y,xyx", "a", 3),
+    ("orbifold-28-xy", "x*y", 1),
+    ("small3-x", "a", 1),
+])
+def test_verify_names_the_first_open_coset(case_id, extra, coset):
+    pres, table = verified_cases()[case_id]
+    extra = parse_word(extra, pres.generator_names)
+    wrong = Presentation(pres.generator_names, pres.relators + (extra,))
+    with pytest.raises(AssertionError, match=f"at coset {coset}$"):
+        reference_verify(table, wrong)
+    with pytest.raises(AssertionError) as exc:
+        verify_coset_table(table, wrong)
+    assert str(exc.value) == (f"relator {format_word(extra, pres.generator_names)} "
+                              f"does not close at coset {coset}")
+
+
+@pytest.mark.parametrize("case_id", ["small0-x", "small4-y,xyx", "orbifold-28-xy"])
+def test_both_verifiers_reject_a_subgroup_word_that_moves_coset_0(case_id):
+    pres, table = verified_cases()[case_id]
+    mover = next(Word.generator(i) for i in range(pres.n_generators)
+                 if table.action[0][2 * i] != 0)
+    wrong = _with_rows(table, table.action,
+                       subgroup_generators=table.subgroup_generators + (mover,))
+    assert_both_reject(wrong, pres)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_both_verifiers_reject_one_random_corrupted_entry(data):
+    cases = verified_cases()
+    pres, table = cases[data.draw(st.sampled_from(sorted(cases)))]
+    n = table.n_cosets
+    c = data.draw(st.integers(0, n - 1))
+    col = data.draw(st.integers(0, 2 * pres.n_generators - 1))
+    old = table.action[c][col]
+    new = data.draw(st.integers(-1, n).filter(lambda d: d != old))
+    rows = [list(r) for r in table.action]
+    rows[c][col] = new
+    assert_both_reject(_with_rows(table, rows), pres)
 
 
 def test_conjugate_subgroup_same_index(orbifold_28):
