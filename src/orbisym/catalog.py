@@ -378,6 +378,12 @@ def parse_case_text(text: str) -> CatalogEntry:
     if case_id is None:
         raise WordSyntaxError("case file needs a 'case:' line")
     if arithmetic:
+        # Nothing reads the presentation lines of an arithmetic case, so
+        # a line left there is a typo, not a presentation.
+        for lineno, line in enumerate(pres_lines, start=1):
+            if line:
+                raise _line_error(lineno, WordSyntaxError(
+                    f"not a line of an arithmetic case: {line!r}"))
         if alpha is None or m_label is None or m_value is None or not surfaces:
             raise WordSyntaxError("arithmetic case needs alpha:, m:, and surfaces: lines")
         return CatalogEntry(id=case_id, kind="arithmetic", alpha=alpha,

@@ -14,19 +14,33 @@ Coincidences are resolved by union-find with path compression, keeping
 the smallest label as representative; the merge queue transfers every
 edge of a dead coset to its representative.
 
-HLT skips relator scans that provably change nothing.  If a relator
-r = w^k (k >= 2, w primitive) closes at coset a, it also closes at a*w:
-the path of r from a*w is the same cycle entered one copy of w later.
-So after r's scan at a, the cosets of a's w-orbit that HLT has not yet
-reached are marked, and r is not scanned there; a merged-away coset hands
-its marks to its representative.  A closed relator stays closed through
-every later definition and coincidence, so a skipped scan would have
-defined, deduced and merged nothing: the definition sequence, the
-standardized table and the point where LimitExceeded fires are those of
-scanning everywhere.  Only long powers (MIN_MARKED_POWER letters or
-more) are marked.  verify_coset_table does not use this argument: it
-checks every relator at every coset, so a skipped scan that was needed
-shows up there as a relator left open.
+HLT skips relator scans that provably change nothing.  A relator that
+closes at a coset stays closed through every later definition and
+coincidence: definitions only add entries, and a coincidence maps the
+loop onto the representative's.  A scan of it there would define,
+deduce and merge nothing.  So closed[c] holds the bits of the relators
+known to close at coset c (a merged-away coset hands its bits to its
+representative), and those scans are skipped: the definition sequence,
+the raw table and the point where LimitExceeded fires are those of
+scanning everywhere.  Bits are set in two places:
+
+- HLT marks long powers along their orbits.  If r = w^k (k >= 2, w
+  primitive) closes at coset a, it also closes at a*w: the path of r
+  from a*w is the same cycle entered one copy of w later.  So after r's
+  scan at a, the cosets of a's w-orbit that HLT has not yet reached are
+  marked.  Only long powers (MIN_MARKED_POWER letters or more) are.
+- The lookahead marks every relator it traces all the way round.  Later
+  lookaheads skip that (coset, relator) pair, and so does HLT when it
+  reaches the coset.
+
+The lookahead starts at HLT's pointer, since every live coset below it
+has had each relator scanned to closure.  Compaction then renumbers in
+one ascending pass over the union-find, with no find: a dead coset's
+parent is a smaller label, whose new label is already known.
+
+verify_coset_table does not use this argument: it checks every relator
+at every coset, so a skipped scan that was needed shows up there as a
+relator left open.
 
 verify_coset_table works on whole columns.  Each generator's column is
 a map on the cosets; with every entry in range, tracing a word from
@@ -137,9 +151,10 @@ class _Enumerator:
         self.table: list[list[int | None]] = [[None] * self.ncols]
         self.p: list[int] = [0]
         self.assignments = 0
-        # coset -> bitmask of relators (bit i for relator i) known to
-        # close there, so their scans can be skipped.
-        self.closed: dict[int, int] = {}
+        # closed[c] is the bitmask of relators (bit i for relator i) known
+        # to close at coset c, so their scans there can be skipped; one
+        # mask per row of the table, 0 when nothing is known.
+        self.closed: list[int] = [0]
 
     # -- union-find ---------------------------------------------------
 
@@ -159,9 +174,9 @@ class _Enumerator:
                 a, b = b, a
             self.p[b] = a
             queue.append(b)
-            bits = self.closed.pop(b, 0)
+            bits = self.closed[b]
             if bits:
-                self.closed[a] = self.closed.get(a, 0) | bits
+                self.closed[a] |= bits
 
     def _coincidence(self, a: int, b: int) -> None:
         table = self.table
@@ -201,18 +216,21 @@ class _Enumerator:
         beta = len(self.table)
         self.table.append([None] * self.ncols)
         self.p.append(beta)
+        self.closed.append(0)
         self._assign(alpha, col, beta)
         return beta
 
     # -- scanning -----------------------------------------------------
 
-    def _scan(self, alpha: int, cols: tuple[int, ...], fill: bool) -> None:
+    def _scan(self, alpha: int, cols: tuple[int, ...], fill: bool) -> bool:
         """Scan a relator (or subgroup word) loop at alpha.
 
         With fill (the HLT pass), missing entries are created so the scan
         always completes.  Without fill (the lookahead in _make_room), the
         scan stops at a gap of two or more but still applies forced
-        deductions and coincidences.
+        deductions and coincidences.  Returns whether the loop got all
+        the way round, so that it now closes at alpha's representative;
+        False only when it stopped at a gap.
         """
         table = self.table
         f = b = alpha
@@ -227,7 +245,7 @@ class _Enumerator:
             if i > j:
                 if f != b:
                     self._coincidence(f, b)
-                return
+                return True
             while j >= i:
                 prv = table[b][cols[j] ^ 1]
                 if prv is None:
@@ -236,41 +254,52 @@ class _Enumerator:
                 j -= 1
             if j < i:
                 self._coincidence(f, b)
-                return
+                return True
             if j == i:
                 self._assign(f, cols[i], b)
-                return
+                return True
             if not fill:
-                return
+                return False
             self._define(f, cols[i])
 
     # -- space management ----------------------------------------------
 
     def _make_room(self, alpha: int) -> int:
-        """Lookahead collapse then compaction.
+        """Lookahead collapse from alpha, then compaction.
+
+        The lookahead scans every relator without fill at each live coset
+        from alpha on, skips the pairs marked in self.closed, and marks
+        each scan that gets all the way round.  Cosets below alpha need no
+        scan: HLT has scanned every relator there to closure (module
+        docstring).  Compaction drops the dead rows, and the marks below
+        alpha, which nothing reads again.
 
         Returns the new index of the first live coset at or after alpha;
         alpha itself may have died in the lookahead.
         """
-        for c in range(len(self.table)):
-            if self.p[c] != c:
+        p, closed = self.p, self.closed
+        relators = [(1 << i, cols) for i, cols in enumerate(self.relator_cols)]
+        for c in range(alpha, len(self.table)):
+            if p[c] != c:
                 continue
-            for cols in self.relator_cols:
-                self._scan(c, cols, fill=False)
-                if self.p[c] != c:
+            for bit, cols in relators:
+                if closed[c] & bit:
+                    continue
+                closes = self._scan(c, cols, fill=False)
+                if p[c] != c:
                     break
-        live = [c for c in range(len(self.table)) if self.p[c] == c]
+                if closes:
+                    closed[c] |= bit
+        live, renum = _renumber(p)
         if len(live) >= self.limits.max_cosets:
             raise LimitExceeded(f"coset budget {self.limits.max_cosets} exhausted")
-        renum = {old: new for new, old in enumerate(live)}
-        self.table = [
-            [None if e is None else renum[self.rep(e)] for e in self.table[old]]
-            for old in live
-        ]
-        self.closed = {renum[c]: bits for c, bits in self.closed.items()
-                       if c >= alpha and self.p[c] == c}
+        table = self.table
+        self.table = [[None if e is None else renum[e] for e in table[old]]
+                      for old in live]
+        start = bisect_left(live, alpha)
+        self.closed = [0] * start + [closed[c] for c in live[start:]]
         self.p = list(range(len(live)))
-        return bisect_left(live, alpha)
+        return start
 
     # -- HLT -----------------------------------------------------------
 
@@ -288,7 +317,7 @@ class _Enumerator:
         alpha = 0
         while alpha < len(self.table):
             if self.p[alpha] == alpha:
-                skip = self.closed.pop(alpha, 0)
+                skip = self.closed[alpha]
                 try:
                     for bit, cols, root in relators:
                         if skip & bit:
@@ -321,25 +350,37 @@ class _Enumerator:
             if c == alpha:
                 break
             if c > alpha:
-                closed[c] = closed.get(c, 0) | bit
+                closed[c] |= bit
+
+
+def _renumber(p: list[int]) -> tuple[list[int], list[int]]:
+    """(live, renum): the live cosets in order, and for every old label,
+    dead or live, the new label of its representative once the dead rows
+    are dropped.
+
+    One ascending pass, with no find: a dead coset's parent is a smaller
+    label (merges keep the smaller label), so its new label is already
+    known when the pass reaches it.
+    """
+    live: list[int] = []
+    renum: list[int] = []
+    for c, parent in enumerate(p):
+        if parent == c:
+            renum.append(len(live))
+            live.append(c)
+        else:
+            renum.append(renum[parent])
+    return live, renum
 
 
 def _standardize(table: list[list[int | None]], p: list[int]) -> tuple[tuple[int, ...], ...]:
-    def find(k: int) -> int:
-        while p[k] != k:
-            k = p[k]
-        return k
-
-    live = [c for c in range(len(table)) if p[c] == c]
-    renum = [-1] * len(table)
-    for new, old in enumerate(live):
-        renum[old] = new
+    live, renum = _renumber(p)
     rows = []
     for old in live:
         row = table[old]
         if None in row:
             raise AssertionError("enumeration finished with an incomplete row")
-        rows.append([renum[find(e)] for e in row])  # type: ignore[arg-type]
+        rows.append([renum[e] for e in row])  # type: ignore[index]
     # Breadth-first from coset 0 in column order; pos[d] is d's new label.
     order = [0]
     pos = [-1] * len(rows)

@@ -170,6 +170,20 @@ def test_parse_case_errors():
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("text,lineno,line", [
+    (ARITHMETIC_CASE + "bogus line\n", 6, "bogus line"),
+    (ARITHMETIC_CASE.replace("alpha: 29", "alpha_: 30"), 3, "alpha_: 30"),
+    (ARITHMETIC_CASE.replace("case: little-row", "case: little-row\ngenerators: x"),
+     2, "generators: x"),
+], ids=["stray-line", "misspelt-key", "presentation-line"])
+def test_arithmetic_case_rejects_a_line_it_does_not_read(text, lineno, line):
+    # An arithmetic case has no presentation, so a line the parser does
+    # not know is a typo and must not be dropped.
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_case_text(text)
+    assert str(exc.value) == f"line {lineno}: not a line of an arithmetic case: {line!r}"
+
+
 @pytest.mark.parametrize("text,missing", [
     (EDGE_CASE.replace("scenario edge alpha=2", "scenario edge beta=2"), "alpha="),
     (DASHED_CASE.replace(" alpha=2", ""), "alpha="),

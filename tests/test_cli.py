@@ -209,6 +209,18 @@ def test_bad_case_file_is_an_input_error(capsys, tmp_path, monkeypatch):
         "broken.case: line 16: not a surface label: 'N_{6.6}'\n")
 
 
+def test_stray_line_in_arithmetic_case_is_an_input_error(capsys, tmp_path, monkeypatch):
+    base = (Path(__file__).resolve().parents[1]
+            / "src/orbisym/data/alpha-29.case").read_text()
+    (tmp_path / "alpha-29.case").write_text(base + "bogus line\n")
+    monkeypatch.setenv("ORBISYM_CATALOG", str(tmp_path))
+    assert main(["case", "alpha-29"]) == 2
+    lineno = len(base.splitlines()) + 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'alpha-29.case'}: line {lineno}: "
+        "not a line of an arithmetic case: 'bogus line'\n")
+
+
 @pytest.mark.parametrize("text,case_id,dashed", [
     (DASHED_CASE, "tiny-dashed", True),
     (DASHED_CASE.replace("tiny-dashed", "orbifold-28-dashed-small"),

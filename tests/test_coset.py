@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from bisect import bisect_left
 from unittest import mock
 
 import pytest
@@ -646,7 +647,7 @@ def test_tight_cap_with_long_power_marks(monkeypatch):
     original = _Enumerator._make_room
 
     def recording_make_room(self, alpha):
-        marks_at_compaction.append(len(self.closed))
+        marks_at_compaction.append(sum(1 for bits in self.closed if bits))
         return original(self, alpha)
 
     monkeypatch.setattr(_Enumerator, "_make_room", recording_make_room)
@@ -654,6 +655,152 @@ def test_tight_cap_with_long_power_marks(monkeypatch):
     assert enumerate_cosets(pres, limits=tight).action == base.action
     assert marks_at_compaction and marks_at_compaction[0] > 0
     _assert_skip_changes_nothing(pres, (), tight)
+
+
+# -- the incremental overflow path against the full rescan ---------------
+
+
+class ReferenceLookahead(_Enumerator):
+    """The overflow path as a full rescan: the lookahead scans every
+    relator at every live coset from coset 0 and records no marks, and
+    compaction renumbers every entry through a dict and rep().  HLT
+    itself, and its long-power marks, are the enumerator's."""
+
+    def _make_room(self, alpha):
+        for c in range(len(self.table)):
+            if self.p[c] != c:
+                continue
+            for cols in self.relator_cols:
+                self._scan(c, cols, fill=False)
+                if self.p[c] != c:
+                    break
+        live = [c for c in range(len(self.table)) if self.p[c] == c]
+        if len(live) >= self.limits.max_cosets:
+            raise LimitExceeded(f"coset budget {self.limits.max_cosets} exhausted")
+        renum = {old: new for new, old in enumerate(live)}
+        self.table = [[None if e is None else renum[self.rep(e)] for e in self.table[old]]
+                      for old in live]
+        self.closed = [self.closed[c] if c >= alpha else 0 for c in live]
+        self.p = list(range(len(live)))
+        return bisect_left(live, alpha)
+
+
+def raw_state(enum):
+    """The raw table, union-find and assignment count after enum runs, or
+    the LimitExceeded message and the assignment count when it fired."""
+    try:
+        return enum.run(), enum.p, enum.assignments
+    except LimitExceeded as exc:
+        return str(exc), enum.assignments
+
+
+def triangle_23k(k):
+    """The (2,3,k) triangle group: finite for k <= 5, infinite from 6."""
+    return load_presentation(f"generators: x y\nrelators: x^2 y^3 (x*y)^{k}\n")
+
+
+@st.composite
+def triangle_groups(draw):
+    return triangle_23k(draw(st.integers(2, 9))), ()
+
+
+@st.composite
+def short_relator_presentations(draw):
+    """Random relators of 1-8 letters, and sometimes subgroup words."""
+    n_gens = draw(st.integers(1, 3))
+    letters = st.sampled_from([s * i for i in range(1, n_gens + 1) for s in (1, -1)])
+    words = st.lists(letters, min_size=1, max_size=8).map(lambda ls: Word(tuple(ls)))
+    relators = [r for r in draw(st.lists(words, min_size=1, max_size=4)) if r]
+    subgroup = tuple(draw(st.lists(words, max_size=2)))
+    return Presentation(tuple("xyz"[:n_gens]), tuple(relators)), subgroup
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(long_power_presentations(), triangle_groups(),
+                 short_relator_presentations()),
+       st.integers(5, 400), st.sampled_from([None, 20_000]))
+def test_incremental_lookahead_matches_the_full_rescan(case, max_cosets, max_deductions):
+    pres, subgroup = case
+    limits = EnumerationLimits(max_cosets, max_deductions)
+    assert raw_state(_Enumerator(pres, subgroup, limits)) == \
+        raw_state(ReferenceLookahead(pres, subgroup, limits))
+
+
+class CountingLookahead:
+    """Mixin that counts lookahead scans (scans without fill) per
+    _make_room pass, and those at a coset below HLT's pointer, and
+    checks the marks that compaction leaves."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.pointer = 0
+        self.passes = []
+        self.below_pointer = 0
+
+    def _make_room(self, alpha):
+        self.pointer = alpha
+        self.passes.append(0)
+        start = super()._make_room(alpha)
+        assert len(self.closed) == len(self.table) == len(self.p)
+        assert not any(self.closed[:start]), "marks kept below the pointer"
+        return start
+
+    def _scan(self, alpha, cols, fill):
+        if not fill:
+            self.passes[-1] += 1
+            self.below_pointer += alpha < self.pointer
+        return super()._scan(alpha, cols, fill)
+
+
+class CountingReference(CountingLookahead, ReferenceLookahead):
+    pass
+
+
+class CountingIncremental(CountingLookahead, _Enumerator):
+    pass
+
+
+@pytest.mark.parametrize("pres,max_cosets", [
+    pytest.param(triangle_23k(7), 2000, id="237-cap-2000"),
+    pytest.param(triangle_23k(5), 40, id="235-cap-40"),
+    pytest.param(load_presentation(ORBIFOLD_28_TEXT), 121, id="orbifold-28-cap-121"),
+    # 197 compactions under this cap, and 858 under a cap of 3000.
+    pytest.param(load_presentation("generators: x y z\nrelators: y*x^-1*z^-2 x^-40 "
+                                   "y*z*y*z^-3*y^-1 x^-25\n"), 300, id="xyz-cap-300"),
+])
+def test_lookahead_starts_at_the_pointer_and_skips_closed_pairs(pres, max_cosets):
+    limits = EnumerationLimits(max_cosets)
+    reference = CountingReference(pres, (), limits)
+    incremental = CountingIncremental(pres, (), limits)
+    assert raw_state(incremental) == raw_state(reference)
+    assert incremental.passes and len(incremental.passes) == len(reference.passes)
+    assert incremental.below_pointer == 0
+    assert reference.below_pointer > 0
+    assert sum(incremental.passes) < sum(reference.passes)
+
+
+def test_renumber_maps_every_label_to_its_representative():
+    # Parents are smaller labels, and chains can be longer than one step
+    # where path compression has not reached them.
+    live, renum = coset._renumber([0, 0, 1, 3, 3, 4, 2, 7])
+    assert live == [0, 3, 7]
+    assert renum == [0, 0, 0, 1, 1, 1, 0, 2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0, 1), max_size=60))
+def test_renumber_matches_find(draws):
+    # A random union-find forest in which every parent is a smaller label.
+    p = [c if u < 0.4 else int(u * c) for c, u in enumerate(draws)]
+
+    def find(c):
+        while p[c] != c:
+            c = p[c]
+        return c
+
+    live, renum = coset._renumber(p)
+    assert live == [c for c in range(len(p)) if p[c] == c]
+    assert renum == [live.index(find(c)) for c in range(len(p))]
 
 
 # -- indices and coset words read off the regular table ------------------
