@@ -34,9 +34,23 @@ scanning everywhere.  Bits are set in two places:
   reaches the coset.
 
 The lookahead starts at HLT's pointer, since every live coset below it
-has had each relator scanned to closure.  Compaction then renumbers in
-one ascending pass over the union-find, with no find: a dead coset's
-parent is a smaller label, whose new label is already known.
+has had each relator scanned to closure.  Compaction then works in place
+from the first dead coset, whose label _merge records as it kills it.
+It relies on three invariants the enumerator keeps:
+
+- every label below the first dead one is live, because compaction
+  leaves no dead label and only a merge kills one;
+- no live row points at a dead coset, because _coincidence clears every
+  edge into a coset it kills (each such edge is the inverse of one of
+  the dead row's own);
+- among live rows, every defined entry is inverse-paired.
+
+So the rows below the first dead label keep their labels and are not
+touched, except that an entry of theirs pointing at a moved row is
+found through that row's inverse edge.  The labels from there on are
+renumbered in one ascending pass over the union-find, with no find: a
+dead coset's parent is a smaller label, whose new label is already
+known.
 
 verify_coset_table does not use this argument: it checks every relator
 at every coset, so a skipped scan that was needed shows up there as a
@@ -155,6 +169,10 @@ class _Enumerator:
         # to close at coset c, so their scans there can be skipped; one
         # mask per row of the table, 0 when nothing is known.
         self.closed: list[int] = [0]
+        # The smallest label killed since the last compaction; every label
+        # below it is live.  No label reaches max_cosets (_define), so
+        # max_cosets means none has died.
+        self.first_dead = limits.max_cosets
 
     # -- union-find ---------------------------------------------------
 
@@ -173,6 +191,8 @@ class _Enumerator:
             if a > b:
                 a, b = b, a
             self.p[b] = a
+            if b < self.first_dead:
+                self.first_dead = b
             queue.append(b)
             bits = self.closed[b]
             if bits:
@@ -265,14 +285,13 @@ class _Enumerator:
     # -- space management ----------------------------------------------
 
     def _make_room(self, alpha: int) -> int:
-        """Lookahead collapse from alpha, then compaction.
+        """Lookahead collapse from alpha, then compaction (_compact).
 
         The lookahead scans every relator without fill at each live coset
         from alpha on, skips the pairs marked in self.closed, and marks
         each scan that gets all the way round.  Cosets below alpha need no
         scan: HLT has scanned every relator there to closure (module
-        docstring).  Compaction drops the dead rows, and the marks below
-        alpha, which nothing reads again.
+        docstring).
 
         Returns the new index of the first live coset at or after alpha;
         alpha itself may have died in the lookahead.
@@ -290,15 +309,41 @@ class _Enumerator:
                     break
                 if closes:
                     closed[c] |= bit
-        live, renum = _renumber(p)
-        if len(live) >= self.limits.max_cosets:
+        return self._compact(alpha)
+
+    def _compact(self, alpha: int) -> int:
+        """Drop the dead rows in place, or raise LimitExceeded when every
+        row is live; returns alpha's index as _make_room does.
+
+        Rows below self.first_dead are all live and keep their labels
+        (module docstring), so only the rows from there on move: each
+        live one goes down to its new label with its entries renumbered,
+        and an entry of a fixed row that points at it is renumbered
+        through its inverse edge.  The marks below alpha's new index,
+        which nothing reads again, are cleared.
+        """
+        table, p, closed = self.table, self.p, self.closed
+        first = min(self.first_dead, len(p))
+        live, renum = _renumber(p, first)
+        n = first + len(live)
+        if n >= self.limits.max_cosets:
             raise LimitExceeded(f"coset budget {self.limits.max_cosets} exhausted")
-        table = self.table
-        self.table = [[None if e is None else renum[e] for e in table[old]]
-                      for old in live]
-        start = bisect_left(live, alpha)
-        self.closed = [0] * start + [closed[c] for c in live[start:]]
-        self.p = list(range(len(live)))
+        for new, old in enumerate(live, first):
+            row = table[old]
+            for col, e in enumerate(row):
+                if e is None:
+                    continue
+                if e < first:
+                    table[e][col ^ 1] = new
+                else:
+                    row[col] = renum[e]
+            table[new] = row
+            closed[new] = closed[old]
+        del table[n:], closed[n:]
+        p[first:] = range(first, n)
+        self.first_dead = self.limits.max_cosets
+        start = alpha if alpha < first else first + bisect_left(live, alpha)
+        closed[:start] = [0] * start
         return start
 
     # -- HLT -----------------------------------------------------------
@@ -353,21 +398,25 @@ class _Enumerator:
                 closed[c] |= bit
 
 
-def _renumber(p: list[int]) -> tuple[list[int], list[int]]:
-    """(live, renum): the live cosets in order, and for every old label,
-    dead or live, the new label of its representative once the dead rows
-    are dropped.
+def _renumber(p: list[int], start: int = 0) -> tuple[list[int], list[int]]:
+    """(live, renum): the live cosets from start on, in order, and for
+    every old label, dead or live, the new label of its representative
+    once the dead rows are dropped.
 
-    One ascending pass, with no find: a dead coset's parent is a smaller
-    label (merges keep the smaller label), so its new label is already
-    known when the pass reaches it.
+    Every label below start must be live: those keep their labels, and
+    one ascending pass from start, with no find, numbers the rest.  A
+    dead coset's parent is a smaller label (merges keep the smaller
+    label), so its new label is already known when the pass reaches it.
     """
     live: list[int] = []
-    renum: list[int] = []
-    for c, parent in enumerate(p):
+    # p is the identity below start, where every label is live.
+    renum = p[:start]
+    new = start
+    for c, parent in enumerate(p[start:], start):
         if parent == c:
-            renum.append(len(live))
-            live.append(c)
+            renum.append(new)
+            live.append(parent)  # equals c; reusing p's int saves an object per coset
+            new += 1
         else:
             renum.append(renum[parent])
     return live, renum

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import tracemalloc
 from bisect import bisect_left
 from unittest import mock
 
@@ -801,6 +802,124 @@ def test_renumber_matches_find(draws):
     live, renum = coset._renumber(p)
     assert live == [c for c in range(len(p)) if p[c] == c]
     assert renum == [live.index(find(c)) for c in range(len(p))]
+
+
+@pytest.mark.parametrize("p,start,live,renum", [
+    ([0, 1, 2, 1, 4, 3, 6], 3, [4, 6], [0, 1, 2, 1, 3, 1, 4]),
+    ([0, 1, 2], 3, [], [0, 1, 2]),
+])
+def test_renumber_from_start_leaves_the_labels_below_it(p, start, live, renum):
+    assert coset._renumber(p, start) == (live, renum)
+    assert coset._renumber(p)[1] == renum
+
+
+# -- in-place compaction ---------------------------------------------------
+
+
+class RecordsMakeRoom:
+    """Mixin that records what each _make_room call returns."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.returns = []
+
+    def _make_room(self, alpha):
+        start = super()._make_room(alpha)
+        self.returns.append(start)
+        return start
+
+
+class CheckedCompaction(RecordsMakeRoom, _Enumerator):
+    """Checks, before each compaction, the invariants that let it leave
+    the rows below the first dead label alone (coset module docstring),
+    and records HLT's pointer and the first dead label (None when no
+    coset died) at each one."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.compactions = []
+
+    def _compact(self, alpha):
+        table, p = self.table, self.p
+        dead = [c for c in range(len(p)) if p[c] != c]
+        first = dead[0] if dead else None
+        assert self.first_dead == (self.limits.max_cosets if first is None else first)
+        assert all(p[c] == c for c in range(min(self.first_dead, len(p))))
+        for c, row in enumerate(table):
+            if p[c] != c:
+                continue
+            for col, e in enumerate(row):
+                if e is None:
+                    continue
+                assert p[e] == e, f"live row {c} points at dead coset {e}"
+                assert table[e][col ^ 1] == c, f"entry ({c},{col}) is not inverse-paired"
+        self.compactions.append((alpha, first))
+        return super()._compact(alpha)
+
+
+class RecordingReference(RecordsMakeRoom, ReferenceLookahead):
+    pass
+
+
+def assert_compaction_matches_the_reference(pres, subgroup, limits):
+    checked = CheckedCompaction(pres, subgroup, limits)
+    reference = RecordingReference(pres, subgroup, limits)
+    assert raw_state(checked) == raw_state(reference)
+    assert checked.returns == reference.returns
+    return checked
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(long_power_presentations(), triangle_groups(),
+                 short_relator_presentations()),
+       st.integers(5, 400), st.sampled_from([None, 20_000]))
+def test_in_place_compaction_keeps_its_invariants(case, max_cosets, max_deductions):
+    pres, subgroup = case
+    assert_compaction_matches_the_reference(pres, subgroup,
+                                            EnumerationLimits(max_cosets, max_deductions))
+
+
+# Each case must compact at least once along its path, given HLT's pointer
+# alpha and the first dead label (None when none died).
+COMPACTION_PATHS = {
+    "below-the-pointer": lambda alpha, first: first is not None and first < alpha,
+    "above-the-pointer": lambda alpha, first: first is not None and first > alpha,
+    "no-death": lambda alpha, first: first is None,
+    "subgroup-scan": lambda alpha, first: alpha == 0 and first is not None,
+}
+
+
+@pytest.mark.parametrize("pres,subgroup,max_cosets,path", [
+    # The first pass of (2,3,7) under 2000 kills coset 37 with HLT at 729;
+    # the later passes kill only cosets above the pointer.
+    pytest.param(triangle_23k(7), (), 2000, "below-the-pointer", id="237-first-pass"),
+    pytest.param(triangle_23k(7), (), 2000, "above-the-pointer", id="237-later-passes"),
+    # x^2 never forces a coincidence: the budget fills with live cosets.
+    pytest.param(load_presentation("generators: x y\nrelators: x^2\n"), (), 200,
+                 "no-death", id="no-coincidence"),
+    # Scanning x^40 at coset 0 needs more than 12 cosets before HLT starts.
+    pytest.param(load_presentation("generators: x y\nrelators: x^5 y^2 (x*y)^2\n"),
+                 (Word((1,)) ** 40,), 12, "subgroup-scan", id="subgroup-x40-cap-12"),
+])
+def test_compaction_paths_keep_the_invariants(pres, subgroup, max_cosets, path):
+    checked = assert_compaction_matches_the_reference(pres, subgroup,
+                                                      EnumerationLimits(max_cosets))
+    assert any(COMPACTION_PATHS[path](alpha, first) for alpha, first in checked.compactions)
+
+
+def test_overflow_path_keeps_one_table():
+    # (2,3,7) is infinite, so this fills the budget, compacts and gives up.
+    # A compaction that built a second table next to the first would need
+    # well over 300 bytes per coset at its peak.
+    limits = EnumerationLimits(5000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitExceeded):
+            group_order(triangle_23k(7), limits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / limits.max_cosets < 300
 
 
 # -- indices and coset words read off the regular table ------------------
