@@ -5,6 +5,12 @@ scanned against every relator, with new cosets defined to complete each
 scan.  When the coset budget fills up, a lookahead pass (coincidence-only
 scanning) runs and dead rows are compacted away before giving up.
 
+HLT's scan lives in _Enumerator.run, the only place that defines cosets;
+_scan is the lookahead's, which stops at a gap.  The subgroup words are
+coset 0's first scans, ahead of its relators.  They carry no mark bit, so
+after a lookahead from coset 0 a word that already closed is scanned
+again, which changes nothing.
+
 Tables index cosets from 0 (the subgroup itself) and act on the right:
 column 2*i is the action of generator i, column 2*i+1 of its inverse.
 Completed tables are renumbered by breadth-first traversal from coset 0
@@ -52,6 +58,11 @@ renumbered in one ascending pass over the union-find, with no find: a
 dead coset's parent is a smaller label, whose new label is already
 known.
 
+_standardize relies on the second invariant too.  When run returns, a
+breadth-first traversal from coset 0 over the raw labels meets only
+live rows, so it numbers the completed table in one pass, without the
+union-find and without reading a dead row.
+
 verify_coset_table does not use this argument: it checks every relator
 at every coset, so a skipped scan that was needed shows up there as a
 relator left open.
@@ -71,6 +82,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import eq
 from typing import Iterable, Sequence
 
 from .errors import LimitExceeded
@@ -170,7 +182,7 @@ class _Enumerator:
         # mask per row of the table, 0 when nothing is known.
         self.closed: list[int] = [0]
         # The smallest label killed since the last compaction; every label
-        # below it is live.  No label reaches max_cosets (_define), so
+        # below it is live.  No label reaches max_cosets (run), so
         # max_cosets means none has died.
         self.first_dead = limits.max_cosets
 
@@ -199,27 +211,26 @@ class _Enumerator:
                 self.closed[a] |= bits
 
     def _coincidence(self, a: int, b: int) -> None:
-        table = self.table
+        table, rep, merge, assign = self.table, self.rep, self._merge, self._assign
         queue: list[int] = []
-        self._merge(a, b, queue)
-        qi = 0
-        while qi < len(queue):
-            gamma = queue[qi]
-            qi += 1
-            for col in range(self.ncols):
-                delta = table[gamma][col]
+        merge(a, b, queue)
+        # The queue grows as merges kill cosets; the loop reaches them all.
+        for gamma in queue:
+            # Reads gamma's row as it changes: clearing a loop edge of
+            # gamma's empties one of its later columns.
+            for col, delta in enumerate(table[gamma]):
                 if delta is None:
                     continue
                 table[delta][col ^ 1] = None
-                mu = self.rep(gamma)
-                nu = self.rep(delta)
+                mu = rep(gamma)
+                nu = rep(delta)
                 existing = table[mu][col]
                 if existing is not None:
-                    self._merge(nu, existing, queue)
+                    merge(nu, existing, queue)
                 elif table[nu][col ^ 1] is not None:
-                    self._merge(mu, table[nu][col ^ 1], queue)
+                    merge(mu, table[nu][col ^ 1], queue)
                 else:
-                    self._assign(mu, col, nu)
+                    assign(mu, col, nu)
 
     # -- table writes -------------------------------------------------
 
@@ -230,66 +241,52 @@ class _Enumerator:
         if self.limits.max_deductions is not None and self.assignments > self.limits.max_deductions:
             raise LimitExceeded(f"deduction budget {self.limits.max_deductions} exhausted")
 
-    def _define(self, alpha: int, col: int) -> int:
-        if len(self.table) >= self.limits.max_cosets:
-            raise _NeedRoom
-        beta = len(self.table)
-        self.table.append([None] * self.ncols)
-        self.p.append(beta)
-        self.closed.append(0)
-        self._assign(alpha, col, beta)
-        return beta
+    # -- the lookahead ------------------------------------------------
 
-    # -- scanning -----------------------------------------------------
+    def _scan(self, alpha: int, cols: tuple[int, ...]) -> bool:
+        """The lookahead's scan of a relator loop at alpha.
 
-    def _scan(self, alpha: int, cols: tuple[int, ...], fill: bool) -> bool:
-        """Scan a relator (or subgroup word) loop at alpha.
-
-        With fill (the HLT pass), missing entries are created so the scan
-        always completes.  Without fill (the lookahead in _make_room), the
-        scan stops at a gap of two or more but still applies forced
-        deductions and coincidences.  Returns whether the loop got all
-        the way round, so that it now closes at alpha's representative;
-        False only when it stopped at a gap.
+        It defines no coset: it stops at a gap of two or more, but still
+        applies forced deductions and coincidences.  Returns whether the
+        loop got all the way round, so that it now closes at alpha's
+        representative; False only when it stopped at a gap.  HLT's
+        filling scan is written out in run.
         """
         table = self.table
         f = b = alpha
         i, j = 0, len(cols) - 1
-        while True:
-            while i <= j:
-                nxt = table[f][cols[i]]
-                if nxt is None:
-                    break
-                f = nxt
-                i += 1
-            if i > j:
-                if f != b:
-                    self._coincidence(f, b)
-                return True
-            while j >= i:
-                prv = table[b][cols[j] ^ 1]
-                if prv is None:
-                    break
-                b = prv
-                j -= 1
-            if j < i:
+        while i <= j:
+            nxt = table[f][cols[i]]
+            if nxt is None:
+                break
+            f = nxt
+            i += 1
+        if i > j:
+            if f != b:
                 self._coincidence(f, b)
-                return True
-            if j == i:
-                self._assign(f, cols[i], b)
-                return True
-            if not fill:
-                return False
-            self._define(f, cols[i])
+            return True
+        while j >= i:
+            prv = table[b][cols[j] ^ 1]
+            if prv is None:
+                break
+            b = prv
+            j -= 1
+        if j < i:
+            self._coincidence(f, b)
+            return True
+        if j == i:
+            self._assign(f, cols[i], b)
+            return True
+        return False
 
     # -- space management ----------------------------------------------
 
     def _make_room(self, alpha: int) -> int:
         """Lookahead collapse from alpha, then compaction (_compact).
 
-        The lookahead scans every relator without fill at each live coset
-        from alpha on, skips the pairs marked in self.closed, and marks
-        each scan that gets all the way round.  Cosets below alpha need no
+        The lookahead scans every relator (_scan) at each live coset from
+        alpha on, skips the pairs marked in self.closed, and marks each
+        scan that gets all the way round.  Cosets below alpha need no
         scan: HLT has scanned every relator there to closure (module
         docstring).
 
@@ -304,7 +301,7 @@ class _Enumerator:
             for bit, cols in relators:
                 if closed[c] & bit:
                     continue
-                closes = self._scan(c, cols, fill=False)
+                closes = self._scan(c, cols)
                 if p[c] != c:
                     break
                 if closes:
@@ -349,39 +346,116 @@ class _Enumerator:
     # -- HLT -----------------------------------------------------------
 
     def run(self) -> list[list[int | None]]:
-        for cols in self.sub_cols:
-            while True:
-                try:
-                    self._scan(0, cols, fill=True)
-                    break
-                except _NeedRoom:
-                    self._make_room(0)
-        # Scans skipped through self.closed are no-ops (module docstring).
+        """HLT: at each live coset in turn, scan every relator not marked
+        closed there, defining cosets to complete each scan, then define
+        the coset's undefined entries.  Returns the raw table.
+
+        This is the enumerator's only filling scan, written out with its
+        definitions and deductions on local names, since HLT's time is
+        spent here.  The locals are bound again after each _make_room,
+        which may replace the lists, and self.assignments is brought up to
+        date before every call that reads or raises it.
+        """
+        ncols = self.ncols
+        max_cosets = self.limits.max_cosets
+        max_deductions = self.limits.max_deductions
+        # Scans skipped through closed are no-ops (module docstring).
         relators = [(1 << i, cols, _power_root(cols))
                     for i, cols in enumerate(self.relator_cols)]
+        # The subgroup words are coset 0's first scans.  Their bit 0 marks
+        # and skips nothing, so after _make_room(0) a word that already
+        # closed is scanned again, which changes nothing.
+        first_scans = [(0, cols, None) for cols in self.sub_cols] + relators
+        table, p, closed = self.table, self.p, self.closed
+        assignments = self.assignments
         alpha = 0
-        while alpha < len(self.table):
-            if self.p[alpha] == alpha:
-                skip = self.closed[alpha]
-                try:
-                    for bit, cols, root in relators:
-                        if skip & bit:
-                            continue
-                        self._scan(alpha, cols, fill=True)
-                        if self.p[alpha] != alpha:
+        while alpha < len(table):
+            if p[alpha] != alpha:
+                alpha += 1
+                continue
+            skip = closed[alpha]
+            try:
+                for bit, cols, root in relators if alpha else first_scans:
+                    if skip & bit:
+                        continue
+                    f = b = alpha
+                    i, j = 0, len(cols) - 1
+                    while True:
+                        while i <= j:
+                            nxt = table[f][cols[i]]
+                            if nxt is None:
+                                break
+                            f = nxt
+                            i += 1
+                        if i > j:
+                            if f != b:
+                                self.assignments = assignments
+                                self._coincidence(f, b)
+                                assignments = self.assignments
                             break
-                        if root is not None:
-                            self._mark_closed(alpha, root, len(cols) // len(root), bit)
-                    if self.p[alpha] == alpha:
-                        row = self.table[alpha]
-                        for col in range(self.ncols):
-                            if row[col] is None:
-                                self._define(alpha, col)
-                except _NeedRoom:
-                    alpha = self._make_room(alpha)
-                    continue
+                        while j >= i:
+                            prv = table[b][cols[j] ^ 1]
+                            if prv is None:
+                                break
+                            b = prv
+                            j -= 1
+                        if j < i:
+                            self.assignments = assignments
+                            self._coincidence(f, b)
+                            assignments = self.assignments
+                            break
+                        # One entry missing is a deduction; more, a new
+                        # coset at the front of the gap.
+                        col = cols[i]
+                        if j == i:
+                            new = b
+                        else:
+                            new = len(table)
+                            if new >= max_cosets:
+                                raise _NeedRoom
+                            table.append([None] * ncols)
+                            p.append(new)
+                            closed.append(0)
+                        table[f][col] = new
+                        table[new][col ^ 1] = f
+                        assignments += 1
+                        if max_deductions is not None and assignments > max_deductions:
+                            self.assignments = assignments
+                            raise LimitExceeded(f"deduction budget {max_deductions} exhausted")
+                        if j == i:
+                            break
+                        f = new
+                        i += 1
+                    if p[alpha] != alpha:
+                        break
+                    if root is not None:
+                        self._mark_closed(alpha, root, len(cols) // len(root), bit)
+                if p[alpha] == alpha:
+                    row = table[alpha]
+                    for col, e in enumerate(row):
+                        if e is not None:
+                            continue
+                        new = len(table)
+                        if new >= max_cosets:
+                            raise _NeedRoom
+                        table.append([None] * ncols)
+                        p.append(new)
+                        closed.append(0)
+                        row[col] = new
+                        table[new][col ^ 1] = alpha
+                        assignments += 1
+                        if max_deductions is not None and assignments > max_deductions:
+                            self.assignments = assignments
+                            raise LimitExceeded(f"deduction budget {max_deductions} exhausted")
+            except _NeedRoom:
+                self.assignments = assignments
+                alpha = self._make_room(alpha)
+                table, p, closed = self.table, self.p, self.closed
+                assignments = self.assignments
+                continue
             alpha += 1
-        return self.table
+        self.assignments = assignments
+        return table
 
     def _mark_closed(self, alpha: int, root: tuple[int, ...], k: int, bit: int) -> None:
         """Mark the cosets alpha*w^i (0 < i < k) after alpha as closing
@@ -423,25 +497,29 @@ def _renumber(p: list[int], start: int = 0) -> tuple[list[int], list[int]]:
 
 
 def _standardize(table: list[list[int | None]], p: list[int]) -> tuple[tuple[int, ...], ...]:
-    live, renum = _renumber(p)
-    rows = []
-    for old in live:
-        row = table[old]
+    """Number the live cosets breadth-first from coset 0 in column order.
+
+    One pass over the raw labels: when run returns, no live row points at
+    a dead coset (module docstring), so the traversal from coset 0 meets
+    only live rows, and neither the union-find nor the dead rows are read.
+    Raises AssertionError when a row it reaches is incomplete or when it
+    does not reach every live coset.
+    """
+    # pos[d] is raw label d's new label, -1 until the traversal reaches d.
+    pos = [-1] * len(table)
+    pos[0] = 0
+    order = [0]
+    for c in order:
+        row = table[c]
         if None in row:
             raise AssertionError("enumeration finished with an incomplete row")
-        rows.append([renum[e] for e in row])  # type: ignore[index]
-    # Breadth-first from coset 0 in column order; pos[d] is d's new label.
-    order = [0]
-    pos = [-1] * len(rows)
-    pos[0] = 0
-    for c in order:
-        for d in rows[c]:
+        for d in row:
             if pos[d] < 0:
                 pos[d] = len(order)
                 order.append(d)
-    if len(order) != len(rows):
+    if len(order) != sum(map(eq, p, range(len(p)))):
         raise AssertionError("completed table is not transitive")
-    return tuple(tuple([pos[d] for d in rows[old]]) for old in order)
+    return tuple(tuple([pos[d] for d in table[c]]) for c in order)
 
 
 def enumerate_cosets(pres: Presentation, subgroup: Iterable[Word] = (),

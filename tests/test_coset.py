@@ -59,6 +59,117 @@ SMALL_FINITE = (
 SMALL_ORDERS = (6, 8, 14, 24, 120, 6, 8, 12, 9, 16, 25)
 
 
+# -- the reference HLT, with its filling scan as a method -----------------
+
+
+class ReferenceHLT(_Enumerator):
+    """HLT as a loop of method calls: the subgroup words are scanned at
+    coset 0 first, each to completion, and then every relator at every
+    live coset, with every definition through _define and every deduction
+    through _assign.  The lookahead, compaction and long-power marks are
+    the enumerator's.  _Enumerator.run, which writes this scan out on
+    local names, must leave the same raw state."""
+
+    def _define(self, alpha, col):
+        if len(self.table) >= self.limits.max_cosets:
+            raise _NeedRoom
+        beta = len(self.table)
+        self.table.append([None] * self.ncols)
+        self.p.append(beta)
+        self.closed.append(0)
+        self._assign(alpha, col, beta)
+        return beta
+
+    def _fill_scan(self, alpha, cols):
+        """Scan a relator or subgroup word at alpha, defining cosets where
+        entries are missing, so that the scan always completes."""
+        table = self.table
+        f = b = alpha
+        i, j = 0, len(cols) - 1
+        while True:
+            while i <= j:
+                nxt = table[f][cols[i]]
+                if nxt is None:
+                    break
+                f = nxt
+                i += 1
+            if i > j:
+                if f != b:
+                    self._coincidence(f, b)
+                return
+            while j >= i:
+                prv = table[b][cols[j] ^ 1]
+                if prv is None:
+                    break
+                b = prv
+                j -= 1
+            if j < i:
+                self._coincidence(f, b)
+                return
+            if j == i:
+                self._assign(f, cols[i], b)
+                return
+            self._define(f, cols[i])
+
+    def run(self):
+        for cols in self.sub_cols:
+            while True:
+                try:
+                    self._fill_scan(0, cols)
+                    break
+                except _NeedRoom:
+                    self._make_room(0)
+        relators = [(1 << i, cols, coset._power_root(cols))
+                    for i, cols in enumerate(self.relator_cols)]
+        alpha = 0
+        while alpha < len(self.table):
+            if self.p[alpha] == alpha:
+                skip = self.closed[alpha]
+                try:
+                    for bit, cols, root in relators:
+                        if skip & bit:
+                            continue
+                        self._fill_scan(alpha, cols)
+                        if self.p[alpha] != alpha:
+                            break
+                        if root is not None:
+                            self._mark_closed(alpha, root, len(cols) // len(root), bit)
+                    if self.p[alpha] == alpha:
+                        row = self.table[alpha]
+                        for col in range(self.ncols):
+                            if row[col] is None:
+                                self._define(alpha, col)
+                except _NeedRoom:
+                    alpha = self._make_room(alpha)
+                    continue
+            alpha += 1
+        return self.table
+
+
+def reference_standardize(table, p):
+    """The two-pass standardization: drop the dead rows, mapping every
+    entry to its representative's new label, then number the cosets
+    breadth-first from coset 0 in column order."""
+    live, renum = coset._renumber(p)
+    rows = []
+    for old in live:
+        row = table[old]
+        if None in row:
+            raise AssertionError("enumeration finished with an incomplete row")
+        rows.append([renum[e] for e in row])
+    order = [0]
+    pos = [-1] * len(rows)
+    pos[0] = 0
+    for c in order:
+        for d in rows[c]:
+            if pos[d] < 0:
+                pos[d] = len(order)
+                order.append(d)
+    if len(order) != len(rows):
+        raise AssertionError("completed table is not transitive")
+    return tuple(tuple([pos[d] for d in rows[old]]) for old in order)
+
+
 # -- Felsch: the reference enumerator HLT is compared against -------------
 
 
@@ -70,13 +181,14 @@ def _cyclic_reduce(letters):
     return letters[i:j]
 
 
-class FelschReference(_Enumerator):
+class FelschReference(ReferenceHLT):
     """Felsch's strategy (Havas, "Coset enumeration strategies", ISSAC
     1991): define the first undefined entry, then chase every deduction
     against the relator rotations that start with its column.  It reuses
-    the enumerator's table, union-find, scan and coincidence code, but
-    defines cosets in its own order and has no lookahead or compaction:
-    running out of rows raises LimitExceeded."""
+    the enumerator's table, union-find, coincidence code and non-filling
+    scan, and the reference HLT's filling scan for the subgroup words,
+    but defines cosets in its own order and has no lookahead or
+    compaction: running out of rows raises LimitExceeded."""
 
     def __init__(self, pres, subgroup, limits):
         super().__init__(pres, subgroup, limits)
@@ -101,7 +213,7 @@ class FelschReference(_Enumerator):
         for cols in self.buckets[col]:
             if self.p[alpha] != alpha:
                 return
-            self._scan(alpha, cols, fill=False)
+            self._scan(alpha, cols)
 
     def _chase(self):
         while self.deductions:
@@ -113,7 +225,7 @@ class FelschReference(_Enumerator):
     def run(self):
         try:
             for cols in self.sub_cols:
-                self._scan(0, cols, fill=True)
+                self._fill_scan(0, cols)
             self._chase()
             alpha = 0
             while alpha < len(self.table):
@@ -622,21 +734,23 @@ def test_long_power_skip_changes_nothing(case, max_cosets):
 
 def test_long_power_is_scanned_once_per_orbit(monkeypatch):
     # <x, y | x^2, y^200, [x, y]> has 400 cosets in two y-orbits: the
-    # y^200 scans at cosets 0 and 0*x close every other coset.
+    # y^200 scans at cosets 0 and 0*x close every other coset.  HLT's
+    # scan is written out in run, so its scans of y^200 are counted
+    # through _mark_closed, which runs once after each of them.
     pres = family_15e(200)
     power = pres.relator_columns[1]
     assert len(power) == 200
     scans = []
-    original = _Enumerator._scan
+    original = _Enumerator._mark_closed
 
-    def counting_scan(self, alpha, cols, fill):
-        if cols == power:
+    def counting_mark_closed(self, alpha, root, k, bit):
+        if root * k == power:
             scans.append(alpha)
-        return original(self, alpha, cols, fill)
+        return original(self, alpha, root, k, bit)
 
-    monkeypatch.setattr(_Enumerator, "_scan", counting_scan)
+    monkeypatch.setattr(_Enumerator, "_mark_closed", counting_mark_closed)
     assert group_order(pres) == 400
-    assert len(scans) <= 2
+    assert 1 <= len(scans) <= 2
 
 
 def test_tight_cap_with_long_power_marks(monkeypatch):
@@ -672,7 +786,7 @@ class ReferenceLookahead(_Enumerator):
             if self.p[c] != c:
                 continue
             for cols in self.relator_cols:
-                self._scan(c, cols, fill=False)
+                self._scan(c, cols)
                 if self.p[c] != c:
                     break
         live = [c for c in range(len(self.table)) if self.p[c] == c]
@@ -728,7 +842,7 @@ def test_incremental_lookahead_matches_the_full_rescan(case, max_cosets, max_ded
 
 
 class CountingLookahead:
-    """Mixin that counts lookahead scans (scans without fill) per
+    """Mixin that counts lookahead scans (every _scan call) per
     _make_room pass, and those at a coset below HLT's pointer, and
     checks the marks that compaction leaves."""
 
@@ -746,11 +860,10 @@ class CountingLookahead:
         assert not any(self.closed[:start]), "marks kept below the pointer"
         return start
 
-    def _scan(self, alpha, cols, fill):
-        if not fill:
-            self.passes[-1] += 1
-            self.below_pointer += alpha < self.pointer
-        return super()._scan(alpha, cols, fill)
+    def _scan(self, alpha, cols):
+        self.passes[-1] += 1
+        self.below_pointer += alpha < self.pointer
+        return super()._scan(alpha, cols)
 
 
 class CountingReference(CountingLookahead, ReferenceLookahead):
@@ -920,6 +1033,112 @@ def test_overflow_path_keeps_one_table():
     finally:
         tracemalloc.stop()
     assert peak / limits.max_cosets < 300
+
+
+# -- HLT written out against the reference HLT -----------------------------
+
+
+class RecordingHLT(RecordsMakeRoom, _Enumerator):
+    pass
+
+
+class RecordingReferenceHLT(RecordsMakeRoom, ReferenceHLT):
+    pass
+
+
+def assert_hlt_matches_the_reference(pres, subgroup, limits):
+    """Same raw state, same _make_room returns, and, when the run
+    completes, the same standardized table from both standardizations."""
+    hlt = RecordingHLT(pres, subgroup, limits)
+    reference = RecordingReferenceHLT(pres, subgroup, limits)
+    state = raw_state(hlt)
+    assert state == raw_state(reference)
+    assert hlt.returns == reference.returns
+    if len(state) == 3:
+        assert coset._standardize(state[0], state[1]) == \
+            reference_standardize(state[0], state[1])
+    return hlt
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(long_power_presentations(), triangle_groups(),
+                 short_relator_presentations()),
+       st.integers(5, 400), st.sampled_from([None, 20_000]))
+def test_hlt_matches_the_reference_hlt(case, max_cosets, max_deductions):
+    pres, subgroup = case
+    assert_hlt_matches_the_reference(pres, subgroup,
+                                     EnumerationLimits(max_cosets, max_deductions))
+
+
+@pytest.mark.parametrize("pres,subgroup,limits,passes", [
+    # Scanning x^40 at coset 0 overflows before HLT reaches a relator.
+    pytest.param(load_presentation("generators: x y\nrelators: x^5 y^2 (x*y)^2\n"),
+                 (Word((1,)) ** 40,), EnumerationLimits(12), True,
+                 id="subgroup-x40-cap-12"),
+    pytest.param(load_presentation(ORBIFOLD_28_TEXT), (Word((1, 2)),),
+                 EnumerationLimits(), False, id="orbifold-28-xy"),
+    pytest.param(load_presentation(ORBIFOLD_28_TEXT), (), EnumerationLimits(121), True,
+                 id="orbifold-28-cap-121"),
+    pytest.param(load_presentation(ORBIFOLD_28_TEXT), (),
+                 EnumerationLimits(max_deductions=50), False, id="orbifold-28-deductions-50"),
+    pytest.param(family_15e(200), (), EnumerationLimits(), False, id="15E-200"),
+    pytest.param(triangle_23k(7), (), EnumerationLimits(2000), True, id="237-cap-2000"),
+])
+def test_hlt_matches_the_reference_hlt_on_named_cases(pres, subgroup, limits, passes):
+    hlt = assert_hlt_matches_the_reference(pres, subgroup, limits)
+    assert bool(hlt.returns) == passes
+
+
+def _standardize_input():
+    """A raw table of D3 = <x, y | x^3, y^2, (x*y)^2> with coset 2 merged
+    into coset 1: labels 0, 1, 3, 4, 5, 6 are live and no live entry
+    points at 2."""
+    x, y = 0, 2
+    # x: 0 -> 1 -> 3 -> 0, 4 -> 5 -> 6 -> 4; y: 0 <-> 4, 1 <-> 6, 3 <-> 5.
+    table = [[None] * 4 for _ in range(7)]
+    for cycle in ((0, 1, 3), (4, 5, 6)):
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            table[a][x], table[b][x + 1] = b, a
+    for a, b in ((0, 4), (1, 6), (3, 5)):
+        for c, d in ((a, b), (b, a)):
+            table[c][y], table[c][y + 1] = d, d
+    p = [0, 1, 1, 3, 4, 5, 6]
+    return table, p
+
+
+def test_standardize_numbers_the_live_cosets_breadth_first():
+    table, p = _standardize_input()
+    action = coset._standardize(table, p)
+    assert action == reference_standardize(table, p)
+    assert len(action) == 6
+    assert action == enumerate_cosets(
+        load_presentation("generators: x y\nrelators: x^3 y^2 (x*y)^2\n")).action
+
+
+def test_standardize_ignores_the_stale_entries_of_dead_rows():
+    table, p = _standardize_input()
+    expected = coset._standardize(table, p)
+    table[2] = [5, None, 2, 0]
+    assert coset._standardize(table, p) == expected
+    assert reference_standardize(table, p) == expected
+
+
+def test_standardize_rejects_an_incomplete_live_row():
+    table, p = _standardize_input()
+    table[5][1] = None
+    for standardize in (coset._standardize, reference_standardize):
+        with pytest.raises(AssertionError, match="incomplete row"):
+            standardize(table, p)
+
+
+def test_standardize_rejects_a_live_row_coset_0_cannot_reach():
+    # A seventh live coset, complete but fixed by both generators.
+    table, p = _standardize_input()
+    table.append([7, 7, 7, 7])
+    p.append(7)
+    for standardize in (coset._standardize, reference_standardize):
+        with pytest.raises(AssertionError, match="not transitive"):
+            standardize(table, p)
 
 
 # -- indices and coset words read off the regular table ------------------
