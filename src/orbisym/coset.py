@@ -18,7 +18,15 @@ in column order, so equal inputs give byte-for-byte equal tables.
 
 Coincidences are resolved by union-find with path compression, keeping
 the smallest label as representative; the merge queue transfers every
-edge of a dead coset to its representative.
+edge of a dead coset to its representative.  On the family tables this
+runs once for every coset killed, so _coincidence is one queue loop on
+local names with its find, merge and deduction written out.  The finds
+come in a fixed order, which fixes where path compression leaves the
+union-find: the two cosets merged first, then, for each edge of a dead
+coset, the dead coset, the edge's other end and the entry the merge it
+forces needs found.  The same loop as method calls (rep, _merge, and
+each deduction through _assign) is ReferenceCoincidence in the tests,
+which check that both leave the same raw state.
 
 HLT skips relator scans that provably change nothing.  A relator that
 closes at a coset stays closed through every later definition and
@@ -41,8 +49,8 @@ scanning everywhere.  Bits are set in two places:
 
 The lookahead starts at HLT's pointer, since every live coset below it
 has had each relator scanned to closure.  Compaction then works in place
-from the first dead coset, whose label _merge records as it kills it.
-It relies on three invariants the enumerator keeps:
+from the first dead coset, whose label _coincidence records as it kills
+it.  It relies on three invariants the enumerator keeps:
 
 - every label below the first dead one is live, because compaction
   leaves no dead label and only a merge kills one;
@@ -186,34 +194,55 @@ class _Enumerator:
         # max_cosets means none has died.
         self.first_dead = limits.max_cosets
 
-    # -- union-find ---------------------------------------------------
-
-    def rep(self, k: int) -> int:
-        p = self.p
-        root = k
-        while p[root] != root:
-            root = p[root]
-        while p[k] != root:
-            p[k], k = root, p[k]
-        return root
-
-    def _merge(self, a: int, b: int, queue: list[int]) -> None:
-        a, b = self.rep(a), self.rep(b)
-        if a != b:
-            if a > b:
-                a, b = b, a
-            self.p[b] = a
-            if b < self.first_dead:
-                self.first_dead = b
-            queue.append(b)
-            bits = self.closed[b]
-            if bits:
-                self.closed[a] |= bits
+    # -- coincidences --------------------------------------------------
 
     def _coincidence(self, a: int, b: int) -> None:
-        table, rep, merge, assign = self.table, self.rep, self._merge, self._assign
-        queue: list[int] = []
-        merge(a, b, queue)
+        """Merge cosets a and b, and every pair of cosets that forces.
+
+        Find, merge and deduction are written out on local names (module
+        docstring).  A find walks to the root and then points every coset
+        on the path at it, and the finds come in this order: a, then b;
+        then, for each edge gamma -> delta of a dead coset, gamma, delta,
+        and the entry that a merge with gamma's or delta's representative
+        needs found.  That representative is a root already, so the find
+        of it a merge would make again is left out: it changes nothing.
+        A merge keeps the smaller label, records the first dead label and
+        hands the dead coset's closed bits to the representative.  An
+        edge that forces no merge is a deduction, counted against
+        max_deductions.  self.assignments and self.first_dead are written
+        back before returning or raising.
+        """
+        table, p, closed = self.table, self.p, self.closed
+        first_dead = self.first_dead
+        assignments = self.assignments
+        max_deductions = self.limits.max_deductions
+        root = p[a]
+        if p[root] != root:
+            root = p[root]
+            while p[root] != root:
+                root = p[root]
+            while p[a] != root:
+                p[a], a = root, p[a]
+        a = root
+        root = p[b]
+        if p[root] != root:
+            root = p[root]
+            while p[root] != root:
+                root = p[root]
+            while p[b] != root:
+                p[b], b = root, p[b]
+        b = root
+        if a == b:
+            return
+        if a > b:
+            a, b = b, a
+        p[b] = a
+        if b < first_dead:
+            first_dead = b
+        queue = [b]
+        bits = closed[b]
+        if bits:
+            closed[a] |= bits
         # The queue grows as merges kill cosets; the loop reaches them all.
         for gamma in queue:
             # Reads gamma's row as it changes: clearing a loop edge of
@@ -221,20 +250,67 @@ class _Enumerator:
             for col, delta in enumerate(table[gamma]):
                 if delta is None:
                     continue
-                table[delta][col ^ 1] = None
-                mu = rep(gamma)
-                nu = rep(delta)
-                existing = table[mu][col]
-                if existing is not None:
-                    merge(nu, existing, queue)
-                elif table[nu][col ^ 1] is not None:
-                    merge(mu, table[nu][col ^ 1], queue)
+                inv = col ^ 1
+                table[delta][inv] = None
+                k = gamma
+                mu = p[k]
+                if p[mu] != mu:
+                    mu = p[mu]
+                    while p[mu] != mu:
+                        mu = p[mu]
+                    while p[k] != mu:
+                        p[k], k = mu, p[k]
+                k = delta
+                nu = p[k]
+                if p[nu] != nu:
+                    nu = p[nu]
+                    while p[nu] != nu:
+                        nu = p[nu]
+                    while p[k] != nu:
+                        p[k], k = nu, p[k]
+                b = table[mu][col]
+                if b is not None:
+                    a = nu
                 else:
-                    assign(mu, col, nu)
+                    b = table[nu][inv]
+                    if b is None:
+                        table[mu][col] = nu
+                        table[nu][inv] = mu
+                        assignments += 1
+                        if max_deductions is not None and assignments > max_deductions:
+                            self.assignments = assignments
+                            self.first_dead = first_dead
+                            raise LimitExceeded(f"deduction budget {max_deductions} exhausted")
+                        continue
+                    a = mu
+                k = b
+                b = p[k]
+                if p[b] != b:
+                    b = p[b]
+                    while p[b] != b:
+                        b = p[b]
+                    while p[k] != b:
+                        p[k], k = b, p[k]
+                if a == b:
+                    continue
+                if a > b:
+                    a, b = b, a
+                p[b] = a
+                if b < first_dead:
+                    first_dead = b
+                queue.append(b)
+                bits = closed[b]
+                if bits:
+                    closed[a] |= bits
+        self.assignments = assignments
+        self.first_dead = first_dead
 
     # -- table writes -------------------------------------------------
 
     def _assign(self, a: int, col: int, b: int) -> None:
+        """The lookahead's deduction; the reference enumerators in the
+        tests also route theirs through it.  HLT and _coincidence write
+        theirs out."""
         self.table[a][col] = b
         self.table[b][col ^ 1] = a
         self.assignments += 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import random
@@ -170,6 +171,79 @@ def reference_standardize(table, p):
     return tuple(tuple([pos[d] for d in rows[old]]) for old in order)
 
 
+# -- the coincidence as method calls ----------------------------------------
+
+
+def find(p, c):
+    """c's representative in the union-find p, without path compression."""
+    while p[c] != c:
+        c = p[c]
+    return c
+
+
+class ReferenceCoincidence:
+    """Mixin: coincidence handling as method calls, with every find
+    through rep, every merge through _merge and every deduction through
+    self._assign.  _Enumerator._coincidence, which writes this out on
+    local names, must leave the same table, union-find (path compression
+    included), closed marks, first dead label and assignment count.
+
+    It also counts, per edge of a dead coset, which way it went
+    ("existing": a merge with the representative's entry, "inverse": a
+    merge with the inverse entry, "deduction"), and records the number
+    of cosets each call kills."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.outcomes = collections.Counter()
+        self.kills = []
+
+    def rep(self, k):
+        p = self.p
+        root = k
+        while p[root] != root:
+            root = p[root]
+        while p[k] != root:
+            p[k], k = root, p[k]
+        return root
+
+    def _merge(self, a, b, queue):
+        a, b = self.rep(a), self.rep(b)
+        if a != b:
+            if a > b:
+                a, b = b, a
+            self.p[b] = a
+            if b < self.first_dead:
+                self.first_dead = b
+            queue.append(b)
+            bits = self.closed[b]
+            if bits:
+                self.closed[a] |= bits
+
+    def _coincidence(self, a, b):
+        table, rep, merge, assign = self.table, self.rep, self._merge, self._assign
+        queue = []
+        self.kills.append(queue)
+        merge(a, b, queue)
+        for gamma in queue:
+            for col, delta in enumerate(table[gamma]):
+                if delta is None:
+                    continue
+                table[delta][col ^ 1] = None
+                mu = rep(gamma)
+                nu = rep(delta)
+                existing = table[mu][col]
+                if existing is not None:
+                    self.outcomes["existing"] += 1
+                    merge(nu, existing, queue)
+                elif table[nu][col ^ 1] is not None:
+                    self.outcomes["inverse"] += 1
+                    merge(mu, table[nu][col ^ 1], queue)
+                else:
+                    self.outcomes["deduction"] += 1
+                    assign(mu, col, nu)
+
+
 # -- Felsch: the reference enumerator HLT is compared against -------------
 
 
@@ -181,14 +255,16 @@ def _cyclic_reduce(letters):
     return letters[i:j]
 
 
-class FelschReference(ReferenceHLT):
+class FelschReference(ReferenceCoincidence, ReferenceHLT):
     """Felsch's strategy (Havas, "Coset enumeration strategies", ISSAC
     1991): define the first undefined entry, then chase every deduction
     against the relator rotations that start with its column.  It reuses
-    the enumerator's table, union-find, coincidence code and non-filling
-    scan, and the reference HLT's filling scan for the subgroup words,
-    but defines cosets in its own order and has no lookahead or
-    compaction: running out of rows raises LimitExceeded."""
+    the enumerator's table, union-find and non-filling scan, the
+    reference HLT's filling scan for the subgroup words, and the
+    reference coincidence, so that every deduction, those a coincidence
+    forces included, passes through its _assign; but it defines cosets in
+    its own order and has no lookahead or compaction: running out of rows
+    raises LimitExceeded."""
 
     def __init__(self, pres, subgroup, limits):
         super().__init__(pres, subgroup, limits)
@@ -778,7 +854,7 @@ def test_tight_cap_with_long_power_marks(monkeypatch):
 class ReferenceLookahead(_Enumerator):
     """The overflow path as a full rescan: the lookahead scans every
     relator at every live coset from coset 0 and records no marks, and
-    compaction renumbers every entry through a dict and rep().  HLT
+    compaction renumbers every entry through a dict and find().  HLT
     itself, and its long-power marks, are the enumerator's."""
 
     def _make_room(self, alpha):
@@ -793,7 +869,7 @@ class ReferenceLookahead(_Enumerator):
         if len(live) >= self.limits.max_cosets:
             raise LimitExceeded(f"coset budget {self.limits.max_cosets} exhausted")
         renum = {old: new for new, old in enumerate(live)}
-        self.table = [[None if e is None else renum[self.rep(e)] for e in self.table[old]]
+        self.table = [[None if e is None else renum[find(self.p, e)] for e in self.table[old]]
                       for old in live]
         self.closed = [self.closed[c] if c >= alpha else 0 for c in live]
         self.p = list(range(len(live)))
@@ -1087,6 +1163,114 @@ def test_hlt_matches_the_reference_hlt(case, max_cosets, max_deductions):
 def test_hlt_matches_the_reference_hlt_on_named_cases(pres, subgroup, limits, passes):
     hlt = assert_hlt_matches_the_reference(pres, subgroup, limits)
     assert bool(hlt.returns) == passes
+
+
+# -- the coincidence written out against the reference ---------------------
+
+
+class ReferenceCoincidenceHLT(ReferenceCoincidence, _Enumerator):
+    pass
+
+
+def coincidence_state(enum):
+    """What _coincidence writes, after enum runs: the LimitExceeded
+    message (None when the run completes), the raw table, union-find,
+    closed marks, first dead label and assignment count."""
+    try:
+        enum.run()
+        message = None
+    except LimitExceeded as exc:
+        message = str(exc)
+    return message, enum.table, enum.p, enum.closed, enum.first_dead, enum.assignments
+
+
+def assert_coincidence_matches_the_reference(pres, subgroup, limits):
+    fast = _Enumerator(pres, subgroup, limits)
+    reference = ReferenceCoincidenceHLT(pres, subgroup, limits)
+    assert coincidence_state(fast) == coincidence_state(reference)
+    return reference
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(long_power_presentations(), triangle_groups(),
+                 short_relator_presentations()),
+       st.integers(5, 400), st.sampled_from([None, 20_000]))
+def test_coincidence_matches_the_reference_coincidence(case, max_cosets, max_deductions):
+    pres, subgroup = case
+    assert_coincidence_matches_the_reference(pres, subgroup,
+                                             EnumerationLimits(max_cosets, max_deductions))
+
+
+@pytest.mark.parametrize("relators,order,cascade", [
+    # Its coincidences merge through the representative's entry, merge
+    # through the inverse entry (the rare way) and deduce.
+    pytest.param("z^-1*x^-1*y*z^-2 x*y^-1 z^-1*x*y^-1*x*y z^-1*x^-2*z*x^-1", 3, 13,
+                 id="xyz-order-3"),
+    # A cascade deep enough that a forced entry's find compresses a path
+    # that no later find in the same call does.
+    pytest.param("z^-1*x*z*y*x^-1 y^2*z^-1*y^-1 y^-1*z*x*z*y^-2*x^-2*y", 1, 166,
+                 id="xyz-trivial"),
+])
+def test_coincidence_reaches_every_outcome(relators, order, cascade):
+    pres = load_presentation(f"generators: x y z\nrelators: {relators}\n")
+    reference = assert_coincidence_matches_the_reference(pres, (), EnumerationLimits())
+    assert all(reference.outcomes[way] for way in ("existing", "inverse", "deduction"))
+    assert max(map(len, reference.kills)) == cascade
+    assert group_order(pres) == order
+
+
+@pytest.mark.parametrize("budget", [50, 51])
+def test_deduction_budget_runs_out_inside_a_coincidence(budget):
+    # Deductions 51 and 52 of family 19 at n=5 are both a coincidence's.
+    limits = EnumerationLimits(max_deductions=budget)
+    reference = assert_coincidence_matches_the_reference(family_19(5), (), limits)
+    assert reference.assignments == budget + 1
+    enum = _Enumerator(family_19(5), (), limits)
+    with pytest.raises(LimitExceeded, match=f"deduction budget {budget} exhausted") as exc:
+        enum.run()
+    assert exc.traceback[-1].name == "_coincidence"
+
+
+def test_lookahead_coincidences_match_the_reference():
+    # (2,3,7) is infinite: under 2000 cosets it runs the lookahead, whose
+    # scans kill cosets, and then gives up.
+    class LookaheadKills(ReferenceCoincidenceHLT):
+        lookahead_kills = 0
+
+        def _scan(self, alpha, cols):
+            calls = len(self.kills)
+            closes = super()._scan(alpha, cols)
+            self.lookahead_kills += sum(map(len, self.kills[calls:]))
+            return closes
+
+    limits = EnumerationLimits(2000)
+    reference = LookaheadKills(triangle_23k(7), (), limits)
+    assert coincidence_state(_Enumerator(triangle_23k(7), (), limits)) == \
+        coincidence_state(reference)
+    assert reference.lookahead_kills > 0
+
+
+@pytest.mark.parametrize("pres,subgroup,coincidence_deduces", [
+    pytest.param(load_presentation(ORBIFOLD_28_TEXT), (), False, id="orbifold-28"),
+    pytest.param(family_19(5), (), False, id="19-5"),
+    # Coxeter S5 over <b, a*b*a>: Felsch's coincidences deduce 3 entries.
+    pytest.param(SMALL_FINITE[4], (Word.generator(1), Word((1, 2, 1))), True,
+                 id="small4-y,xyx"),
+])
+def test_every_felsch_assignment_passes_through_its_hook(pres, subgroup, coincidence_deduces):
+    # Felsch chases the deductions its _assign records, so one made
+    # around that hook would go unchased.
+    class CountingFelsch(FelschReference):
+        hooked = 0
+
+        def _assign(self, a, col, b):
+            super()._assign(a, col, b)
+            self.hooked += 1
+
+    enum = CountingFelsch(pres, subgroup, EnumerationLimits())
+    enum.run()
+    assert enum.hooked == enum.assignments
+    assert bool(enum.outcomes["deduction"]) == coincidence_deduces
 
 
 def _standardize_input():
