@@ -95,6 +95,6 @@ from .words import (
     invert,
     parse_word,
 )
-from .z2hom import Z2Constraint, Z2HomResult, orientability, solve_hom_to_z2
+from .z2hom import Z2Constraint, Z2HomResult, solve_hom_to_z2
 
 __version__ = "0.1.0"

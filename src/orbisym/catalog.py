@@ -15,7 +15,8 @@ orbifold in both singular-set variants, and the two parametric
 families.  Cases live in a human-readable file format (see data/, the
 only built-in copy); an optional directory of ``*.case`` files
 (environment variable ORBISYM_CATALOG, default ./catalog) overrides
-them by id.
+them by id.  A file there that does not parse fails only the lookup of
+the id its ``case:`` line names.
 """
 
 from __future__ import annotations
@@ -485,21 +486,46 @@ def _parse_case_file(path: Path, mtime_ns: int, size: int) -> CatalogEntry:
         raise type(exc)(f"{path}: {exc}") from None
 
 
+def _case_files(directory: Path | None) -> list[Path]:
+    directory = directory if directory is not None else catalog_search_dir()
+    return sorted(directory.glob("*.case")) if directory.is_dir() else []
+
+
+def _load_case_file(path: Path) -> CatalogEntry:
+    stat = path.stat()
+    return _parse_case_file(path, stat.st_mtime_ns, stat.st_size)
+
+
+def _declared_id(text: str) -> str | None:
+    """The id of the last 'case:' line, the one parse_case_text keeps."""
+    case_id = None
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("case:"):
+            case_id = line[len("case:"):].strip()
+    return case_id
+
+
 def load_case_dir(directory: Path | None = None) -> dict[str, CatalogEntry]:
     """Every *.case file in the search directory (may be empty), by id."""
-    directory = directory if directory is not None else catalog_search_dir()
-    entries: dict[str, CatalogEntry] = {}
-    if directory.is_dir():
-        for path in sorted(directory.glob("*.case")):
-            stat = path.stat()
-            entry = _parse_case_file(path, stat.st_mtime_ns, stat.st_size)
-            entries[entry.id] = entry
-    return entries
+    return {entry.id: entry for entry in map(_load_case_file, _case_files(directory))}
 
 
 def find_case(case_id: str, search_dir: Path | None = None) -> CatalogEntry:
-    """File entries override compiled-in entries by id; UnknownCase otherwise."""
-    entries = {**_builtin_entries(), **load_case_dir(search_dir)}
+    """File entries override compiled-in entries by id; UnknownCase otherwise.
+
+    A file that does not parse is read again for its 'case:' line, and
+    its error is raised only when that line names case_id.
+    """
+    entries = dict(_builtin_entries())
+    for path in _case_files(search_dir):
+        try:
+            entry = _load_case_file(path)
+        except OrbisymError:
+            if _declared_id(path.read_text()) == case_id:
+                raise
+            continue
+        entries[entry.id] = entry
     if case_id not in entries:
         raise UnknownCase(f"no case {case_id!r}; known: {', '.join(sorted(entries))}")
     return entries[case_id]

@@ -24,9 +24,9 @@ local names with its find, merge and deduction written out.  The finds
 come in a fixed order, which fixes where path compression leaves the
 union-find: the two cosets merged first, then, for each edge of a dead
 coset, the dead coset, the edge's other end and the entry the merge it
-forces needs found.  The same loop as method calls (rep, _merge, and
-each deduction through _assign) is ReferenceCoincidence in the tests,
-which check that both leave the same raw state.
+forces needs found.  The same loop as method calls (rep, _merge and a
+deduction method) is ReferenceCoincidence in the tests, which check that
+both leave the same raw state.
 
 HLT skips relator scans that provably change nothing.  A relator that
 closes at a coset stays closed through every later definition and
@@ -119,13 +119,10 @@ class EnumerationLimits:
     """Budgets for a single enumeration run."""
 
     max_cosets: int = DEFAULT_MAX_COSETS
-    max_deductions: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_cosets < 1:
             raise ValueError("max_cosets must be at least 1")
-        if self.max_deductions is not None and self.max_deductions < 0:
-            raise ValueError("max_deductions must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -184,7 +181,6 @@ class _Enumerator:
         self.limits = limits
         self.table: list[list[int | None]] = [[None] * self.ncols]
         self.p: list[int] = [0]
-        self.assignments = 0
         # closed[c] is the bitmask of relators (bit i for relator i) known
         # to close at coset c, so their scans there can be skipped; one
         # mask per row of the table, 0 when nothing is known.
@@ -208,14 +204,11 @@ class _Enumerator:
         of it a merge would make again is left out: it changes nothing.
         A merge keeps the smaller label, records the first dead label and
         hands the dead coset's closed bits to the representative.  An
-        edge that forces no merge is a deduction, counted against
-        max_deductions.  self.assignments and self.first_dead are written
-        back before returning or raising.
+        edge that forces no merge is a deduction.  self.first_dead is
+        written back before returning.
         """
         table, p, closed = self.table, self.p, self.closed
         first_dead = self.first_dead
-        assignments = self.assignments
-        max_deductions = self.limits.max_deductions
         root = p[a]
         if p[root] != root:
             root = p[root]
@@ -276,11 +269,6 @@ class _Enumerator:
                     if b is None:
                         table[mu][col] = nu
                         table[nu][inv] = mu
-                        assignments += 1
-                        if max_deductions is not None and assignments > max_deductions:
-                            self.assignments = assignments
-                            self.first_dead = first_dead
-                            raise LimitExceeded(f"deduction budget {max_deductions} exhausted")
                         continue
                     a = mu
                 k = b
@@ -302,20 +290,7 @@ class _Enumerator:
                 bits = closed[b]
                 if bits:
                     closed[a] |= bits
-        self.assignments = assignments
         self.first_dead = first_dead
-
-    # -- table writes -------------------------------------------------
-
-    def _assign(self, a: int, col: int, b: int) -> None:
-        """The lookahead's deduction; the reference enumerators in the
-        tests also route theirs through it.  HLT and _coincidence write
-        theirs out."""
-        self.table[a][col] = b
-        self.table[b][col ^ 1] = a
-        self.assignments += 1
-        if self.limits.max_deductions is not None and self.assignments > self.limits.max_deductions:
-            raise LimitExceeded(f"deduction budget {self.limits.max_deductions} exhausted")
 
     # -- the lookahead ------------------------------------------------
 
@@ -351,7 +326,7 @@ class _Enumerator:
             self._coincidence(f, b)
             return True
         if j == i:
-            self._assign(f, cols[i], b)
+            table[f][cols[i]], table[b][cols[i] ^ 1] = b, f
             return True
         return False
 
@@ -429,12 +404,10 @@ class _Enumerator:
         This is the enumerator's only filling scan, written out with its
         definitions and deductions on local names, since HLT's time is
         spent here.  The locals are bound again after each _make_room,
-        which may replace the lists, and self.assignments is brought up to
-        date before every call that reads or raises it.
+        which may replace the lists.
         """
         ncols = self.ncols
         max_cosets = self.limits.max_cosets
-        max_deductions = self.limits.max_deductions
         # Scans skipped through closed are no-ops (module docstring).
         relators = [(1 << i, cols, _power_root(cols))
                     for i, cols in enumerate(self.relator_cols)]
@@ -443,7 +416,6 @@ class _Enumerator:
         # closed is scanned again, which changes nothing.
         first_scans = [(0, cols, None) for cols in self.sub_cols] + relators
         table, p, closed = self.table, self.p, self.closed
-        assignments = self.assignments
         alpha = 0
         while alpha < len(table):
             if p[alpha] != alpha:
@@ -465,9 +437,7 @@ class _Enumerator:
                             i += 1
                         if i > j:
                             if f != b:
-                                self.assignments = assignments
                                 self._coincidence(f, b)
-                                assignments = self.assignments
                             break
                         while j >= i:
                             prv = table[b][cols[j] ^ 1]
@@ -476,9 +446,7 @@ class _Enumerator:
                             b = prv
                             j -= 1
                         if j < i:
-                            self.assignments = assignments
                             self._coincidence(f, b)
-                            assignments = self.assignments
                             break
                         # One entry missing is a deduction; more, a new
                         # coset at the front of the gap.
@@ -494,10 +462,6 @@ class _Enumerator:
                             closed.append(0)
                         table[f][col] = new
                         table[new][col ^ 1] = f
-                        assignments += 1
-                        if max_deductions is not None and assignments > max_deductions:
-                            self.assignments = assignments
-                            raise LimitExceeded(f"deduction budget {max_deductions} exhausted")
                         if j == i:
                             break
                         f = new
@@ -519,18 +483,11 @@ class _Enumerator:
                         closed.append(0)
                         row[col] = new
                         table[new][col ^ 1] = alpha
-                        assignments += 1
-                        if max_deductions is not None and assignments > max_deductions:
-                            self.assignments = assignments
-                            raise LimitExceeded(f"deduction budget {max_deductions} exhausted")
             except _NeedRoom:
-                self.assignments = assignments
                 alpha = self._make_room(alpha)
                 table, p, closed = self.table, self.p, self.closed
-                assignments = self.assignments
                 continue
             alpha += 1
-        self.assignments = assignments
         return table
 
     def _mark_closed(self, alpha: int, root: tuple[int, ...], k: int, bit: int) -> None:

@@ -43,7 +43,7 @@ class InvalidParameter(OrbisymError):
 
 
 class LimitExceeded(OrbisymError):
-    """An enumeration hit its coset, deduction, or order budget."""
+    """An enumeration hit its coset or element budget."""
 
 
 class ClassificationError(OrbisymError):

@@ -24,7 +24,7 @@ from .errors import (
     OrbisymError,
     WordSyntaxError,
 )
-from .words import Word, format_word, letter_columns, parse_word
+from .words import MAX_WORD_LETTERS, Word, format_word, letter_columns, parse_word
 
 __all__ = [
     "Presentation",
@@ -127,17 +127,23 @@ def dump_presentation(p: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_family_n(family: str, n: int) -> None:
+    """Reject an n outside 2..MAX_WORD_LETTERS before y^n is built."""
+    if n < 2:
+        raise InvalidParameter(f"family {family} needs n >= 2, got {n}")
+    if n > MAX_WORD_LETTERS:
+        raise InvalidParameter(f"family {family} needs n <= {MAX_WORD_LETTERS}, got {n}")
+
+
 def family_15e(n: int) -> Presentation:
     """<x, y | x^2, y^n, x*y*x^-1*y^-1>, order 2n."""
-    if n < 2:
-        raise InvalidParameter(f"family 15E needs n >= 2, got {n}")
+    _check_family_n("15E", n)
     x, y = Word.generator(0), Word.generator(1)
     return Presentation(("x", "y"), (x ** 2, y ** n, x * y * ~x * ~y))
 
 
 def family_19(n: int) -> Presentation:
     """<x, y | x^n, y^n, x*y*x^-1*y^-1>, order n^2."""
-    if n < 2:
-        raise InvalidParameter(f"family 19 needs n >= 2, got {n}")
+    _check_family_n("19", n)
     x, y = Word.generator(0), Word.generator(1)
     return Presentation(("x", "y"), (x ** n, y ** n, x * y * ~x * ~y))

@@ -15,6 +15,11 @@ Word text follows the grammar
 with insignificant whitespace.  The bare atom ``1`` denotes the empty
 word; it is also what the canonical printer emits for it, so
 ``parse_word(format_word(w, names), names) == w`` holds for every word.
+
+The parser sizes each power and product before building it: a word
+over MAX_WORD_LETTERS letters, counted before free reduction, or
+parentheses nested deeper than MAX_NESTING, is a WordSyntaxError that
+names the position.
 """
 
 from __future__ import annotations
@@ -33,7 +38,17 @@ __all__ = [
     "invert",
     "conjugate",
     "exponent_vector_mod2",
+    "MAX_WORD_LETTERS",
+    "MAX_NESTING",
 ]
+
+# The longest word the parser and the family presentations build.  Every
+# catalog case and benchmark input is far below it: the longest, family
+# 15E at n=2000, has a 2000-letter relator.
+MAX_WORD_LETTERS = 1_000_000
+
+# The deepest nesting of parentheses the parser accepts.
+MAX_NESTING = 100
 
 
 def _reduce(letters: Sequence[int]) -> tuple[int, ...]:
@@ -156,6 +171,12 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
+def _check_length(letters: int, at: int) -> None:
+    if letters > MAX_WORD_LETTERS:
+        raise WordSyntaxError(f"word of {letters} letters at position {at} "
+                              f"is over the {MAX_WORD_LETTERS}-letter limit")
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, object, int]], alphabet: Sequence[str],
                  aliases: Mapping[str, Word]):
@@ -163,6 +184,7 @@ class _Parser:
         self.pos = 0
         self.index = {name: i for i, name in enumerate(alphabet)}
         self.aliases = aliases
+        self.depth = 0
 
     def peek(self) -> tuple[str, object, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -181,7 +203,9 @@ class _Parser:
             if tok is None or tok[:2] != ("op", "*"):
                 return result
             self.pos += 1
-            result = result * self.term()
+            factor = self.term()
+            _check_length(len(result) + len(factor), tok[2])
+            result = result * factor
 
     def term(self) -> Word:
         atom = self.atom()
@@ -191,7 +215,9 @@ class _Parser:
             kind, value, at = self.take()
             if kind != "int":
                 raise WordSyntaxError(f"expected integer exponent at position {at}")
-            return atom ** int(value)  # type: ignore[arg-type]
+            n = int(value)  # type: ignore[arg-type]
+            _check_length(len(atom) * abs(n), at)
+            return atom ** n
         return atom
 
     def atom(self) -> Word:
@@ -208,7 +234,12 @@ class _Parser:
                 return Word.identity()
             raise WordSyntaxError(f"unexpected integer {value} at position {at}")
         if (kind, value) == ("op", "("):
+            if self.depth == MAX_NESTING:
+                raise WordSyntaxError(f"parentheses nested deeper than {MAX_NESTING} "
+                                      f"at position {at}")
+            self.depth += 1
             inner = self.word()
+            self.depth -= 1
             kind, value, at = self.take()
             if (kind, value) != ("op", ")"):
                 raise WordSyntaxError(f"expected ')' at position {at}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .presentation import Presentation
 from .words import Word, exponent_vector_mod2
 
-__all__ = ["Z2Constraint", "Z2HomResult", "solve_hom_to_z2", "orientability"]
+__all__ = ["Z2Constraint", "Z2HomResult", "solve_hom_to_z2"]
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,3 @@ def solve_hom_to_z2(pres: Presentation, constraints: tuple[Z2Constraint, ...] | 
     for col, _, rhs in pivots:
         assignment[col] = rhs  # free columns stay 0, so the pivot bit is the rhs
     return Z2HomResult(solvable=True, assignment=tuple(assignment))
-
-
-def orientability(pres: Presentation, reflection_words: tuple[Word, ...] | list[Word]) -> bool:
-    """True when some h: G -> Z2 sends every reflection word to 1."""
-    if not reflection_words:
-        raise ValueError("orientability needs at least one reflection word")
-    constraints = [Z2Constraint(w, 1) for w in reflection_words]
-    return solve_hom_to_z2(pres, constraints).solvable

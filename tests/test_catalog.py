@@ -197,11 +197,30 @@ def test_bad_case_file_names_file_and_line(tmp_path, text, missing):
     with pytest.raises(WordSyntaxError) as exc:
         parse_case_text(text)
     assert str(exc.value) == f"line 4: scenario line needs {missing}"
-    # One broken file in the search directory blocks every lookup, and
-    # the error says where it is.
+    # A broken file in the search directory fails the lookup of the id
+    # its case: line names, and the error says where it is; every other
+    # id is still found.
+    case_id = text.splitlines()[0].removeprefix("case: ")
     with pytest.raises(WordSyntaxError) as exc:
-        find_case("orbifold-28-edge", search_dir=tmp_path)
+        find_case(case_id, search_dir=tmp_path)
     assert str(exc.value).startswith(f"{path}: line 4: ")
+    assert find_case("orbifold-28-edge", search_dir=tmp_path).kind == "edge"
+
+
+@pytest.mark.parametrize("text", [
+    "generators: x\nrelators: x^2\n",
+    "case: \n",
+    ARITHMETIC_CASE + "bogus line\n",
+], ids=["no-case-line", "empty-id", "other-id"])
+def test_bad_case_file_blocks_no_other_id(tmp_path, text):
+    (tmp_path / "stray.case").write_text(text)
+    (tmp_path / "alpha-29.case").write_text(
+        ARITHMETIC_CASE.replace("case: little-row", "case: alpha-29"))
+    assert find_case("orbifold-28-edge", search_dir=tmp_path).kind == "edge"
+    assert find_case("alpha-29", search_dir=tmp_path).m_value == 120
+    assert run_case("15E", n=3, search_dir=tmp_path).matched
+    with pytest.raises(UnknownCase):
+        find_case("not-a-case", search_dir=tmp_path)
 
 
 def test_find_case_builtin_and_unknown():
@@ -245,12 +264,12 @@ def test_case_files_are_parsed_once_until_rewritten(tmp_path, monkeypatch):
     path.write_text(text.replace("m: 4(a+1) = 120", "m: 4(a+1) = 1210"))
     assert find_case("alpha-29", search_dir=tmp_path).m_value == 1210
     assert len(calls) == 3
-    # Errors are not cached: a broken rewrite fails every lookup, and a
-    # repaired file is read again.
+    # Errors are not cached: a broken rewrite fails every lookup of its
+    # id, and a repaired file is read again.
     path.write_text(text.replace("S_{9,12}", "S_{9.12}"))
     for _ in range(2):
         with pytest.raises(OrbisymError, match=rf"^{re.escape(str(path))}: line 5: "):
-            find_case("orbifold-28-edge", search_dir=tmp_path)
+            find_case("alpha-29", search_dir=tmp_path)
     assert len(calls) == 5
     path.write_text(text)
     assert find_case("alpha-29", search_dir=tmp_path).m_value == 120

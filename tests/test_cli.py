@@ -197,8 +197,11 @@ def test_bad_case_file_is_an_input_error(capsys, tmp_path, monkeypatch):
     (tmp_path / "broken.case").write_text(
         "case: broken\ngenerators: x\nrelators: x^2\nscenario edge a=2\n")
     monkeypatch.setenv("ORBISYM_CATALOG", str(tmp_path))
-    assert main(["case", "orbifold-28-edge"]) == 2
+    assert main(["case", "broken"]) == 2
     assert "broken.case: line 4: scenario line needs alpha=" in capsys.readouterr().err
+    # It fails only the id its case: line names.
+    assert main(["case", "orbifold-28-edge"]) == 0
+    capsys.readouterr()
     # A malformed expected surface is an input error too, not a silently
     # shorter expected set and a mismatch.
     base = (Path(__file__).resolve().parents[1]
@@ -273,6 +276,27 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
     assert json.loads(done.stdout)["items"][0]["order"] == 7
 
 
+@pytest.mark.parametrize("relator,message", [
+    ("x^2000000000", "line 2: word of 2000000000 letters at position 2 is over "
+                     "the 1000000-letter limit"),
+    ("(" * 3000 + "x" + ")" * 3000, "line 2: parentheses nested deeper than 100 "
+                                    "at position 100"),
+], ids=["power-2e9", "nested-3000"])
+def test_oversized_words_are_input_errors(capsys, tmp_path, relator, message):
+    path = tmp_path / "big.txt"
+    path.write_text(f"generators: x y\nrelators: {relator} y^2\n")
+    assert main(["order", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("family", ["15E", "19"])
+def test_case_family_n_past_the_letter_budget(capsys, family):
+    assert main(["case", family, "--n", "99999999999"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: family {family} needs n <= 1000000, got 99999999999\n")
+
+
 def test_missing_file(capsys):
     assert main(["order", "/nonexistent/file.txt"]) == 2
     assert "error" in capsys.readouterr().err
@@ -329,3 +353,14 @@ def test_reproduce_all(capsys):
     assert "15E n=3" in labels and "19 n=50" in labels
     assert len(labels) == 2 + 48 + 48
     assert all(i["status"] == "match" for i in payload["items"])
+
+
+def test_reproduce_all_ignores_a_case_file_without_a_case_line(capsys, tmp_path,
+                                                               monkeypatch):
+    # reproduce-all runs only built-in ids, and a file that names none of
+    # them cannot fail their lookups.
+    (tmp_path / "stray.case").write_text("generators: x\nrelators: x^2\n")
+    monkeypatch.setenv("ORBISYM_CATALOG", str(tmp_path))
+    code, payload = run_json(capsys, ["reproduce-all"])
+    assert code == 0
+    assert payload["status"] == "match" and len(payload["items"]) == 98

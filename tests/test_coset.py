@@ -63,7 +63,16 @@ SMALL_ORDERS = (6, 8, 14, 24, 120, 6, 8, 12, 9, 16, 25)
 # -- the reference HLT, with its filling scan as a method -----------------
 
 
-class ReferenceHLT(_Enumerator):
+class ReferenceAssign:
+    """Mixin: the deduction as a method, the hook that the reference
+    enumerators route their table writes through."""
+
+    def _assign(self, a, col, b):
+        self.table[a][col] = b
+        self.table[b][col ^ 1] = a
+
+
+class ReferenceHLT(ReferenceAssign, _Enumerator):
     """HLT as a loop of method calls: the subgroup words are scanned at
     coset 0 first, each to completion, and then every relator at every
     live coset, with every definition through _define and every deduction
@@ -81,9 +90,11 @@ class ReferenceHLT(_Enumerator):
         self._assign(alpha, col, beta)
         return beta
 
-    def _fill_scan(self, alpha, cols):
+    def _fill_scan(self, alpha, cols, fill=True):
         """Scan a relator or subgroup word at alpha, defining cosets where
-        entries are missing, so that the scan always completes."""
+        entries are missing, so that the scan always completes.  With
+        fill=False it stops at a gap of two or more instead, as the
+        enumerator's lookahead scan does."""
         table = self.table
         f = b = alpha
         i, j = 0, len(cols) - 1
@@ -109,6 +120,8 @@ class ReferenceHLT(_Enumerator):
                 return
             if j == i:
                 self._assign(f, cols[i], b)
+                return
+            if not fill:
                 return
             self._define(f, cols[i])
 
@@ -181,12 +194,12 @@ def find(p, c):
     return c
 
 
-class ReferenceCoincidence:
+class ReferenceCoincidence(ReferenceAssign):
     """Mixin: coincidence handling as method calls, with every find
     through rep, every merge through _merge and every deduction through
     self._assign.  _Enumerator._coincidence, which writes this out on
     local names, must leave the same table, union-find (path compression
-    included), closed marks, first dead label and assignment count.
+    included), closed marks and first dead label.
 
     It also counts, per edge of a dead coset, which way it went
     ("existing": a merge with the representative's entry, "inverse": a
@@ -259,12 +272,12 @@ class FelschReference(ReferenceCoincidence, ReferenceHLT):
     """Felsch's strategy (Havas, "Coset enumeration strategies", ISSAC
     1991): define the first undefined entry, then chase every deduction
     against the relator rotations that start with its column.  It reuses
-    the enumerator's table, union-find and non-filling scan, the
-    reference HLT's filling scan for the subgroup words, and the
-    reference coincidence, so that every deduction, those a coincidence
-    forces included, passes through its _assign; but it defines cosets in
-    its own order and has no lookahead or compaction: running out of rows
-    raises LimitExceeded."""
+    the enumerator's table and union-find, the reference HLT's scan
+    (filling for the subgroup words, non-filling for the rotations) and
+    the reference coincidence, so that every deduction, those a scan or a
+    coincidence forces included, passes through its _assign; but it
+    defines cosets in its own order and has no lookahead or compaction:
+    running out of rows raises LimitExceeded."""
 
     def __init__(self, pres, subgroup, limits):
         super().__init__(pres, subgroup, limits)
@@ -289,7 +302,7 @@ class FelschReference(ReferenceCoincidence, ReferenceHLT):
         for cols in self.buckets[col]:
             if self.p[alpha] != alpha:
                 return
-            self._scan(alpha, cols)
+            self._fill_scan(alpha, cols, fill=False)
 
     def _chase(self):
         while self.deductions:
@@ -428,12 +441,6 @@ def test_infinite_group_hits_coset_cap():
     pres = load_presentation("generators: x\nrelators:\n")
     with pytest.raises(LimitExceeded):
         enumerate_cosets(pres, limits=EnumerationLimits(max_cosets=100))
-
-
-def test_deduction_budget(orbifold_28):
-    limits = EnumerationLimits(max_deductions=50)
-    with pytest.raises(LimitExceeded):
-        enumerate_cosets(orbifold_28, limits=limits)
 
 
 def test_collapse_then_fit_under_tight_cap(orbifold_28):
@@ -766,23 +773,13 @@ def long_power_presentations(draw):
     return Presentation(tuple("xyz"[:n_gens]), tuple(relators)), subgroup
 
 
-def _hlt_run(pres, subgroup, limits):
-    """The raw HLT table, union-find and assignment count, or the
-    LimitExceeded message."""
-    enum = _Enumerator(pres, subgroup, limits)
-    try:
-        return enum.run(), enum.p, enum.assignments
-    except LimitExceeded as exc:
-        return str(exc)
-
-
 def _assert_skip_changes_nothing(pres, subgroup, limits):
     # With no relator long enough to mark, HLT scans every relator at
     # every coset.  Skipping must leave every definition, deduction and
     # merge, and so the point where a budget runs out, as it was.
-    hlt = _hlt_run(pres, subgroup, limits)
+    hlt = raw_state(_Enumerator(pres, subgroup, limits))
     with mock.patch.object(coset, "MIN_MARKED_POWER", math.inf):
-        assert _hlt_run(pres, subgroup, limits) == hlt
+        assert raw_state(_Enumerator(pres, subgroup, limits)) == hlt
     return hlt
 
 
@@ -790,14 +787,14 @@ def _assert_skip_changes_nothing(pres, subgroup, limits):
 # HLT fits under by compacting.  With 20_000 rows, far above HLT's caps,
 # it finished every one of 2000 generated examples that a compacting
 # Felsch finished under HLT's cap.
-REFERENCE_LIMITS = EnumerationLimits(max_cosets=20_000, max_deductions=20_000)
+REFERENCE_LIMITS = EnumerationLimits(max_cosets=20_000)
 
 
 @settings(max_examples=60, deadline=None)
 @given(long_power_presentations(), st.integers(10, 400))
 def test_long_power_skip_changes_nothing(case, max_cosets):
     pres, subgroup = case
-    limits = EnumerationLimits(max_cosets=max_cosets, max_deductions=20_000)
+    limits = EnumerationLimits(max_cosets=max_cosets)
     hlt = _assert_skip_changes_nothing(pres, subgroup, limits)
     if isinstance(hlt, str):
         return
@@ -877,12 +874,12 @@ class ReferenceLookahead(_Enumerator):
 
 
 def raw_state(enum):
-    """The raw table, union-find and assignment count after enum runs, or
-    the LimitExceeded message and the assignment count when it fired."""
+    """The raw table and union-find after enum runs, or the LimitExceeded
+    message when it fired."""
     try:
-        return enum.run(), enum.p, enum.assignments
+        return enum.run(), enum.p
     except LimitExceeded as exc:
-        return str(exc), enum.assignments
+        return str(exc)
 
 
 def triangle_23k(k):
@@ -909,10 +906,10 @@ def short_relator_presentations(draw):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(long_power_presentations(), triangle_groups(),
                  short_relator_presentations()),
-       st.integers(5, 400), st.sampled_from([None, 20_000]))
-def test_incremental_lookahead_matches_the_full_rescan(case, max_cosets, max_deductions):
+       st.integers(5, 400))
+def test_incremental_lookahead_matches_the_full_rescan(case, max_cosets):
     pres, subgroup = case
-    limits = EnumerationLimits(max_cosets, max_deductions)
+    limits = EnumerationLimits(max_cosets)
     assert raw_state(_Enumerator(pres, subgroup, limits)) == \
         raw_state(ReferenceLookahead(pres, subgroup, limits))
 
@@ -1061,11 +1058,10 @@ def assert_compaction_matches_the_reference(pres, subgroup, limits):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(long_power_presentations(), triangle_groups(),
                  short_relator_presentations()),
-       st.integers(5, 400), st.sampled_from([None, 20_000]))
-def test_in_place_compaction_keeps_its_invariants(case, max_cosets, max_deductions):
+       st.integers(5, 400))
+def test_in_place_compaction_keeps_its_invariants(case, max_cosets):
     pres, subgroup = case
-    assert_compaction_matches_the_reference(pres, subgroup,
-                                            EnumerationLimits(max_cosets, max_deductions))
+    assert_compaction_matches_the_reference(pres, subgroup, EnumerationLimits(max_cosets))
 
 
 # Each case must compact at least once along its path, given HLT's pointer
@@ -1130,7 +1126,7 @@ def assert_hlt_matches_the_reference(pres, subgroup, limits):
     state = raw_state(hlt)
     assert state == raw_state(reference)
     assert hlt.returns == reference.returns
-    if len(state) == 3:
+    if not isinstance(state, str):
         assert coset._standardize(state[0], state[1]) == \
             reference_standardize(state[0], state[1])
     return hlt
@@ -1139,11 +1135,10 @@ def assert_hlt_matches_the_reference(pres, subgroup, limits):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(long_power_presentations(), triangle_groups(),
                  short_relator_presentations()),
-       st.integers(5, 400), st.sampled_from([None, 20_000]))
-def test_hlt_matches_the_reference_hlt(case, max_cosets, max_deductions):
+       st.integers(5, 400))
+def test_hlt_matches_the_reference_hlt(case, max_cosets):
     pres, subgroup = case
-    assert_hlt_matches_the_reference(pres, subgroup,
-                                     EnumerationLimits(max_cosets, max_deductions))
+    assert_hlt_matches_the_reference(pres, subgroup, EnumerationLimits(max_cosets))
 
 
 @pytest.mark.parametrize("pres,subgroup,limits,passes", [
@@ -1155,8 +1150,6 @@ def test_hlt_matches_the_reference_hlt(case, max_cosets, max_deductions):
                  EnumerationLimits(), False, id="orbifold-28-xy"),
     pytest.param(load_presentation(ORBIFOLD_28_TEXT), (), EnumerationLimits(121), True,
                  id="orbifold-28-cap-121"),
-    pytest.param(load_presentation(ORBIFOLD_28_TEXT), (),
-                 EnumerationLimits(max_deductions=50), False, id="orbifold-28-deductions-50"),
     pytest.param(family_15e(200), (), EnumerationLimits(), False, id="15E-200"),
     pytest.param(triangle_23k(7), (), EnumerationLimits(2000), True, id="237-cap-2000"),
 ])
@@ -1175,13 +1168,13 @@ class ReferenceCoincidenceHLT(ReferenceCoincidence, _Enumerator):
 def coincidence_state(enum):
     """What _coincidence writes, after enum runs: the LimitExceeded
     message (None when the run completes), the raw table, union-find,
-    closed marks, first dead label and assignment count."""
+    closed marks and first dead label."""
     try:
         enum.run()
         message = None
     except LimitExceeded as exc:
         message = str(exc)
-    return message, enum.table, enum.p, enum.closed, enum.first_dead, enum.assignments
+    return message, enum.table, enum.p, enum.closed, enum.first_dead
 
 
 def assert_coincidence_matches_the_reference(pres, subgroup, limits):
@@ -1194,11 +1187,10 @@ def assert_coincidence_matches_the_reference(pres, subgroup, limits):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(long_power_presentations(), triangle_groups(),
                  short_relator_presentations()),
-       st.integers(5, 400), st.sampled_from([None, 20_000]))
-def test_coincidence_matches_the_reference_coincidence(case, max_cosets, max_deductions):
+       st.integers(5, 400))
+def test_coincidence_matches_the_reference_coincidence(case, max_cosets):
     pres, subgroup = case
-    assert_coincidence_matches_the_reference(pres, subgroup,
-                                             EnumerationLimits(max_cosets, max_deductions))
+    assert_coincidence_matches_the_reference(pres, subgroup, EnumerationLimits(max_cosets))
 
 
 @pytest.mark.parametrize("relators,order,cascade", [
@@ -1217,18 +1209,6 @@ def test_coincidence_reaches_every_outcome(relators, order, cascade):
     assert all(reference.outcomes[way] for way in ("existing", "inverse", "deduction"))
     assert max(map(len, reference.kills)) == cascade
     assert group_order(pres) == order
-
-
-@pytest.mark.parametrize("budget", [50, 51])
-def test_deduction_budget_runs_out_inside_a_coincidence(budget):
-    # Deductions 51 and 52 of family 19 at n=5 are both a coincidence's.
-    limits = EnumerationLimits(max_deductions=budget)
-    reference = assert_coincidence_matches_the_reference(family_19(5), (), limits)
-    assert reference.assignments == budget + 1
-    enum = _Enumerator(family_19(5), (), limits)
-    with pytest.raises(LimitExceeded, match=f"deduction budget {budget} exhausted") as exc:
-        enum.run()
-    assert exc.traceback[-1].name == "_coincidence"
 
 
 def test_lookahead_coincidences_match_the_reference():
@@ -1259,9 +1239,26 @@ def test_lookahead_coincidences_match_the_reference():
 ])
 def test_every_felsch_assignment_passes_through_its_hook(pres, subgroup, coincidence_deduces):
     # Felsch chases the deductions its _assign records, so one made
-    # around that hook would go unchased.
+    # around that hook would go unchased.  Its rows count every entry
+    # written into them, and each assignment writes two.
+    written = []
+
+    class Row(list):
+        def __setitem__(self, col, value):
+            if value is not None:
+                written.append(col)
+            super().__setitem__(col, value)
+
+    class Table(list):
+        def append(self, row):
+            super().append(Row(row))
+
     class CountingFelsch(FelschReference):
         hooked = 0
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.table = Table(map(Row, self.table))
 
         def _assign(self, a, col, b):
             super()._assign(a, col, b)
@@ -1269,7 +1266,7 @@ def test_every_felsch_assignment_passes_through_its_hook(pres, subgroup, coincid
 
     enum = CountingFelsch(pres, subgroup, EnumerationLimits())
     enum.run()
-    assert enum.hooked == enum.assignments
+    assert enum.hooked and len(written) == 2 * enum.hooked
     assert bool(enum.outcomes["deduction"]) == coincidence_deduces
 
 

@@ -17,6 +17,7 @@ from orbisym import (
     load_presentation,
     load_presentation_with_aliases,
 )
+from orbisym.words import MAX_WORD_LETTERS
 from conftest import ORBIFOLD_28_TEXT
 
 
@@ -126,7 +127,7 @@ def test_family_19():
 
 
 def test_family_validation():
-    for bad in (1, 0, -3):
+    for bad in (1, 0, -3, MAX_WORD_LETTERS + 1, 99999999999):
         with pytest.raises(InvalidParameter):
             family_15e(bad)
         with pytest.raises(InvalidParameter):

@@ -15,6 +15,7 @@ from orbisym import (
     format_word,
     parse_word,
 )
+from orbisym.words import MAX_NESTING, MAX_WORD_LETTERS
 
 ABC = ("x", "y", "z")
 
@@ -49,6 +50,42 @@ def test_parse_errors():
     for bad in ("", "x*", "^2", "x^", "(x*y", "x)", "x**y", "2", "x^y", "x y"):
         with pytest.raises(WordSyntaxError):
             parse_word(bad, ABC)
+
+
+# An alias of half the letter budget.
+HALF = {"h": Word((1,) * (MAX_WORD_LETTERS // 2))}
+
+
+@pytest.mark.parametrize("text,message", [
+    ("x^2000000000", "word of 2000000000 letters at position 2 is over"),
+    ("y*(x*y)^-600000", "word of 1200000 letters at position 8 is over"),
+    ("y*h*h", "word of 1000001 letters at position 3 is over"),
+    # Counted before free reduction, which would leave y.
+    ("y*h^-1*h", "word of 1000001 letters at position 6 is over"),
+])
+def test_a_word_over_the_letter_budget_is_rejected_before_it_is_built(text, message):
+    with pytest.raises(WordSyntaxError, match=f"^{message} the {MAX_WORD_LETTERS}-letter limit$"):
+        parse_word(text, ABC, HALF)
+
+
+def test_the_letter_budget_admits_a_word_of_exactly_its_length():
+    assert len(parse_word("h*h", ABC, HALF)) == MAX_WORD_LETTERS
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
+def test_parentheses_nested_past_the_cap_are_a_syntax_error(depth):
+    text = "(" * depth + "x" + ")" * depth
+    with pytest.raises(WordSyntaxError,
+                       match=f"^parentheses nested deeper than {MAX_NESTING} "
+                             f"at position {MAX_NESTING}$"):
+        parse_word(text, ABC)
+
+
+def test_parentheses_nested_up_to_the_cap_parse():
+    depth = MAX_NESTING
+    assert parse_word("(" * depth + "x*y" + ")" * depth, ABC) == Word((1, 2))
+    # The cap is on depth, not on the number of groups.
+    assert parse_word("*".join(["((x))"] * 3 * MAX_NESTING), ABC) == Word((1,) * 300)
 
 
 def test_free_reduction():

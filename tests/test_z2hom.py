@@ -14,7 +14,6 @@ from orbisym import (
     Z2Constraint,
     exponent_vector_mod2,
     load_presentation,
-    orientability,
     parse_word,
     solve_hom_to_z2,
 )
@@ -71,16 +70,6 @@ def test_constraint_validation():
     pres = load_presentation("generators: x\nrelators: x^2\n")
     with pytest.raises(ValueError):
         solve_hom_to_z2(pres, (Z2Constraint(Word((2,)), 1),))
-
-
-def test_orientability_wrapper():
-    pres = load_presentation(ORBIFOLD_28_TEXT)
-    names = pres.generator_names
-    words = tuple(parse_word(w, names) for w in ("x*y", "x*y*x^-1"))
-    assert orientability(pres, words) is True
-    assert orientability(pres, (parse_word("y", names), parse_word("x*z", names))) is False
-    with pytest.raises(ValueError):
-        orientability(pres, ())
 
 
 def _random_instance(rng: random.Random):
