@@ -478,12 +478,25 @@ def _parse_case_file(path: Path, mtime_ns: int, size: int) -> CatalogEntry:
     """One case file, parsed once while its mtime and size stay the same.
 
     Entries are frozen, so callers can share them; lru_cache keeps no
-    exceptions, so a broken file fails every call with its path.
+    exceptions, so a broken file fails every call with its path.  Bytes
+    that are not UTF-8 are a WordSyntaxError naming the line they are on.
     """
     try:
-        return parse_case_text(path.read_text())
+        return parse_case_text(_decode(path.read_bytes()))
     except OrbisymError as exc:
         raise type(exc)(f"{path}: {exc}") from None
+
+
+def _decode(data: bytes) -> str:
+    """data as UTF-8 text; a byte that is not UTF-8 is a WordSyntaxError
+    naming its line."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        # The bad byte is on the last line of what decodes before it.
+        lineno = len((data[:exc.start].decode() + "x").splitlines())
+        raise WordSyntaxError(f"line {lineno}: byte {data[exc.start]:#04x} "
+                              f"is not UTF-8") from None
 
 
 def _case_files(directory: Path | None) -> list[Path]:
@@ -514,15 +527,16 @@ def load_case_dir(directory: Path | None = None) -> dict[str, CatalogEntry]:
 def find_case(case_id: str, search_dir: Path | None = None) -> CatalogEntry:
     """File entries override compiled-in entries by id; UnknownCase otherwise.
 
-    A file that does not parse is read again for its 'case:' line, and
-    its error is raised only when that line names case_id.
+    A file that does not parse is read again for its 'case:' line, with
+    any bytes that are not UTF-8 replaced, and its error is raised only
+    when that line names case_id.
     """
     entries = dict(_builtin_entries())
     for path in _case_files(search_dir):
         try:
             entry = _load_case_file(path)
         except OrbisymError:
-            if _declared_id(path.read_text()) == case_id:
+            if _declared_id(path.read_text(encoding="utf-8", errors="replace")) == case_id:
                 raise
             continue
         entries[entry.id] = entry

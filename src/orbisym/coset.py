@@ -3,7 +3,7 @@
 The strategy is HLT (Hasselgrove-Leech-Trotter): every live coset is
 scanned against every relator, with new cosets defined to complete each
 scan.  When the coset budget fills up, a lookahead pass (coincidence-only
-scanning) runs and dead rows are compacted away before giving up.
+scanning) runs and dead cosets are compacted away before giving up.
 
 HLT's scan lives in _Enumerator.run, the only place that defines cosets;
 _scan is the lookahead's, which stops at a gap.  The subgroup words are
@@ -14,7 +14,20 @@ again, which changes nothing.
 Tables index cosets from 0 (the subgroup itself) and act on the right:
 column 2*i is the action of generator i, column 2*i+1 of its inverse.
 Completed tables are renumbered by breadth-first traversal from coset 0
-in column order, so equal inputs give byte-for-byte equal tables.
+in column order, so equal inputs give byte-for-byte equal tables, and
+CosetTable.action holds them as a tuple of rows.
+
+The raw table the enumerator fills is stored by column: table[col] is
+one list, and table[col][c] is coset c's entry in that column, None
+while undefined.  A definition appends None to every column, and p, the
+union-find, has one entry per coset, so len(p) counts the cosets held.
+Each relator's columns are bound once, as two tuples of column lists:
+fwd[i] = table[cols[i]] for its letters read forward, and back[j] =
+table[cols[j] ^ 1] for reading it backward.  A scan step is then one
+subscript into a bound list, fwd[i][f], and a coset costs a slot in each
+column instead of a list object of its own.  The bound tuples hold the
+column lists themselves, so the enumerator never replaces a list:
+definitions append, and compaction moves entries down and truncates.
 
 Coincidences are resolved by union-find with path compression, keeping
 the smallest label as representative; the merge queue transfers every
@@ -54,22 +67,23 @@ it.  It relies on three invariants the enumerator keeps:
 
 - every label below the first dead one is live, because compaction
   leaves no dead label and only a merge kills one;
-- no live row points at a dead coset, because _coincidence clears every
-  edge into a coset it kills (each such edge is the inverse of one of
-  the dead row's own);
-- among live rows, every defined entry is inverse-paired.
+- no live coset has an entry pointing at a dead coset, because
+  _coincidence clears every edge into a coset it kills (each such edge
+  is the inverse of one of the dead coset's own);
+- among live cosets, every defined entry is inverse-paired.
 
-So the rows below the first dead label keep their labels and are not
-touched, except that an entry of theirs pointing at a moved row is
-found through that row's inverse edge.  The labels from there on are
-renumbered in one ascending pass over the union-find, with no find: a
-dead coset's parent is a smaller label, whose new label is already
-known.
+So the cosets below the first dead label keep their labels and their
+entries are not touched, except that an entry pointing at a moved coset
+is found through that coset's inverse edge.  Each column's entries from
+there on move down in place, and the column is then truncated.  The
+labels from there on are renumbered in one ascending pass over the
+union-find, with no find: a dead coset's parent is a smaller label,
+whose new label is already known.
 
 _standardize relies on the second invariant too.  When run returns, a
 breadth-first traversal from coset 0 over the raw labels meets only
-live rows, so it numbers the completed table in one pass, without the
-union-find and without reading a dead row.
+live cosets, so it numbers the completed table in one pass, without the
+union-find and without reading a dead coset's entries.
 
 verify_coset_table does not use this argument: it checks every relator
 at every coset, so a skipped scan that was needed shows up there as a
@@ -179,16 +193,30 @@ class _Enumerator:
         self.relator_cols = pres.relator_columns
         self.sub_cols = tuple(letter_columns(w) for w in subgroup)
         self.limits = limits
-        self.table: list[list[int | None]] = [[None] * self.ncols]
+        # table[col][c] is coset c's entry in column col; p has one entry
+        # per coset, so len(p) counts the cosets held.  These lists, like
+        # p and closed, are only ever changed in place, so the column
+        # lists can be bound once (module docstring).
+        self.table: list[list[int | None]] = [[None] for _ in range(self.ncols)]
+        # Each column with its inverse column, in column order.
+        self.pairs = [(column, self.table[col ^ 1]) for col, column in enumerate(self.table)]
         self.p: list[int] = [0]
         # closed[c] is the bitmask of relators (bit i for relator i) known
         # to close at coset c, so their scans there can be skipped; one
-        # mask per row of the table, 0 when nothing is known.
+        # mask per coset, 0 when nothing is known.
         self.closed: list[int] = [0]
         # The smallest label killed since the last compaction; every label
         # below it is live.  No label reaches max_cosets (run), so
         # max_cosets means none has died.
         self.first_dead = limits.max_cosets
+
+    def _bind(self, cols: Sequence[int]) -> tuple[tuple[list[int | None], ...],
+                                                  tuple[list[int | None], ...]]:
+        """(fwd, back): the column lists of a word's letters, fwd[i] =
+        table[cols[i]] for reading it forward and back[i] = table[cols[i]
+        ^ 1] for reading it backward (module docstring)."""
+        table = self.table
+        return tuple([table[col] for col in cols]), tuple([table[col ^ 1] for col in cols])
 
     # -- coincidences --------------------------------------------------
 
@@ -207,7 +235,7 @@ class _Enumerator:
         edge that forces no merge is a deduction.  self.first_dead is
         written back before returning.
         """
-        table, p, closed = self.table, self.p, self.closed
+        p, closed = self.p, self.closed
         first_dead = self.first_dead
         root = p[a]
         if p[root] != root:
@@ -236,15 +264,16 @@ class _Enumerator:
         bits = closed[b]
         if bits:
             closed[a] |= bits
+        pairs = self.pairs
         # The queue grows as merges kill cosets; the loop reaches them all.
         for gamma in queue:
-            # Reads gamma's row as it changes: clearing a loop edge of
-            # gamma's empties one of its later columns.
-            for col, delta in enumerate(table[gamma]):
+            # Reads gamma's entries as they change: clearing a loop edge
+            # of gamma's empties one of its later columns.
+            for fwd, inv in pairs:
+                delta = fwd[gamma]
                 if delta is None:
                     continue
-                inv = col ^ 1
-                table[delta][inv] = None
+                inv[delta] = None
                 k = gamma
                 mu = p[k]
                 if p[mu] != mu:
@@ -261,14 +290,14 @@ class _Enumerator:
                         nu = p[nu]
                     while p[k] != nu:
                         p[k], k = nu, p[k]
-                b = table[mu][col]
+                b = fwd[mu]
                 if b is not None:
                     a = nu
                 else:
-                    b = table[nu][inv]
+                    b = inv[nu]
                     if b is None:
-                        table[mu][col] = nu
-                        table[nu][inv] = mu
+                        fwd[mu] = nu
+                        inv[nu] = mu
                         continue
                     a = mu
                 k = b
@@ -294,8 +323,10 @@ class _Enumerator:
 
     # -- the lookahead ------------------------------------------------
 
-    def _scan(self, alpha: int, cols: tuple[int, ...]) -> bool:
-        """The lookahead's scan of a relator loop at alpha.
+    def _scan(self, alpha: int, fwd: Sequence[list[int | None]],
+              back: Sequence[list[int | None]]) -> bool:
+        """The lookahead's scan of a relator loop at alpha, given the
+        relator's columns forward and backward (module docstring).
 
         It defines no coset: it stops at a gap of two or more, but still
         applies forced deductions and coincidences.  Returns whether the
@@ -303,11 +334,10 @@ class _Enumerator:
         representative; False only when it stopped at a gap.  HLT's
         filling scan is written out in run.
         """
-        table = self.table
         f = b = alpha
-        i, j = 0, len(cols) - 1
+        i, j = 0, len(fwd) - 1
         while i <= j:
-            nxt = table[f][cols[i]]
+            nxt = fwd[i][f]
             if nxt is None:
                 break
             f = nxt
@@ -317,7 +347,7 @@ class _Enumerator:
                 self._coincidence(f, b)
             return True
         while j >= i:
-            prv = table[b][cols[j] ^ 1]
+            prv = back[j][b]
             if prv is None:
                 break
             b = prv
@@ -326,7 +356,7 @@ class _Enumerator:
             self._coincidence(f, b)
             return True
         if j == i:
-            table[f][cols[i]], table[b][cols[i] ^ 1] = b, f
+            fwd[i][f], back[i][b] = b, f
             return True
         return False
 
@@ -345,14 +375,14 @@ class _Enumerator:
         alpha itself may have died in the lookahead.
         """
         p, closed = self.p, self.closed
-        relators = [(1 << i, cols) for i, cols in enumerate(self.relator_cols)]
-        for c in range(alpha, len(self.table)):
+        relators = [(1 << i, *self._bind(cols)) for i, cols in enumerate(self.relator_cols)]
+        for c in range(alpha, len(p)):
             if p[c] != c:
                 continue
-            for bit, cols in relators:
+            for bit, fwd, back in relators:
                 if closed[c] & bit:
                     continue
-                closes = self._scan(c, cols)
+                closes = self._scan(c, fwd, back)
                 if p[c] != c:
                     break
                 if closes:
@@ -360,35 +390,36 @@ class _Enumerator:
         return self._compact(alpha)
 
     def _compact(self, alpha: int) -> int:
-        """Drop the dead rows in place, or raise LimitExceeded when every
-        row is live; returns alpha's index as _make_room does.
+        """Drop the dead cosets in place, or raise LimitExceeded when every
+        coset is live; returns alpha's index as _make_room does.
 
-        Rows below self.first_dead are all live and keep their labels
-        (module docstring), so only the rows from there on move: each
-        live one goes down to its new label with its entries renumbered,
-        and an entry of a fixed row that points at it is renumbered
-        through its inverse edge.  The marks below alpha's new index,
-        which nothing reads again, are cleared.
+        Cosets below self.first_dead are all live and keep their labels
+        (module docstring), so only the cosets from there on move: in each
+        column, each live one's entry goes down to its new label,
+        renumbered, and an entry of a fixed coset that points at it is
+        renumbered through its inverse edge.  The labels in p are renum's
+        ints, the ones the moved entries hold, not a second copy of them.
+        The marks below alpha's new index, which nothing reads again, are
+        cleared.
         """
-        table, p, closed = self.table, self.p, self.closed
+        p, closed = self.p, self.closed
         first = min(self.first_dead, len(p))
         live, renum = _renumber(p, first)
         n = first + len(live)
         if n >= self.limits.max_cosets:
             raise LimitExceeded(f"coset budget {self.limits.max_cosets} exhausted")
-        for new, old in enumerate(live, first):
-            row = table[old]
-            for col, e in enumerate(row):
-                if e is None:
-                    continue
-                if e < first:
-                    table[e][col ^ 1] = new
-                else:
-                    row[col] = renum[e]
-            table[new] = row
-            closed[new] = closed[old]
-        del table[n:], closed[n:]
-        p[first:] = range(first, n)
+        for column, inv in self.pairs:
+            for new, old in enumerate(live, first):
+                e = column[old]
+                if e is not None:
+                    if e < first:
+                        inv[e] = new
+                    else:
+                        e = renum[e]
+                column[new] = e
+            del column[n:]
+        closed[first:] = map(closed.__getitem__, live)
+        p[first:] = map(renum.__getitem__, live)
         self.first_dead = self.limits.max_cosets
         start = alpha if alpha < first else first + bisect_left(live, alpha)
         closed[:start] = [0] * start
@@ -403,34 +434,36 @@ class _Enumerator:
 
         This is the enumerator's only filling scan, written out with its
         definitions and deductions on local names, since HLT's time is
-        spent here.  The locals are bound again after each _make_room,
-        which may replace the lists.
+        spent here.  The relators' columns are bound once, since the
+        column lists are only ever changed in place.
         """
-        ncols = self.ncols
+        table, p, closed, pairs = self.table, self.p, self.closed, self.pairs
         max_cosets = self.limits.max_cosets
+        appends = [column.append for column in table]
         # Scans skipped through closed are no-ops (module docstring).
-        relators = [(1 << i, cols, _power_root(cols))
-                    for i, cols in enumerate(self.relator_cols)]
+        scans = []
+        for i, cols in enumerate(self.relator_cols):
+            root = _power_root(cols)
+            scans.append((1 << i, *self._bind(cols), root and self._bind(root)[0]))
         # The subgroup words are coset 0's first scans.  Their bit 0 marks
         # and skips nothing, so after _make_room(0) a word that already
         # closed is scanned again, which changes nothing.
-        first_scans = [(0, cols, None) for cols in self.sub_cols] + relators
-        table, p, closed = self.table, self.p, self.closed
+        first_scans = [(0, *self._bind(cols), None) for cols in self.sub_cols] + scans
         alpha = 0
-        while alpha < len(table):
+        while alpha < len(p):
             if p[alpha] != alpha:
                 alpha += 1
                 continue
             skip = closed[alpha]
             try:
-                for bit, cols, root in relators if alpha else first_scans:
+                for bit, fwd, back, root in scans if alpha else first_scans:
                     if skip & bit:
                         continue
                     f = b = alpha
-                    i, j = 0, len(cols) - 1
+                    i, j = 0, len(fwd) - 1
                     while True:
                         while i <= j:
-                            nxt = table[f][cols[i]]
+                            nxt = fwd[i][f]
                             if nxt is None:
                                 break
                             f = nxt
@@ -440,7 +473,7 @@ class _Enumerator:
                                 self._coincidence(f, b)
                             break
                         while j >= i:
-                            prv = table[b][cols[j] ^ 1]
+                            prv = back[j][b]
                             if prv is None:
                                 break
                             b = prv
@@ -450,55 +483,53 @@ class _Enumerator:
                             break
                         # One entry missing is a deduction; more, a new
                         # coset at the front of the gap.
-                        col = cols[i]
                         if j == i:
-                            new = b
-                        else:
-                            new = len(table)
-                            if new >= max_cosets:
-                                raise _NeedRoom
-                            table.append([None] * ncols)
-                            p.append(new)
-                            closed.append(0)
-                        table[f][col] = new
-                        table[new][col ^ 1] = f
-                        if j == i:
+                            fwd[i][f] = b
+                            back[i][b] = f
                             break
+                        new = len(p)
+                        if new >= max_cosets:
+                            raise _NeedRoom
+                        for append in appends:
+                            append(None)
+                        p.append(new)
+                        closed.append(0)
+                        fwd[i][f] = new
+                        back[i][new] = f
                         f = new
                         i += 1
                     if p[alpha] != alpha:
                         break
-                    if root is not None:
-                        self._mark_closed(alpha, root, len(cols) // len(root), bit)
+                    if root:
+                        self._mark_closed(alpha, root, len(fwd) // len(root), bit)
                 if p[alpha] == alpha:
-                    row = table[alpha]
-                    for col, e in enumerate(row):
-                        if e is not None:
+                    for fwd, inv in pairs:
+                        if fwd[alpha] is not None:
                             continue
-                        new = len(table)
+                        new = len(p)
                         if new >= max_cosets:
                             raise _NeedRoom
-                        table.append([None] * ncols)
+                        for append in appends:
+                            append(None)
                         p.append(new)
                         closed.append(0)
-                        row[col] = new
-                        table[new][col ^ 1] = alpha
+                        fwd[alpha] = new
+                        inv[new] = alpha
             except _NeedRoom:
                 alpha = self._make_room(alpha)
-                table, p, closed = self.table, self.p, self.closed
                 continue
             alpha += 1
         return table
 
-    def _mark_closed(self, alpha: int, root: tuple[int, ...], k: int, bit: int) -> None:
+    def _mark_closed(self, alpha: int, root: Sequence[list[int | None]], k: int,
+                     bit: int) -> None:
         """Mark the cosets alpha*w^i (0 < i < k) after alpha as closing
-        w^k, which has just closed at alpha."""
-        table = self.table
+        w^k, which has just closed at alpha; root is w's columns."""
         closed = self.closed
         c = alpha
         for _ in range(k - 1):
-            for col in root:
-                c = table[c][col]
+            for column in root:
+                c = column[c]
             if c == alpha:
                 break
             if c > alpha:
@@ -508,7 +539,7 @@ class _Enumerator:
 def _renumber(p: list[int], start: int = 0) -> tuple[list[int], list[int]]:
     """(live, renum): the live cosets from start on, in order, and for
     every old label, dead or live, the new label of its representative
-    once the dead rows are dropped.
+    once the dead cosets are dropped.
 
     Every label below start must be live: those keep their labels, and
     one ascending pass from start, with no find, numbers the rest.  A
@@ -530,29 +561,33 @@ def _renumber(p: list[int], start: int = 0) -> tuple[list[int], list[int]]:
 
 
 def _standardize(table: list[list[int | None]], p: list[int]) -> tuple[tuple[int, ...], ...]:
-    """Number the live cosets breadth-first from coset 0 in column order.
+    """Number the live cosets breadth-first from coset 0 in column order,
+    and return the table as a tuple of rows.
 
-    One pass over the raw labels: when run returns, no live row points at
-    a dead coset (module docstring), so the traversal from coset 0 meets
-    only live rows, and neither the union-find nor the dead rows are read.
-    Raises AssertionError when a row it reaches is incomplete or when it
-    does not reach every live coset.
+    One pass over the raw labels: when run returns, no live coset points
+    at a dead one (module docstring), so the traversal from coset 0 meets
+    only live cosets, and neither the union-find nor the dead cosets'
+    entries are read.  Raises AssertionError when a coset it reaches has
+    an undefined entry or when it does not reach every live coset.
     """
     # pos[d] is raw label d's new label, -1 until the traversal reaches d.
-    pos = [-1] * len(table)
+    pos = [-1] * len(p)
     pos[0] = 0
     order = [0]
     for c in order:
-        row = table[c]
-        if None in row:
-            raise AssertionError("enumeration finished with an incomplete row")
-        for d in row:
+        for column in table:
+            d = column[c]
+            if d is None:
+                raise AssertionError("enumeration finished with an incomplete row")
             if pos[d] < 0:
                 pos[d] = len(order)
                 order.append(d)
     if len(order) != sum(map(eq, p, range(len(p)))):
         raise AssertionError("completed table is not transitive")
-    return tuple(tuple([pos[d] for d in table[c]]) for c in order)
+    if not table:
+        return ((),)
+    columns = [[pos[d] for d in map(column.__getitem__, order)] for column in table]
+    return tuple(zip(*columns))
 
 
 def enumerate_cosets(pres: Presentation, subgroup: Iterable[Word] = (),

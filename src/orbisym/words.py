@@ -198,14 +198,25 @@ class _Parser:
 
     def word(self) -> Word:
         result = self.term()
-        while True:
-            tok = self.peek()
-            if tok is None or tok[:2] != ("op", "*"):
-                return result
+        tok = self.peek()
+        if tok is None or tok[:2] != ("op", "*"):
+            return result
+        # The product so far, freely reduced, as a stack of letters.  Each
+        # factor is freely reduced too, so only the letters that meet at
+        # the join can cancel: a product of k terms costs its letters
+        # once, not k partial Words.
+        letters = list(result.letters)
+        while tok is not None and tok[:2] == ("op", "*"):
             self.pos += 1
-            factor = self.term()
-            _check_length(len(result) + len(factor), tok[2])
-            result = result * factor
+            factor = self.term().letters
+            _check_length(len(letters) + len(factor), tok[2])
+            k = 0
+            while k < len(factor) and letters and letters[-1] == -factor[k]:
+                letters.pop()
+                k += 1
+            letters.extend(factor[k:])
+            tok = self.peek()
+        return Word(tuple(letters))
 
     def term(self) -> Word:
         atom = self.atom()

@@ -223,6 +223,21 @@ def test_bad_case_file_blocks_no_other_id(tmp_path, text):
         find_case("not-a-case", search_dir=tmp_path)
 
 
+@pytest.mark.parametrize("data,lineno,byte", [
+    (b"case: x\n\xff\xfe\n", 2, "0xff"),
+    (b"\xff\ncase: x\n", 1, "0xff"),
+    (b"case: x\r\ngenerators: y\r\n\r\nrelators: y^2 \xe9\n", 4, "0xe9"),
+])
+def test_a_case_file_that_is_not_utf8_fails_only_its_own_id(tmp_path, data, lineno, byte):
+    path = tmp_path / "bad.case"
+    path.write_bytes(data)
+    with pytest.raises(WordSyntaxError) as exc:
+        find_case("x", search_dir=tmp_path)
+    assert str(exc.value) == f"{path}: line {lineno}: byte {byte} is not UTF-8"
+    assert find_case("orbifold-28-edge", search_dir=tmp_path).kind == "edge"
+    assert run_case("15E", n=3, search_dir=tmp_path).matched
+
+
 def test_find_case_builtin_and_unknown():
     entry = find_case("orbifold-28-dashed")
     assert entry.kind == "dashed"

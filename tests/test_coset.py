@@ -37,6 +37,7 @@ from orbisym.presentation import Presentation, family_15e, family_19
 from orbisym.words import format_word, letter_columns
 from conftest import (ORBIFOLD_28_TEXT, dihedral_generators, mulclose,
                       triangle_rotation_generators)
+from row_layout import RowLayoutEnumerator, row_standardize
 
 D7 = "generators: x y\nrelators: x^7 y^2 (x*y)^2\n"
 
@@ -68,8 +69,8 @@ class ReferenceAssign:
     enumerators route their table writes through."""
 
     def _assign(self, a, col, b):
-        self.table[a][col] = b
-        self.table[b][col ^ 1] = a
+        self.table[col][a] = b
+        self.table[col ^ 1][b] = a
 
 
 class ReferenceHLT(ReferenceAssign, _Enumerator):
@@ -81,10 +82,11 @@ class ReferenceHLT(ReferenceAssign, _Enumerator):
     local names, must leave the same raw state."""
 
     def _define(self, alpha, col):
-        if len(self.table) >= self.limits.max_cosets:
+        if len(self.p) >= self.limits.max_cosets:
             raise _NeedRoom
-        beta = len(self.table)
-        self.table.append([None] * self.ncols)
+        beta = len(self.p)
+        for column in self.table:
+            column.append(None)
         self.p.append(beta)
         self.closed.append(0)
         self._assign(alpha, col, beta)
@@ -100,7 +102,7 @@ class ReferenceHLT(ReferenceAssign, _Enumerator):
         i, j = 0, len(cols) - 1
         while True:
             while i <= j:
-                nxt = table[f][cols[i]]
+                nxt = table[cols[i]][f]
                 if nxt is None:
                     break
                 f = nxt
@@ -110,7 +112,7 @@ class ReferenceHLT(ReferenceAssign, _Enumerator):
                     self._coincidence(f, b)
                 return
             while j >= i:
-                prv = table[b][cols[j] ^ 1]
+                prv = table[cols[j] ^ 1][b]
                 if prv is None:
                     break
                 b = prv
@@ -136,7 +138,7 @@ class ReferenceHLT(ReferenceAssign, _Enumerator):
         relators = [(1 << i, cols, coset._power_root(cols))
                     for i, cols in enumerate(self.relator_cols)]
         alpha = 0
-        while alpha < len(self.table):
+        while alpha < len(self.p):
             if self.p[alpha] == alpha:
                 skip = self.closed[alpha]
                 try:
@@ -147,11 +149,11 @@ class ReferenceHLT(ReferenceAssign, _Enumerator):
                         if self.p[alpha] != alpha:
                             break
                         if root is not None:
-                            self._mark_closed(alpha, root, len(cols) // len(root), bit)
+                            self._mark_closed(alpha, self._bind(root)[0],
+                                              len(cols) // len(root), bit)
                     if self.p[alpha] == alpha:
-                        row = self.table[alpha]
                         for col in range(self.ncols):
-                            if row[col] is None:
+                            if self.table[col][alpha] is None:
                                 self._define(alpha, col)
                 except _NeedRoom:
                     alpha = self._make_room(alpha)
@@ -161,13 +163,13 @@ class ReferenceHLT(ReferenceAssign, _Enumerator):
 
 
 def reference_standardize(table, p):
-    """The two-pass standardization: drop the dead rows, mapping every
-    entry to its representative's new label, then number the cosets
-    breadth-first from coset 0 in column order."""
+    """The two-pass standardization of a raw table of columns: drop the
+    dead rows, mapping every entry to its representative's new label,
+    then number the cosets breadth-first from coset 0 in column order."""
     live, renum = coset._renumber(p)
     rows = []
     for old in live:
-        row = table[old]
+        row = [column[old] for column in table]
         if None in row:
             raise AssertionError("enumeration finished with an incomplete row")
         rows.append([renum[e] for e in row])
@@ -239,19 +241,20 @@ class ReferenceCoincidence(ReferenceAssign):
         self.kills.append(queue)
         merge(a, b, queue)
         for gamma in queue:
-            for col, delta in enumerate(table[gamma]):
+            for col in range(self.ncols):
+                delta = table[col][gamma]
                 if delta is None:
                     continue
-                table[delta][col ^ 1] = None
+                table[col ^ 1][delta] = None
                 mu = rep(gamma)
                 nu = rep(delta)
-                existing = table[mu][col]
+                existing = table[col][mu]
                 if existing is not None:
                     self.outcomes["existing"] += 1
                     merge(nu, existing, queue)
-                elif table[nu][col ^ 1] is not None:
+                elif table[col ^ 1][nu] is not None:
                     self.outcomes["inverse"] += 1
-                    merge(mu, table[nu][col ^ 1], queue)
+                    merge(mu, table[col ^ 1][nu], queue)
                 else:
                     self.outcomes["deduction"] += 1
                     assign(mu, col, nu)
@@ -308,8 +311,8 @@ class FelschReference(ReferenceCoincidence, ReferenceHLT):
         while self.deductions:
             alpha, col = self.deductions.pop()
             self._scan_rotations(alpha, col)
-            if self.p[alpha] == alpha and self.table[alpha][col] is not None:
-                self._scan_rotations(self.table[alpha][col], col ^ 1)
+            if self.p[alpha] == alpha and self.table[col][alpha] is not None:
+                self._scan_rotations(self.table[col][alpha], col ^ 1)
 
     def run(self):
         try:
@@ -317,11 +320,11 @@ class FelschReference(ReferenceCoincidence, ReferenceHLT):
                 self._fill_scan(0, cols)
             self._chase()
             alpha = 0
-            while alpha < len(self.table):
+            while alpha < len(self.p):
                 for col in range(self.ncols):
                     if self.p[alpha] != alpha:
                         break
-                    if self.table[alpha][col] is None:
+                    if self.table[col][alpha] is None:
                         self._define(alpha, col)
                         self._chase()
                 alpha += 1
@@ -817,7 +820,7 @@ def test_long_power_is_scanned_once_per_orbit(monkeypatch):
     original = _Enumerator._mark_closed
 
     def counting_mark_closed(self, alpha, root, k, bit):
-        if root * k == power:
+        if len(root) * k == len(power):
             scans.append(alpha)
         return original(self, alpha, root, k, bit)
 
@@ -851,25 +854,27 @@ def test_tight_cap_with_long_power_marks(monkeypatch):
 class ReferenceLookahead(_Enumerator):
     """The overflow path as a full rescan: the lookahead scans every
     relator at every live coset from coset 0 and records no marks, and
-    compaction renumbers every entry through a dict and find().  HLT
+    compaction builds each column afresh, renumbering every entry through
+    a dict and find(), and copies it into the enumerator's list.  HLT
     itself, and its long-power marks, are the enumerator's."""
 
     def _make_room(self, alpha):
-        for c in range(len(self.table)):
+        for c in range(len(self.p)):
             if self.p[c] != c:
                 continue
             for cols in self.relator_cols:
-                self._scan(c, cols)
+                self._scan(c, *self._bind(cols))
                 if self.p[c] != c:
                     break
-        live = [c for c in range(len(self.table)) if self.p[c] == c]
+        live = [c for c in range(len(self.p)) if self.p[c] == c]
         if len(live) >= self.limits.max_cosets:
             raise LimitExceeded(f"coset budget {self.limits.max_cosets} exhausted")
         renum = {old: new for new, old in enumerate(live)}
-        self.table = [[None if e is None else renum[find(self.p, e)] for e in self.table[old]]
-                      for old in live]
-        self.closed = [self.closed[c] if c >= alpha else 0 for c in live]
-        self.p = list(range(len(live)))
+        for column in self.table:
+            column[:] = [None if column[old] is None else renum[find(self.p, column[old])]
+                         for old in live]
+        self.closed[:] = [self.closed[c] if c >= alpha else 0 for c in live]
+        self.p[:] = range(len(live))
         return bisect_left(live, alpha)
 
 
@@ -929,14 +934,15 @@ class CountingLookahead:
         self.pointer = alpha
         self.passes.append(0)
         start = super()._make_room(alpha)
-        assert len(self.closed) == len(self.table) == len(self.p)
+        assert all(len(column) == len(self.p) for column in self.table)
+        assert len(self.closed) == len(self.p)
         assert not any(self.closed[:start]), "marks kept below the pointer"
         return start
 
-    def _scan(self, alpha, cols):
+    def _scan(self, alpha, fwd, back):
         self.passes[-1] += 1
         self.below_pointer += alpha < self.pointer
-        return super()._scan(alpha, cols)
+        return super()._scan(alpha, fwd, back)
 
 
 class CountingReference(CountingLookahead, ReferenceLookahead):
@@ -1031,14 +1037,12 @@ class CheckedCompaction(RecordsMakeRoom, _Enumerator):
         first = dead[0] if dead else None
         assert self.first_dead == (self.limits.max_cosets if first is None else first)
         assert all(p[c] == c for c in range(min(self.first_dead, len(p))))
-        for c, row in enumerate(table):
-            if p[c] != c:
-                continue
-            for col, e in enumerate(row):
-                if e is None:
+        for col, column in enumerate(table):
+            for c, e in enumerate(column):
+                if e is None or p[c] != c:
                     continue
                 assert p[e] == e, f"live row {c} points at dead coset {e}"
-                assert table[e][col ^ 1] == c, f"entry ({c},{col}) is not inverse-paired"
+                assert table[col ^ 1][e] == c, f"entry ({c},{col}) is not inverse-paired"
         self.compactions.append((alpha, first))
         return super()._compact(alpha)
 
@@ -1217,9 +1221,9 @@ def test_lookahead_coincidences_match_the_reference():
     class LookaheadKills(ReferenceCoincidenceHLT):
         lookahead_kills = 0
 
-        def _scan(self, alpha, cols):
+        def _scan(self, alpha, fwd, back):
             calls = len(self.kills)
-            closes = super()._scan(alpha, cols)
+            closes = super()._scan(alpha, fwd, back)
             self.lookahead_kills += sum(map(len, self.kills[calls:]))
             return closes
 
@@ -1239,26 +1243,22 @@ def test_lookahead_coincidences_match_the_reference():
 ])
 def test_every_felsch_assignment_passes_through_its_hook(pres, subgroup, coincidence_deduces):
     # Felsch chases the deductions its _assign records, so one made
-    # around that hook would go unchased.  Its rows count every entry
+    # around that hook would go unchased.  Its columns count every entry
     # written into them, and each assignment writes two.
     written = []
 
-    class Row(list):
-        def __setitem__(self, col, value):
+    class Column(list):
+        def __setitem__(self, c, value):
             if value is not None:
-                written.append(col)
-            super().__setitem__(col, value)
-
-    class Table(list):
-        def append(self, row):
-            super().append(Row(row))
+                written.append(c)
+            super().__setitem__(c, value)
 
     class CountingFelsch(FelschReference):
         hooked = 0
 
         def __init__(self, *args):
             super().__init__(*args)
-            self.table = Table(map(Row, self.table))
+            self.table = list(map(Column, self.table))
 
         def _assign(self, a, col, b):
             super()._assign(a, col, b)
@@ -1276,13 +1276,13 @@ def _standardize_input():
     points at 2."""
     x, y = 0, 2
     # x: 0 -> 1 -> 3 -> 0, 4 -> 5 -> 6 -> 4; y: 0 <-> 4, 1 <-> 6, 3 <-> 5.
-    table = [[None] * 4 for _ in range(7)]
+    table = [[None] * 7 for _ in range(4)]
     for cycle in ((0, 1, 3), (4, 5, 6)):
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            table[a][x], table[b][x + 1] = b, a
+            table[x][a], table[x + 1][b] = b, a
     for a, b in ((0, 4), (1, 6), (3, 5)):
         for c, d in ((a, b), (b, a)):
-            table[c][y], table[c][y + 1] = d, d
+            table[y][c], table[y + 1][c] = d, d
     p = [0, 1, 1, 3, 4, 5, 6]
     return table, p
 
@@ -1299,14 +1299,15 @@ def test_standardize_numbers_the_live_cosets_breadth_first():
 def test_standardize_ignores_the_stale_entries_of_dead_rows():
     table, p = _standardize_input()
     expected = coset._standardize(table, p)
-    table[2] = [5, None, 2, 0]
+    for column, e in zip(table, [5, None, 2, 0]):
+        column[2] = e
     assert coset._standardize(table, p) == expected
     assert reference_standardize(table, p) == expected
 
 
 def test_standardize_rejects_an_incomplete_live_row():
     table, p = _standardize_input()
-    table[5][1] = None
+    table[1][5] = None
     for standardize in (coset._standardize, reference_standardize):
         with pytest.raises(AssertionError, match="incomplete row"):
             standardize(table, p)
@@ -1315,11 +1316,98 @@ def test_standardize_rejects_an_incomplete_live_row():
 def test_standardize_rejects_a_live_row_coset_0_cannot_reach():
     # A seventh live coset, complete but fixed by both generators.
     table, p = _standardize_input()
-    table.append([7, 7, 7, 7])
+    for column in table:
+        column.append(7)
     p.append(7)
     for standardize in (coset._standardize, reference_standardize):
         with pytest.raises(AssertionError, match="not transitive"):
             standardize(table, p)
+
+
+# -- the column lists against the row layout ------------------------------
+
+
+def layout_state(enum, standardize, columns):
+    """What a run leaves: the LimitExceeded message (None when it
+    completes), the raw table as rows, p, closed, first_dead, and the
+    standardized table when the run completes."""
+    try:
+        enum.run()
+        message = None
+    except LimitExceeded as exc:
+        message = str(exc)
+    rows = enum.table
+    if columns:
+        rows = [[column[c] for column in enum.table] for c in range(len(enum.p))]
+    action = None if message else standardize(enum.table, enum.p)
+    return message, rows, enum.p, enum.closed, enum.first_dead, action
+
+
+def assert_the_layouts_agree(pres, subgroup, limits):
+    state = layout_state(_Enumerator(pres, subgroup, limits), coset._standardize, True)
+    assert state == layout_state(RowLayoutEnumerator(pres, subgroup, limits),
+                                 row_standardize, False)
+    action = state[-1]
+    if action is not None:
+        assert type(action) is tuple and all(type(row) is tuple for row in action)
+    return state
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(long_power_presentations(), triangle_groups(),
+                 short_relator_presentations()),
+       st.integers(5, 400))
+def test_the_column_lists_match_the_row_layout(case, max_cosets):
+    pres, subgroup = case
+    assert_the_layouts_agree(pres, subgroup, EnumerationLimits(max_cosets))
+
+
+LAYOUT_PRESENTATIONS = {
+    "237": (triangle_23k(7), ()),
+    "235": (triangle_23k(5), ()),
+    "orbifold-28-xy": (load_presentation(ORBIFOLD_28_TEXT), (Word((1, 2)),)),
+    "xyz": (load_presentation("generators: x y z\nrelators: y*x^-1*z^-2 x^-40 "
+                              "y*z*y*z^-3*y^-1 x^-25\n"), ()),
+    "x22-y6": (load_presentation("generators: x y\nrelators: x^22 y^6 y^-1*x*y*x^-2\n"), ()),
+    "19-12": (family_19(12), ()),
+    "small4-y,xyx": (SMALL_FINITE[4], (Word.generator(1), Word((1, 2, 1)))),
+}
+
+
+@pytest.mark.parametrize("max_cosets", [5, 12, 30, 121, 157, 300, 1000, 2000])
+@pytest.mark.parametrize("case_id", sorted(LAYOUT_PRESENTATIONS))
+def test_the_column_lists_match_the_row_layout_on_named_cases(case_id, max_cosets):
+    pres, subgroup = LAYOUT_PRESENTATIONS[case_id]
+    assert_the_layouts_agree(pres, subgroup, EnumerationLimits(max_cosets))
+
+
+def test_the_named_layout_cases_reach_every_ending():
+    # A completed table with and without a compaction on the way, and
+    # LimitExceeded at the first lookahead and after compactions.
+    endings = set()
+    for pres, subgroup in LAYOUT_PRESENTATIONS.values():
+        for max_cosets in (12, 157, 2000):
+            enum = RecordingHLT(pres, subgroup, EnumerationLimits(max_cosets))
+            endings.add((isinstance(raw_state(enum), str), bool(enum.returns)))
+    assert endings == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_the_overflow_path_keeps_150_bytes_per_coset():
+    # Under tracemalloc, the (2,3,7) run that fills its budget holds about
+    # 85 bytes per coset: a slot in each of the four column lists and in
+    # p and closed, and the label's int.  Its first compaction moves most
+    # cosets and peaks at about 141 while the old and the renumbered
+    # label ints are both alive; with separate ints for p and the table
+    # it peaked at 161, and with one list per row at 210.
+    limits = EnumerationLimits(20_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitExceeded):
+            group_order(triangle_23k(7), limits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / limits.max_cosets <= 150
 
 
 # -- indices and coset words read off the regular table ------------------

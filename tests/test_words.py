@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import time
+from unittest import mock
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbisym import (
@@ -15,7 +18,9 @@ from orbisym import (
     format_word,
     parse_word,
 )
-from orbisym.words import MAX_NESTING, MAX_WORD_LETTERS
+from orbisym import words as words_module
+from orbisym.errors import OrbisymError
+from orbisym.words import MAX_NESTING, MAX_WORD_LETTERS, _check_length, _Parser, _tokenize
 
 ABC = ("x", "y", "z")
 
@@ -142,3 +147,68 @@ def test_exponent_vector_xor(u, v):
 @given(words, words)
 def test_exponent_vector_conjugation_invariant(w, c):
     assert exponent_vector_mod2(conjugate(w, c), 3) == exponent_vector_mod2(w, 3)
+
+
+def test_a_product_of_many_terms_parses_in_linear_time():
+    text = "*".join(["x"] * 20_000)
+    start = time.perf_counter()
+    w = parse_word(text, ABC)
+    elapsed = time.perf_counter() - start
+    assert w == parse_word("x^20000", ABC)
+    # The fold over Word products took 20 s on this input.
+    assert elapsed < 1.0
+
+
+class FoldParser(_Parser):
+    """A product as a left fold of Word products, one new Word per term:
+    the quadratic parser that _Parser.word replaces."""
+
+    def word(self):
+        result = self.term()
+        while True:
+            tok = self.peek()
+            if tok is None or tok[:2] != ("op", "*"):
+                return result
+            self.pos += 1
+            factor = self.term()
+            _check_length(len(result) + len(factor), tok[2])
+            result = result * factor
+
+
+def parse_outcome(parser_class, text, aliases):
+    """The Word parse_word's steps give with parser_class, or the type
+    and message of the error they raise."""
+    try:
+        parser = parser_class(_tokenize(text), ABC, aliases)
+        if parser.peek() is None:
+            raise WordSyntaxError("empty word text (use '1' for the identity)")
+        result = parser.word()
+        tok = parser.peek()
+        if tok is not None:
+            raise WordSyntaxError(f"trailing input at position {tok[2]}")
+        return result
+    except OrbisymError as exc:
+        return type(exc), str(exc)
+
+
+# Words of the grammar, and token soup that is mostly not.
+word_texts = st.recursive(
+    st.sampled_from(["x", "y", "z", "1", "h"]),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=6).map("*".join),
+        st.tuples(inner, st.integers(-4, 4)).map(lambda t: f"({t[0]})^{t[1]}"),
+    ),
+    max_leaves=30,
+)
+token_soup = st.lists(st.sampled_from(["x", "y^-1", "h", "*", "^", "2", "-1", "(", ")", " ", "1"]),
+                      max_size=12).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(word_texts, token_soup))
+def test_the_product_stack_matches_the_fold(text):
+    # A small letter budget, so that some products run over it.
+    aliases = {"h": Word((1, 2, -1))}
+    with mock.patch.object(words_module, "MAX_WORD_LETTERS", 12):
+        assert parse_outcome(_Parser, text, aliases) == parse_outcome(FoldParser, text, aliases)
+    assert parse_outcome(_Parser, text, aliases) == parse_outcome(FoldParser, text, aliases)
