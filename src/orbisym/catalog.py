@@ -37,7 +37,7 @@ from .errors import (
     UnknownCase,
     WordSyntaxError,
 )
-from .presentation import load_presentation_with_aliases
+from .presentation import decode_utf8, load_presentation_with_aliases
 from .scenario import (
     AlwaysOrientable,
     BoundaryPattern,
@@ -482,21 +482,9 @@ def _parse_case_file(path: Path, mtime_ns: int, size: int) -> CatalogEntry:
     that are not UTF-8 are a WordSyntaxError naming the line they are on.
     """
     try:
-        return parse_case_text(_decode(path.read_bytes()))
+        return parse_case_text(decode_utf8(path.read_bytes()))
     except OrbisymError as exc:
         raise type(exc)(f"{path}: {exc}") from None
-
-
-def _decode(data: bytes) -> str:
-    """data as UTF-8 text; a byte that is not UTF-8 is a WordSyntaxError
-    naming its line."""
-    try:
-        return data.decode()
-    except UnicodeDecodeError as exc:
-        # The bad byte is on the last line of what decodes before it.
-        lineno = len((data[:exc.start].decode() + "x").splitlines())
-        raise WordSyntaxError(f"line {lineno}: byte {data[exc.start]:#04x} "
-                              f"is not UTF-8") from None
 
 
 def _case_files(directory: Path | None) -> list[Path]:

@@ -24,7 +24,7 @@ from pathlib import Path
 from .catalog import CaseReport, run_case, verify_table
 from .coset import EnumerationLimits, enumerate_cosets, group_order, table_to_tsv
 from .errors import LimitExceeded, OrbisymError
-from .presentation import load_presentation_with_aliases
+from .presentation import decode_utf8, load_presentation_with_aliases
 from .surface import SurfaceType
 from .words import parse_word
 from .z2hom import Z2Constraint, solve_hom_to_z2
@@ -98,11 +98,16 @@ def _limits(args: argparse.Namespace) -> EnumerationLimits | None:
 
 
 def _load_presentation_file(path: str):
+    """The presentation and aliases in a file; its errors name the file
+    and, where they have one, the line."""
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise OrbisymError(f"cannot read {path}: {exc}") from exc
-    return load_presentation_with_aliases(text)
+    try:
+        return load_presentation_with_aliases(decode_utf8(data))
+    except OrbisymError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _emit(args: argparse.Namespace, command: str, items: list[dict],

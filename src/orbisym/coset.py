@@ -74,11 +74,18 @@ it.  It relies on three invariants the enumerator keeps:
 
 So the cosets below the first dead label keep their labels and their
 entries are not touched, except that an entry pointing at a moved coset
-is found through that coset's inverse edge.  Each column's entries from
-there on move down in place, and the column is then truncated.  The
-labels from there on are renumbered in one ascending pass over the
-union-find, with no find: a dead coset's parent is a smaller label,
-whose new label is already known.
+is found through that coset's inverse edge.  The labels from there on
+are renumbered in place: one ascending pass turns p itself into the map
+from old labels to new ones, with no find, since a dead coset's parent
+is a smaller label whose new label is already known.  Each column's
+entries from there on then move down in place, and the column is
+truncated.  Compaction holds no list of its own per coset.
+
+The table and p share one int object per label: a definition stores
+the same int in both, HLT's pointer and the lookahead hold a coset as
+p's int for it, and a label compaction hands out is the int of the live
+coset whose old label it was.  So the table holds no second int for a
+label, which would cost a live coset 32 bytes more.
 
 _standardize relies on the second invariant too.  When run returns, a
 breadth-first traversal from coset 0 over the raw labels meets only
@@ -102,10 +109,10 @@ every coset.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from operator import eq
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import LimitExceeded
 from .permgroup import PermGroup, Permutation
@@ -376,9 +383,12 @@ class _Enumerator:
         """
         p, closed = self.p, self.closed
         relators = [(1 << i, *self._bind(cols)) for i, cols in enumerate(self.relator_cols)]
-        for c in range(alpha, len(p)):
-            if p[c] != c:
+        # A scan can store c in the table, so c is p's int for the label,
+        # not a second one made by the range.
+        for c, label in enumerate(_tail(p, alpha), alpha):
+            if label != c:
                 continue
+            c = label
             for bit, fwd, back in relators:
                 if closed[c] & bit:
                     continue
@@ -394,35 +404,80 @@ class _Enumerator:
         coset is live; returns alpha's index as _make_room does.
 
         Cosets below self.first_dead are all live and keep their labels
-        (module docstring), so only the cosets from there on move: in each
-        column, each live one's entry goes down to its new label,
-        renumbered, and an entry of a fixed coset that points at it is
-        renumbered through its inverse edge.  The labels in p are renum's
-        ints, the ones the moved entries hold, not a second copy of them.
-        The marks below alpha's new index, which nothing reads again, are
-        cleared.
+        (module docstring), so only the cosets from there on move.  Run
+        calls this with the budget full, so the budget is exhausted
+        exactly when no coset has died since the last compaction, and the
+        raise comes before anything is written.
+
+        One ascending pass turns p itself into the map from old labels to
+        new ones, and moves closed down: a live coset takes the next
+        label, a dead one its parent's, which the pass has already
+        renumbered.  After it, coset c is live exactly when p[c] is the
+        count of live cosets before it.  So one pass per generator moves
+        the live cosets' entries in its column and its inverse column
+        down to their new labels, mapped through p, and renumbers an
+        entry of a fixed coset that points at a moved one through its
+        inverse edge.  A last pass moves p's labels down, leaving the
+        identity.  Nothing per coset is held beyond the lists compacted.
+
+        A new label takes the int object of the live coset whose old
+        label it is, the object the table already holds, so the table and
+        p share one int per label, and a fresh one is made only where
+        that coset was dead.  These objects wait in a queue, in ascending
+        order, from the pass reaching their coset to the pass handing out
+        their label: at most one per dead coset passed.  The marks below
+        alpha's new index, which nothing reads again, are cleared.
         """
         p, closed = self.p, self.closed
         first = min(self.first_dead, len(p))
-        live, renum = _renumber(p, first)
-        n = first + len(live)
-        if n >= self.limits.max_cosets:
+        if first >= self.limits.max_cosets:
             raise LimitExceeded(f"coset budget {self.limits.max_cosets} exhausted")
-        for column, inv in self.pairs:
-            for new, old in enumerate(live, first):
-                e = column[old]
+        # Alpha's new index is the count of live cosets before it.
+        start = min(alpha, first) + sum(map(eq, _tail(p, first), range(first, alpha)))
+        pending: deque[int] = deque()
+        new = first
+        for c, parent in enumerate(_tail(p, first), first):
+            if parent != c:
+                p[c] = p[parent]
+                continue
+            pending.append(parent)
+            label = pending.popleft() if pending[0] == new else new
+            p[c] = label
+            closed[label] = closed[c]
+            new += 1
+        n = new
+        del pending  # before the column passes, where the peak is
+        for fwd, inv in self.pairs[::2]:
+            new = first
+            for label, e, f in zip(_tail(p, first), _tail(fwd, first), _tail(inv, first)):
+                if label != new:
+                    continue
                 if e is not None:
                     if e < first:
-                        inv[e] = new
+                        inv[e] = label
                     else:
-                        e = renum[e]
-                column[new] = e
-            del column[n:]
-        closed[first:] = map(closed.__getitem__, live)
-        p[first:] = map(renum.__getitem__, live)
+                        e = p[e]
+                fwd[new] = e
+                if f is not None:
+                    if f < first:
+                        fwd[f] = label
+                    else:
+                        f = p[f]
+                inv[new] = f
+                new += 1
+            del fwd[n:], inv[n:]
+        new = first
+        for label in _tail(p, first):
+            if label == new:
+                p[new] = label
+                new += 1
+        del p[n:], closed[n:]
         self.first_dead = self.limits.max_cosets
-        start = alpha if alpha < first else first + bisect_left(live, alpha)
-        closed[:start] = [0] * start
+        # A block at a time: assigning one slice holds a list of the new
+        # marks and one of the old, 16 B per coset of the range at once.
+        for i in range(0, start, 1024):
+            j = min(i + 1024, start)
+            closed[i:j] = [0] * (j - i)
         return start
 
     # -- HLT -----------------------------------------------------------
@@ -451,9 +506,13 @@ class _Enumerator:
         first_scans = [(0, *self._bind(cols), None) for cols in self.sub_cols] + scans
         alpha = 0
         while alpha < len(p):
-            if p[alpha] != alpha:
+            label = p[alpha]
+            if label != alpha:
                 alpha += 1
                 continue
+            # Scans and row fills store alpha in the table, so it is p's
+            # int for the label, not a second one made by alpha += 1.
+            alpha = label
             skip = closed[alpha]
             try:
                 for bit, fwd, back, root in scans if alpha else first_scans:
@@ -536,28 +595,13 @@ class _Enumerator:
                 closed[c] |= bit
 
 
-def _renumber(p: list[int], start: int = 0) -> tuple[list[int], list[int]]:
-    """(live, renum): the live cosets from start on, in order, and for
-    every old label, dead or live, the new label of its representative
-    once the dead cosets are dropped.
-
-    Every label below start must be live: those keep their labels, and
-    one ascending pass from start, with no find, numbers the rest.  A
-    dead coset's parent is a smaller label (merges keep the smaller
-    label), so its new label is already known when the pass reaches it.
-    """
-    live: list[int] = []
-    # p is the identity below start, where every label is live.
-    renum = p[:start]
-    new = start
-    for c, parent in enumerate(p[start:], start):
-        if parent == c:
-            renum.append(new)
-            live.append(parent)  # equals c; reusing p's int saves an object per coset
-            new += 1
-        else:
-            renum.append(renum[parent])
-    return live, renum
+def _tail(items: list, start: int) -> Iterator:
+    """An iterator over items from index start on, without the copy a
+    slice makes or the start steps islice takes: a list iterator moved to
+    start, as unpickling one does."""
+    it = iter(items)
+    it.__setstate__(start)
+    return it
 
 
 def _standardize(table: list[list[int | None]], p: list[int]) -> tuple[tuple[int, ...], ...]:

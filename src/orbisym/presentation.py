@@ -38,6 +38,28 @@ __all__ = [
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
+def _check_generator_names(names: tuple[str, ...]) -> None:
+    seen: set[str] = set()
+    for name in names:
+        if not _NAME.match(name):
+            raise WordSyntaxError(f"invalid generator name {name!r}")
+        if name in seen:
+            raise DuplicateGenerator(f"generator {name!r} declared twice")
+        seen.add(name)
+
+
+def decode_utf8(data: bytes) -> str:
+    """data as UTF-8 text; a byte that is not UTF-8 is a WordSyntaxError
+    naming its line."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        # The bad byte is on the last line of what decodes before it.
+        lineno = len((data[:exc.start].decode() + "x").splitlines())
+        raise WordSyntaxError(f"line {lineno}: byte {data[exc.start]:#04x} "
+                              f"is not UTF-8") from None
+
+
 @dataclass(frozen=True)
 class Presentation:
     """Generator names plus freely reduced relator words."""
@@ -46,13 +68,7 @@ class Presentation:
     relators: tuple[Word, ...]
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for name in self.generator_names:
-            if not _NAME.match(name):
-                raise WordSyntaxError(f"invalid generator name {name!r}")
-            if name in seen:
-                raise DuplicateGenerator(f"generator {name!r} declared twice")
-            seen.add(name)
+        _check_generator_names(self.generator_names)
         for r in self.relators:
             if not r:
                 raise EmptyRelator("relator freely reduces to the empty word")
@@ -85,6 +101,7 @@ def load_presentation_with_aliases(text: str) -> tuple[Presentation, dict[str, W
                 names = tuple(line[len("generators:"):].split())
                 if not names:
                     raise WordSyntaxError("empty generator list")
+                _check_generator_names(names)
             elif line.startswith("alias"):
                 if names is None:
                     raise WordSyntaxError("alias before generators line")

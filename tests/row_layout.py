@@ -6,6 +6,9 @@ per coset: table[c][col] where coset.py now reads table[col][c].  The
 column layout must leave the same raw state as this one (the transposed
 table, p, closed and first_dead), give up at the same point, and
 standardize to the same table; test_coset.py checks that.
+
+Its compaction renumbers through renumber, which builds the map from old
+labels to new ones as a list of its own, next to p.
 """
 
 from __future__ import annotations
@@ -13,8 +16,32 @@ from __future__ import annotations
 from bisect import bisect_left
 from operator import eq
 
-from orbisym.coset import _Enumerator, _NeedRoom, _power_root, _renumber
+from orbisym.coset import _Enumerator, _NeedRoom, _power_root
 from orbisym.errors import LimitExceeded
+
+
+def renumber(p, start=0):
+    """(live, renum): the live cosets from start on, in order, and for
+    every old label, dead or live, the new label of its representative
+    once the dead cosets are dropped.
+
+    Every label below start must be live: those keep their labels, and
+    one ascending pass from start, with no find, numbers the rest.  A
+    dead coset's parent is a smaller label (merges keep the smaller
+    label), so its new label is already known when the pass reaches it.
+    """
+    live = []
+    # p is the identity below start, where every label is live.
+    renum = p[:start]
+    new = start
+    for c, parent in enumerate(p[start:], start):
+        if parent == c:
+            renum.append(new)
+            live.append(parent)
+            new += 1
+        else:
+            renum.append(renum[parent])
+    return live, renum
 
 
 class RowLayoutEnumerator(_Enumerator):
@@ -152,7 +179,7 @@ class RowLayoutEnumerator(_Enumerator):
     def _compact(self, alpha):
         table, p, closed = self.table, self.p, self.closed
         first = min(self.first_dead, len(p))
-        live, renum = _renumber(p, first)
+        live, renum = renumber(p, first)
         n = first + len(live)
         if n >= self.limits.max_cosets:
             raise LimitExceeded(f"coset budget {self.limits.max_cosets} exhausted")

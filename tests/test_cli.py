@@ -252,7 +252,7 @@ def test_presentation_errors_name_the_line(capsys, tmp_path, monkeypatch,
     if kind == "presentation":
         path = tmp_path / "bad.txt"
         path.write_text(f"generators: x y\nrelators: {relators}\n")
-        argv, where = ["order", str(path)], "line 2"
+        argv, where = ["order", str(path)], f"{path}: line 2"
     else:
         path = tmp_path / "bad.case"
         path.write_text(EDGE_CASE.replace("relators: x^3 y^2 (x*y)^2",
@@ -287,7 +287,24 @@ def test_oversized_words_are_input_errors(capsys, tmp_path, relator, message):
     path.write_text(f"generators: x y\nrelators: {relator} y^2\n")
     assert main(["order", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {message}\n"
+    assert err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("data,message", [
+    (b"generators: x y\nrelators: x^2\n\xff\xfe\n", "line 3: byte 0xff is not UTF-8"),
+    (b"# two x\ngenerators: x x\nrelators: x^2\n", "line 2: generator 'x' declared twice"),
+    (b"generators: x 1y\n", "line 1: invalid generator name '1y'"),
+], ids=["not-utf8", "duplicate-generator", "invalid-generator"])
+@pytest.mark.parametrize("command", [["order"], ["index", "--subgroup", "x"],
+                                     ["hom2", "--map", "x=1"]])
+def test_presentation_file_errors_name_the_file_and_line(capsys, tmp_path, data, message,
+                                                         command):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    assert main([command[0], str(path), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {message}\n"
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("family", ["15E", "19"])

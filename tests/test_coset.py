@@ -37,7 +37,7 @@ from orbisym.presentation import Presentation, family_15e, family_19
 from orbisym.words import format_word, letter_columns
 from conftest import (ORBIFOLD_28_TEXT, dihedral_generators, mulclose,
                       triangle_rotation_generators)
-from row_layout import RowLayoutEnumerator, row_standardize
+from row_layout import RowLayoutEnumerator, renumber, row_standardize
 
 D7 = "generators: x y\nrelators: x^7 y^2 (x*y)^2\n"
 
@@ -166,7 +166,7 @@ def reference_standardize(table, p):
     """The two-pass standardization of a raw table of columns: drop the
     dead rows, mapping every entry to its representative's new label,
     then number the cosets breadth-first from coset 0 in column order."""
-    live, renum = coset._renumber(p)
+    live, renum = renumber(p)
     rows = []
     for old in live:
         row = [column[old] for column in table]
@@ -975,7 +975,7 @@ def test_lookahead_starts_at_the_pointer_and_skips_closed_pairs(pres, max_cosets
 def test_renumber_maps_every_label_to_its_representative():
     # Parents are smaller labels, and chains can be longer than one step
     # where path compression has not reached them.
-    live, renum = coset._renumber([0, 0, 1, 3, 3, 4, 2, 7])
+    live, renum = renumber([0, 0, 1, 3, 3, 4, 2, 7])
     assert live == [0, 3, 7]
     assert renum == [0, 0, 0, 1, 1, 1, 0, 2]
 
@@ -991,7 +991,7 @@ def test_renumber_matches_find(draws):
             c = p[c]
         return c
 
-    live, renum = coset._renumber(p)
+    live, renum = renumber(p)
     assert live == [c for c in range(len(p)) if p[c] == c]
     assert renum == [live.index(find(c)) for c in range(len(p))]
 
@@ -1001,8 +1001,8 @@ def test_renumber_matches_find(draws):
     ([0, 1, 2], 3, [], [0, 1, 2]),
 ])
 def test_renumber_from_start_leaves_the_labels_below_it(p, start, live, renum):
-    assert coset._renumber(p, start) == (live, renum)
-    assert coset._renumber(p)[1] == renum
+    assert renumber(p, start) == (live, renum)
+    assert renumber(p)[1] == renum
 
 
 # -- in-place compaction ---------------------------------------------------
@@ -1392,13 +1392,111 @@ def test_the_named_layout_cases_reach_every_ending():
     assert endings == {(False, False), (False, True), (True, False), (True, True)}
 
 
-def test_the_overflow_path_keeps_150_bytes_per_coset():
+class RenumberCompaction(_Enumerator):
+    """Compaction as it was before p was renumbered in place: renumber
+    builds the live cosets and the map from old labels to new ones as
+    lists of their own, next to p."""
+
+    def _compact(self, alpha):
+        p, closed = self.p, self.closed
+        first = min(self.first_dead, len(p))
+        live, renum = renumber(p, first)
+        n = first + len(live)
+        if n >= self.limits.max_cosets:
+            raise LimitExceeded(f"coset budget {self.limits.max_cosets} exhausted")
+        for column, inv in self.pairs:
+            for new, old in enumerate(live, first):
+                e = column[old]
+                if e is not None:
+                    if e < first:
+                        inv[e] = new
+                    else:
+                        e = renum[e]
+                column[new] = e
+            del column[n:]
+        closed[first:] = map(closed.__getitem__, live)
+        p[first:] = map(renum.__getitem__, live)
+        self.first_dead = self.limits.max_cosets
+        start = alpha if alpha < first else first + bisect_left(live, alpha)
+        closed[:start] = [0] * start
+        return start
+
+
+def compaction_state(enum):
+    """A copy of the raw table, p, closed and first_dead."""
+    return ([list(column) for column in enum.table], list(enum.p), list(enum.closed),
+            enum.first_dead)
+
+
+class ComparedCompaction(_Enumerator):
+    """At every compaction, runs RenumberCompaction's on a copy of the raw
+    state and checks that both return the same index, or give up with the
+    same message, and leave the same raw state; and that every entry is
+    p's int for its label, so the table holds no second int for one."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.args = args
+
+    def _compact(self, alpha):
+        twin = RenumberCompaction(*self.args)
+        for column, own in zip(twin.table, self.table):
+            column[:] = own
+        twin.p[:] = self.p
+        twin.closed[:] = self.closed
+        twin.first_dead = self.first_dead
+        try:
+            expected = twin._compact(alpha)
+        except LimitExceeded as exc:
+            with pytest.raises(LimitExceeded, match=f"^{exc}$"):
+                super()._compact(alpha)
+            assert compaction_state(self) == compaction_state(twin)
+            raise
+        assert super()._compact(alpha) == expected
+        assert compaction_state(self) == compaction_state(twin)
+        p = self.p
+        for column in self.table:
+            assert all(e is p[e] for e in column if e is not None)
+        return expected
+
+
+@pytest.mark.parametrize("max_cosets", [5, 12, 30, 121, 157, 300, 1000, 2000])
+@pytest.mark.parametrize("case_id", sorted(LAYOUT_PRESENTATIONS))
+def test_in_place_renumbering_matches_the_renumber_lists(case_id, max_cosets):
+    pres, subgroup = LAYOUT_PRESENTATIONS[case_id]
+    raw_state(ComparedCompaction(pres, subgroup, EnumerationLimits(max_cosets)))
+
+
+class SavesStateBeforeCompaction(_Enumerator):
+    def _compact(self, alpha):
+        self.before = compaction_state(self)
+        return super()._compact(alpha)
+
+
+@pytest.mark.parametrize("pres,subgroup,max_cosets", [
+    # Gives up at its first compaction, with no coset dead.
+    pytest.param(load_presentation("generators: x y\nrelators: x^2\n"), (), 200,
+                 id="no-coincidence"),
+    # Give up after compactions that freed cosets.
+    pytest.param(triangle_23k(7), (), 2000, id="237-after-compactions"),
+    pytest.param(load_presentation("generators: x y z\nrelators: y*x^-1*z^-2 x^-40 "
+                                   "y*z*y*z^-3*y^-1 x^-25\n"), (), 300, id="xyz-cap-300"),
+])
+def test_a_compaction_that_gives_up_changes_nothing(pres, subgroup, max_cosets):
+    enum = SavesStateBeforeCompaction(pres, subgroup, EnumerationLimits(max_cosets))
+    with pytest.raises(LimitExceeded, match=f"coset budget {max_cosets} exhausted"):
+        enum.run()
+    assert compaction_state(enum) == enum.before
+
+
+def test_the_overflow_path_keeps_105_bytes_per_coset():
     # Under tracemalloc, the (2,3,7) run that fills its budget holds about
-    # 85 bytes per coset: a slot in each of the four column lists and in
-    # p and closed, and the label's int.  Its first compaction moves most
-    # cosets and peaks at about 141 while the old and the renumbered
-    # label ints are both alive; with separate ints for p and the table
-    # it peaked at 161, and with one list per row at 210.
+    # 78 bytes per coset: a slot in each of the four column lists and in
+    # p and closed, and the label's int, which p and the table share.
+    # Compaction renumbers p in place and reuses the label ints, so the
+    # run peaks at about 81.  With renumber's two lists and a second int
+    # per moved label it peaked at 141, with separate ints for p and the
+    # table at 161, and with one list per row at 210.
     limits = EnumerationLimits(20_000)
     tracemalloc.start()
     try:
@@ -1407,7 +1505,7 @@ def test_the_overflow_path_keeps_150_bytes_per_coset():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / limits.max_cosets <= 150
+    assert peak / limits.max_cosets <= 105
 
 
 # -- indices and coset words read off the regular table ------------------

@@ -87,6 +87,10 @@ def test_load_errors():
 def test_error_messages_carry_line_numbers():
     with pytest.raises(WordSyntaxError, match="line 2"):
         load_presentation("generators: x\nrelators: x^\n")
+    with pytest.raises(DuplicateGenerator, match="^line 2: generator 'x' declared twice$"):
+        load_presentation("# two x\ngenerators: x y x\n")
+    with pytest.raises(WordSyntaxError, match="^line 1: invalid generator name '1y'$"):
+        load_presentation("generators: x 1y\n")
 
 
 def test_relators_kept_freely_reduced_only():
