@@ -1,0 +1,101 @@
+"""The CLI's output, byte for byte, against files written by an earlier build.
+
+Each command in COMMANDS runs in process, once as text and once with
+--json, from an empty directory so that no ./catalog file overrides a
+built-in case.  Its stdout must equal ``golden/<name>.txt`` or
+``golden/<name>.json`` (the JSON report with its ``elapsed_ms`` line
+removed, the one field that differs from run to run), and its exit code
+and stderr must equal the entry for that name in ``golden/exits.json``.
+A change that means to alter the output rewrites the files with
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+
+so that the difference shows in its diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from orbisym.catalog import CATALOG_ENV_VAR
+from orbisym.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+COMMANDS = {
+    "reproduce-all": ["reproduce-all"],
+    "verify-table": ["verify-table"],
+    "case-orbifold-28-edge": ["case", "orbifold-28-edge"],
+    "case-orbifold-28-dashed": ["case", "orbifold-28-dashed"],
+    "case-orbifold-28-dashed-early-stop": ["case", "orbifold-28-dashed", "--early-stop"],
+    "case-alpha-29": ["case", "alpha-29"],
+    **{f"case-15E-n{n}": ["case", "15E", "--n", str(n)] for n in (3, 7, 8, 50)},
+    **{f"case-19-n{n}": ["case", "19", "--n", str(n)] for n in (3, 9, 50)},
+    "case-19-n2": ["case", "19", "--n", "2"],
+    "case-15E-n1000001": ["case", "15E", "--n", "1000001"],
+}
+
+_ELAPSED = re.compile(r',\n  "elapsed_ms": \d+\n}')
+
+
+def strip_elapsed(report: str) -> str:
+    """A --json report without its elapsed_ms field, every other byte kept."""
+    return _ELAPSED.sub("\n}", report)
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def outputs(name: str) -> dict[str, tuple[int, str, str]]:
+    """Per mode ("text", "json"): exit code, stdout as compared, stderr."""
+    argv = COMMANDS[name]
+    code, out, err = run(argv)
+    json_code, json_out, json_err = run([*argv, "--json"])
+    return {"text": (code, out, err), "json": (json_code, strip_elapsed(json_out), json_err)}
+
+
+@pytest.fixture
+def empty_cwd(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(CATALOG_ENV_VAR, raising=False)
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_cli_output_is_unchanged(name, empty_cwd):
+    exits = json.loads((GOLDEN / "exits.json").read_text())
+    got = outputs(name)
+    for mode, suffix in (("text", ".txt"), ("json", ".json")):
+        code, out, err = got[mode]
+        assert out == (GOLDEN / f"{name}{suffix}").read_text(), (name, mode)
+        assert [code, err] == exits[name][mode], (name, mode)
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    exits = {}
+    os.environ.pop(CATALOG_ENV_VAR, None)
+    with tempfile.TemporaryDirectory() as empty:
+        os.chdir(empty)
+        for name in COMMANDS:
+            got = outputs(name)
+            for mode, suffix in (("text", ".txt"), ("json", ".json")):
+                (GOLDEN / f"{name}{suffix}").write_text(got[mode][1])
+            exits[name] = {mode: [code, err] for mode, (code, _, err) in got.items()}
+    (GOLDEN / "exits.json").write_text(json.dumps(exits, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()
