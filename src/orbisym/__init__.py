@@ -88,7 +88,6 @@ from .surface import (
 )
 from .words import (
     Word,
-    concat,
     conjugate,
     exponent_vector_mod2,
     format_word,

@@ -32,7 +32,6 @@ from pathlib import Path
 from .coset import EnumerationLimits, enumerate_cosets
 from .errors import (
     InvalidParameter,
-    MismatchError,
     OrbisymError,
     UnknownCase,
     WordSyntaxError,
@@ -43,14 +42,15 @@ from .scenario import (
     BoundaryPattern,
     DashedArcScenario,
     EdgeScenario,
+    FAMILIES,
     FAMILY_15E,
     FAMILY_19,
     PatternOutcome,
     Z2HomRule,
+    closed_form_mismatches,
     evaluate_dashed_arc_scenario,
     evaluate_edge_scenario,
-    evaluate_family,
-    family_member,
+    family_scenario,
 )
 from .surface import (
     EXCEPTIONAL_ALPHA_CLASSES,
@@ -255,7 +255,6 @@ class CatalogEntry:
     alpha: int | None = None
     m_label: str | None = None
     m_value: int | None = None
-    arithmetic_only: bool = False
 
 
 _SURFACE_RE = re.compile(r"[SN]_\{\d+,\d+\}")
@@ -389,7 +388,7 @@ def parse_case_text(text: str) -> CatalogEntry:
             raise WordSyntaxError("arithmetic case needs alpha:, m:, and surfaces: lines")
         return CatalogEntry(id=case_id, kind="arithmetic", alpha=alpha,
                             m_label=m_label, m_value=m_value,
-                            expected_surfaces=surfaces, arithmetic_only=True)
+                            expected_surfaces=surfaces)
 
     pres, aliases = load_presentation_with_aliases("\n".join(pres_lines))
     names = pres.generator_names
@@ -576,43 +575,33 @@ def run_case(case_id: str, n: int | None = None,
                           expected_surfaces=_sorted_surfaces(entry.expected_surfaces),
                           computed_surfaces=(), outcomes=(), detail=tuple(detail))
 
-    # One enumeration per case: the regular table gives the order, and every
-    # index is read off it.
-    detail = []
-    admissible = 0
     if entry.kind == "family":
         assert entry.family is not None
         if n is None:
             raise InvalidParameter(f"case {entry.id!r} needs a family parameter n")
-        family = family_member(entry.family, n)
+        scenario = family_scenario(entry.family, n)
+        family = FAMILIES[entry.family]
         expected_order, expected_surfaces = family.order(n), family.surfaces(n)
-        regular = enumerate_cosets(family.presentation(n), (), limits)
-        computed, outcomes = [], []
-        for name in family.embeddings:
-            try:
-                surface = evaluate_family(entry.family, n, name, limits, regular=regular)
-            except MismatchError as exc:
-                detail.append(str(exc))
-                continue
-            computed.append(surface)
-            outcomes.append(PatternOutcome(f"embedding {name}", surface.boundary,
-                                           surface.orientable, surface.genus))
     else:
         assert entry.scenario is not None
+        scenario = entry.scenario
         expected_order, expected_surfaces = entry.expected_order, entry.expected_surfaces
-        regular = enumerate_cosets(entry.scenario.presentation, (), limits)
-        if entry.kind == "edge":
-            result = evaluate_edge_scenario(entry.scenario, limits, regular=regular)
-        else:
-            result = evaluate_dashed_arc_scenario(entry.scenario, limits,
-                                                  threads=threads, early_stop=early_stop,
-                                                  regular=regular)
-        computed, outcomes, admissible = result.surfaces, result.per_pattern, result.admissible
-    computed_order = regular.n_cosets
+
+    # One enumeration per case: the regular table gives the order, and every
+    # index is read off it.
+    regular = enumerate_cosets(scenario.presentation, (), limits)
+    if entry.kind == "dashed":
+        result = evaluate_dashed_arc_scenario(scenario, limits, threads=threads,
+                                              early_stop=early_stop, regular=regular)
+    else:
+        result = evaluate_edge_scenario(scenario, limits, regular=regular)
+    detail = (closed_form_mismatches(entry.family, n, result.per_pattern)
+              if entry.kind == "family" else [])
+    computed, computed_order = result.surfaces, regular.n_cosets
 
     if expected_order is not None and computed_order != expected_order:
         detail.append(f"order {computed_order}, expected {expected_order}")
-    if set(computed) != set(expected_surfaces):
+    if computed != set(expected_surfaces):
         detail.append(f"surfaces {sorted(map(str, computed))}, "
                       f"expected {sorted(map(str, expected_surfaces))}")
     return CaseReport(case_id=entry.id, kind=entry.kind,
@@ -620,5 +609,5 @@ def run_case(case_id: str, n: int | None = None,
                       expected_order=expected_order, computed_order=computed_order,
                       expected_surfaces=_sorted_surfaces(expected_surfaces),
                       computed_surfaces=_sorted_surfaces(computed),
-                      outcomes=tuple(outcomes), detail=tuple(detail),
-                      admissible=admissible)
+                      outcomes=result.per_pattern, detail=tuple(detail),
+                      admissible=result.admissible)

@@ -201,11 +201,14 @@ def _cmd_hom2(args: argparse.Namespace, started: float) -> int:
     constraints = []
     for item in args.map:
         word_text, sep, bit_text = item.rpartition("=")
+        bad = f"--map needs WORD=BIT with BIT 0 or 1, got {item!r}"
         if not sep:
-            raise OrbisymError(f"--map needs WORD=BIT, got {item!r}")
-        constraints.append(Z2Constraint(
-            parse_word(word_text.strip(), pres.generator_names, aliases),
-            int(bit_text)))
+            raise OrbisymError(bad)
+        word = parse_word(word_text.strip(), pres.generator_names, aliases)
+        try:
+            constraints.append(Z2Constraint(word, int(bit_text)))
+        except ValueError:
+            raise OrbisymError(bad) from None
     result = solve_hom_to_z2(pres, constraints)
     if result.solvable:
         assert result.assignment is not None

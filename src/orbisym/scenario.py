@@ -20,13 +20,15 @@ boundary count; a parity or genus failure aborts the whole scenario
 (ClassificationError) instead of skipping the pattern, since it signals
 an inconsistent scenario definition.
 
-Families 15E and 19 are defined once, in ``_FAMILIES``; their surfaces
-are the row closed forms in ``surface``.
+Families 15E and 19 are defined once, in ``FAMILIES``.  A family case
+at n runs as an edge scenario with one ``embedding X`` pattern per
+embedding, and each computed surface is checked against the row closed
+forms in ``surface``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .coset import (
@@ -60,6 +62,9 @@ __all__ = [
     "evaluate_edge_scenario",
     "evaluate_dashed_arc_scenario",
     "evaluate_family",
+    "FAMILIES",
+    "family_scenario",
+    "closed_form_mismatches",
     "FAMILY_15E",
     "FAMILY_19",
 ]
@@ -236,86 +241,79 @@ def evaluate_dashed_arc_scenario(scenario: DashedArcScenario,
 
 @dataclass(frozen=True)
 class Family:
-    """A parametric family at parameter n; ``embeddings`` maps names to subgroup
-    words and always-orientable flags, in the order of ``surfaces(n)``."""
+    """A parametric family: member n is the edge scenario on presentation(n)
+    at alpha(n) with one ``patterns`` entry per embedding; order(n) and
+    surfaces(n) are its closed forms, the surfaces in pattern order."""
 
     presentation: Callable[[int], Presentation]
     alpha: Callable[[int], int]
     order: Callable[[int], int]
     surfaces: Callable[[int], tuple[SurfaceType, ...]]
-    embeddings: dict[str, tuple[tuple[Word, ...], bool]]
+    patterns: tuple[BoundaryPattern, ...]
 
 
 _X, _Y = Word.generator(0), Word.generator(1)
 
 # Family 15E at n realises the generic row at a = n - 1, family 19 the
 # square row at a = (n - 1)^2.
-_FAMILIES = {
+FAMILIES = {
     FAMILY_15E: Family(family_15e, lambda n: n - 1, lambda n: 2 * n,
                        lambda n: remaining_family_surfaces(n - 1),
-                       {"A": ((_X,), False), "B": ((_X * _Y,), True)}),
+                       (BoundaryPattern("embedding A", (_X,), Z2HomRule((Z2Constraint(_X, 1),))),
+                        BoundaryPattern("embedding B", (_X * _Y,), AlwaysOrientable()))),
     FAMILY_19: Family(family_19, lambda n: (n - 1) ** 2, lambda n: n * n,
                       lambda n: (square_family_surface(n - 1),),
-                      {"A": ((_X * _Y,), True)}),
+                      (BoundaryPattern("embedding A", (_X * _Y,), AlwaysOrientable()),)),
 }
 
 
-def family_spec(family: str) -> Family:
-    """The family of that name; InvalidParameter for any other name."""
-    if family not in _FAMILIES:
-        raise InvalidParameter(f"unknown family {family!r}")
-    return _FAMILIES[family]
-
-
-def family_member(family: str, n: int) -> Family:
-    """family_spec for a parameter the evaluators accept; InvalidParameter
-    for n < 3, checked before anything is built at n."""
+def family_scenario(family: str, n: int) -> EdgeScenario:
+    """Member n of the family as an edge scenario.  InvalidParameter for
+    n < 3, then for an unknown family, is raised before anything is built."""
     if n < 3:
         raise InvalidParameter(f"family evaluation needs n >= 3, got {n}")
-    return family_spec(family)
+    if family not in FAMILIES:
+        raise InvalidParameter(f"unknown family {family!r}")
+    spec = FAMILIES[family]
+    return EdgeScenario(spec.presentation(n), spec.alpha(n), spec.patterns)
 
 
-def _family_closed_form(family: str, n: int, embedding: str | None) -> tuple[SurfaceType, tuple[Word, ...], bool]:
-    """Expected surface, subgroup words, and always-orientable flag; None
-    names the embedding of a family that has only one."""
-    spec = family_spec(family)
-    names = list(spec.embeddings)
-    if embedding is None and len(names) == 1:
-        embedding = names[0]
-    if embedding not in spec.embeddings:
-        raise InvalidParameter(f"family {family} has embeddings "
-                               f"{' and '.join(names)}, got {embedding!r}")
-    subgroup, always = spec.embeddings[embedding]
-    return spec.surfaces(n)[names.index(embedding)], subgroup, always
-
-
-def family_alpha(family: str, n: int) -> int:
-    """Algebraic genus of the family member."""
-    return family_spec(family).alpha(n)
+def closed_form_mismatches(family: str, n: int,
+                           outcomes: Sequence[PatternOutcome]) -> list[str]:
+    """The MismatchError text of each embedding outcome whose surface is
+    not the family's closed form for it."""
+    spec = FAMILIES[family]
+    expected = dict(zip((p.name for p in spec.patterns), spec.surfaces(n)))
+    texts = []
+    for outcome in outcomes:
+        computed = SurfaceType(outcome.orientable, outcome.genus, outcome.boundary)
+        if computed != expected[outcome.pattern]:
+            texts.append(f"family {family} n={n} {outcome.pattern.replace(' ', '=')}: "
+                         f"computed {computed}, closed form {expected[outcome.pattern]}")
+    return texts
 
 
 def evaluate_family(family: str, n: int, embedding: str | None = None,
                     limits: EnumerationLimits | None = None,
                     regular: CosetTable | None = None) -> SurfaceType:
-    """Classify one family embedding from its subgroup index and cross-check
-    the result against the closed form; MismatchError if they disagree.
+    """Classify one family embedding as an edge pattern and cross-check the
+    result against the closed form; MismatchError if they disagree.  None
+    names the embedding of a family that has only one.
 
     regular is the regular coset table of the family's group at n; it is
     enumerated under limits when not given.
     """
-    spec = family_member(family, n)
-    expected, subgroup, always = _family_closed_form(family, n, embedding)
-    pres = spec.presentation(n)
-    if regular is None:
-        regular = enumerate_cosets(pres, (), limits)
-    boundary = subgroup_index(regular, subgroup)
-    if always:
-        orientable = True
-    else:
-        orientable = solve_hom_to_z2(pres, (Z2Constraint(subgroup[0], 1),)).solvable
-    computed = classify_surface(family_alpha(family, n), boundary, orientable)
-    if computed != expected:
-        raise MismatchError(
-            f"family {family} n={n} embedding={embedding or 'A'}: "
-            f"computed {computed}, closed form {expected}")
+    scenario = family_scenario(family, n)
+    names = [p.name.removeprefix("embedding ") for p in scenario.patterns]
+    if embedding is None and len(names) == 1:
+        embedding = names[0]
+    if embedding not in names:
+        raise InvalidParameter(f"family {family} has embeddings "
+                               f"{' and '.join(names)}, got {embedding!r}")
+    pattern = scenario.patterns[names.index(embedding)]
+    result = evaluate_edge_scenario(replace(scenario, patterns=(pattern,)), limits, regular)
+    mismatches = closed_form_mismatches(family, n, result.per_pattern)
+    if mismatches:
+        raise MismatchError(mismatches[0])
+    (computed,) = result.surfaces
     return computed

@@ -34,7 +34,6 @@ __all__ = [
     "Word",
     "parse_word",
     "format_word",
-    "concat",
     "invert",
     "conjugate",
     "exponent_vector_mod2",
@@ -122,11 +121,6 @@ class Word:
 def letter_columns(w: Word) -> tuple[int, ...]:
     """w's letters as coset-table columns: 2*i for generator i, 2*i+1 for its inverse."""
     return tuple(2 * (abs(l) - 1) + (0 if l > 0 else 1) for l in w.letters)
-
-
-def concat(u: Word, v: Word) -> Word:
-    """The freely reduced product u*v."""
-    return u * v
 
 
 def invert(w: Word) -> Word:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -125,7 +126,6 @@ surfaces: S_{0,30} S_{9,12} S_{14,2}
 def test_parse_arithmetic_case():
     entry = parse_case_text(ARITHMETIC_CASE)
     assert entry.kind == "arithmetic"
-    assert entry.arithmetic_only
     assert entry.alpha == 29
     assert entry.m_label == "4(a+1)"
     assert entry.m_value == 120
@@ -323,14 +323,13 @@ def test_run_family_case():
 
 def test_run_family_case_reports_closed_form_mismatch(monkeypatch, capsys):
     # a wrong closed form must surface as a mismatch of the case, not an error
-    real = scenario_module._family_closed_form
+    spec = scenario_module.FAMILIES[FAMILY_19]
 
-    def wrong(family, n, embedding):
-        expected, subgroup, always = real(family, n, embedding)
-        bad = SurfaceType(expected.orientable, expected.genus + 1, expected.boundary)
-        return bad, subgroup, always
+    def wrong(n):
+        return tuple(SurfaceType(s.orientable, s.genus + 1, s.boundary)
+                     for s in spec.surfaces(n))
 
-    monkeypatch.setattr(scenario_module, "_family_closed_form", wrong)
+    monkeypatch.setitem(scenario_module.FAMILIES, FAMILY_19, replace(spec, surfaces=wrong))
     with pytest.raises(MismatchError) as exc:
         evaluate_family(FAMILY_19, 4)
     report = run_case("19", n=4)
@@ -355,10 +354,10 @@ def limit_cases():
         for m in range(100, 261):
             yield case_id, None, pres, m
     for case_id in ("15E", "19"):
-        spec = scenario_module.family_spec(case_id)
         for n in range(3, 13):
+            pres = scenario_module.family_scenario(case_id, n).presentation
             for m in range(1, 3 * n * n + 1):
-                yield case_id, n, spec.presentation(n), m
+                yield case_id, n, pres, m
 
 
 def test_run_case_hits_the_limit_exactly_when_group_order_does():

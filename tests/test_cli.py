@@ -124,9 +124,11 @@ def test_hom2_witness_in_json(capsys, orbifold_file):
     assert payload["items"][0]["witness"] == [0, 1, 0]
 
 
-def test_hom2_bad_map(capsys, orbifold_file):
-    assert main(["hom2", orbifold_file, "--map", "xy"]) == 2
-    assert "error" in capsys.readouterr().err
+@pytest.mark.parametrize("item", ["xy", "x=", "x=2", "x=b"])
+def test_hom2_bad_map(capsys, orbifold_file, item):
+    assert main(["hom2", orbifold_file, "--map", item]) == 2
+    assert capsys.readouterr().err == \
+        f"error: --map needs WORD=BIT with BIT 0 or 1, got {item!r}\n"
 
 
 def test_case_edge(capsys):

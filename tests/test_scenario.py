@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from orbisym import (
@@ -35,7 +37,7 @@ from orbisym import (
     subgroup_index,
 )
 import orbisym.scenario as scenario_module
-from orbisym.scenario import FAMILY_15E, FAMILY_19, family_alpha
+from orbisym.scenario import FAMILY_15E, FAMILY_19, family_scenario
 
 
 def S(g, b):
@@ -192,10 +194,10 @@ def test_family_19():
 
 
 def test_family_alpha():
-    assert family_alpha(FAMILY_15E, 7) == 6
-    assert family_alpha(FAMILY_19, 7) == 36
+    assert family_scenario(FAMILY_15E, 7).alpha == 6
+    assert family_scenario(FAMILY_19, 7).alpha == 36
     with pytest.raises(InvalidParameter):
-        family_alpha("nope", 3)
+        family_scenario("nope", 3)
 
 
 def test_family_validation():
@@ -213,14 +215,13 @@ def test_family_validation():
 
 def test_family_crosscheck_bites(monkeypatch):
     # corrupt the closed form and confirm the dual-route check trips
-    real = scenario_module._family_closed_form
+    spec = scenario_module.FAMILIES[FAMILY_19]
 
-    def wrong(family, n, embedding):
-        expected, subgroup, always = real(family, n, embedding)
-        bad = SurfaceType(expected.orientable, expected.genus + 1, expected.boundary)
-        return bad, subgroup, always
+    def wrong(n):
+        return tuple(SurfaceType(s.orientable, s.genus + 1, s.boundary)
+                     for s in spec.surfaces(n))
 
-    monkeypatch.setattr(scenario_module, "_family_closed_form", wrong)
+    monkeypatch.setitem(scenario_module.FAMILIES, FAMILY_19, replace(spec, surfaces=wrong))
     with pytest.raises(MismatchError):
         evaluate_family(FAMILY_19, 4)
 
@@ -282,12 +283,13 @@ def test_edge_indices_match_enumeration(orbifold_28):
 
 @pytest.mark.parametrize("family", [FAMILY_15E, FAMILY_19])
 def test_family_indices_match_enumeration(family):
-    spec = scenario_module.family_spec(family)
     for n in range(3, 13):
-        pres = spec.presentation(n)
-        regular = enumerate_cosets(pres)
-        for name, (words, _) in spec.embeddings.items():
-            assert subgroup_index(regular, words) == enumerate_cosets(pres, words).n_cosets
+        member = family_scenario(family, n)
+        regular = enumerate_cosets(member.presentation)
+        for pattern in member.patterns:
+            words, name = pattern.subgroup_words, pattern.name.removeprefix("embedding ")
+            assert subgroup_index(regular, words) == \
+                enumerate_cosets(member.presentation, words).n_cosets
             assert evaluate_family(family, n, name, regular=regular) == \
                 evaluate_family(family, n, name)
 
