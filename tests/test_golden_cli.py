@@ -2,7 +2,8 @@
 
 Each command in COMMANDS runs in process, once as text and once with
 --json, from an empty directory so that no ./catalog file overrides a
-built-in case.  Its stdout must equal ``golden/<name>.txt`` or
+built-in case.  The presentation-file commands read ``golden/inputs/``;
+their reports name the file by its stem, so keep those names.  Its stdout must equal ``golden/<name>.txt`` or
 ``golden/<name>.json`` (the JSON report with its ``elapsed_ms`` line
 removed, the one field that differs from run to run), and its exit code
 and stderr must equal the entry for that name in ``golden/exits.json``.
@@ -29,6 +30,7 @@ from orbisym.catalog import CATALOG_ENV_VAR
 from orbisym.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
 
 COMMANDS = {
     "reproduce-all": ["reproduce-all"],
@@ -41,6 +43,13 @@ COMMANDS = {
     **{f"case-19-n{n}": ["case", "19", "--n", str(n)] for n in (3, 9, 50)},
     "case-19-n2": ["case", "19", "--n", "2"],
     "case-15E-n1000001": ["case", "15E", "--n", "1000001"],
+    # (2,3,7) is infinite: under 2000 cosets it runs the lookahead and
+    # compaction before it gives up with exit 3.
+    "order-t237-cap-2000": ["order", str(INPUTS / "t237.txt"), "--max-cosets", "2000"],
+    "order-s5": ["order", str(INPUTS / "s5.txt")],
+    "index-s5-a": ["index", str(INPUTS / "s5.txt"), "--subgroup", "a"],
+    "hom2-s5-a1": ["hom2", str(INPUTS / "s5.txt"), "--map", "a=1"],
+    "hom2-s5-ab1": ["hom2", str(INPUTS / "s5.txt"), "--map", "a*b=1"],
 }
 
 _ELAPSED = re.compile(r',\n  "elapsed_ms": \d+\n}')
