@@ -65,7 +65,7 @@ from .surface import (
     surface_from_str,
 )
 from .words import Word, parse_word
-from .z2hom import Z2Constraint
+from .z2hom import Z2Constraint, parse_constraint
 
 __all__ = [
     "TableRow",
@@ -267,15 +267,9 @@ _HOM_RE = re.compile(r"hom\((.*)\)\s*$")
 
 
 def _parse_constraints(text: str, names: tuple[str, ...], aliases: dict[str, Word]) -> tuple[Z2Constraint, ...]:
-    constraints = []
-    for item in text.split(","):
-        item = item.strip()
-        if "=" not in item:
-            raise WordSyntaxError(f"constraint {item!r} needs word=bit")
-        word_text, bit_text = item.rsplit("=", 1)
-        constraints.append(Z2Constraint(parse_word(word_text.strip(), names, aliases),
-                                        int(bit_text)))
-    return tuple(constraints)
+    """The comma-separated WORD=BIT items of a hom(...) clause."""
+    return tuple(parse_constraint(item.strip(), names, aliases, "hom(...)")
+                 for item in text.split(","))
 
 
 def _scenario_fields(body: str, required: tuple[str, ...]) -> dict[str, str]:

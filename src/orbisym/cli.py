@@ -27,7 +27,7 @@ from .errors import LimitExceeded, OrbisymError
 from .presentation import decode_utf8, load_presentation_with_aliases
 from .surface import SurfaceType
 from .words import parse_word
-from .z2hom import Z2Constraint, solve_hom_to_z2
+from .z2hom import parse_constraint, solve_hom_to_z2
 
 __all__ = ["main", "entry"]
 
@@ -198,17 +198,8 @@ def _cmd_index(args: argparse.Namespace, started: float) -> int:
 
 def _cmd_hom2(args: argparse.Namespace, started: float) -> int:
     pres, aliases = _load_presentation_file(args.file)
-    constraints = []
-    for item in args.map:
-        word_text, sep, bit_text = item.rpartition("=")
-        bad = f"--map needs WORD=BIT with BIT 0 or 1, got {item!r}"
-        if not sep:
-            raise OrbisymError(bad)
-        word = parse_word(word_text.strip(), pres.generator_names, aliases)
-        try:
-            constraints.append(Z2Constraint(word, int(bit_text)))
-        except ValueError:
-            raise OrbisymError(bad) from None
+    constraints = [parse_constraint(item, pres.generator_names, aliases, "--map")
+                   for item in args.map]
     result = solve_hom_to_z2(pres, constraints)
     if result.solvable:
         assert result.assignment is not None

@@ -6,10 +6,13 @@ scan.  When the coset budget fills up, a lookahead pass (coincidence-only
 scanning) runs and dead cosets are compacted away before giving up.
 
 HLT's scan lives in _Enumerator.run, the only place that defines cosets;
-_scan is the lookahead's, which stops at a gap.  The subgroup words are
-coset 0's first scans, ahead of its relators.  They carry no mark bit, so
-after a lookahead from coset 0 a word that already closed is scanned
-again, which changes nothing.
+the lookahead's, which stops at a gap, is written out the same way in
+_make_room, since a run that overflows spends much of its time there.
+Neither is a method: the same scan as a method call per (coset, relator)
+pair is the tests' reference for both.  The subgroup words are coset 0's
+first scans, ahead of its relators.  They carry no mark bit, so after a
+lookahead from coset 0 a word that already closed is scanned again,
+which changes nothing.
 
 Tables index cosets from 0 (the subgroup itself) and act on the right:
 column 2*i is the action of generator i, column 2*i+1 of its inverse.
@@ -328,75 +331,70 @@ class _Enumerator:
                     closed[a] |= bits
         self.first_dead = first_dead
 
-    # -- the lookahead ------------------------------------------------
-
-    def _scan(self, alpha: int, fwd: Sequence[list[int | None]],
-              back: Sequence[list[int | None]]) -> bool:
-        """The lookahead's scan of a relator loop at alpha, given the
-        relator's columns forward and backward (module docstring).
-
-        It defines no coset: it stops at a gap of two or more, but still
-        applies forced deductions and coincidences.  Returns whether the
-        loop got all the way round, so that it now closes at alpha's
-        representative; False only when it stopped at a gap.  HLT's
-        filling scan is written out in run.
-        """
-        f = b = alpha
-        i, j = 0, len(fwd) - 1
-        while i <= j:
-            nxt = fwd[i][f]
-            if nxt is None:
-                break
-            f = nxt
-            i += 1
-        if i > j:
-            if f != b:
-                self._coincidence(f, b)
-            return True
-        while j >= i:
-            prv = back[j][b]
-            if prv is None:
-                break
-            b = prv
-            j -= 1
-        if j < i:
-            self._coincidence(f, b)
-            return True
-        if j == i:
-            fwd[i][f], back[i][b] = b, f
-            return True
-        return False
-
     # -- space management ----------------------------------------------
 
     def _make_room(self, alpha: int) -> int:
         """Lookahead collapse from alpha, then compaction (_compact).
 
-        The lookahead scans every relator (_scan) at each live coset from
-        alpha on, skips the pairs marked in self.closed, and marks each
-        scan that gets all the way round.  Cosets below alpha need no
-        scan: HLT has scanned every relator there to closure (module
-        docstring).
+        The lookahead scans every relator at each live coset from alpha
+        on, skips the pairs marked in self.closed, and marks each scan
+        that gets all the way round.  Cosets below alpha need no scan:
+        HLT has scanned every relator there to closure (module
+        docstring).  Its scan is HLT's without the fill, written out on
+        local names: it stops at a gap of two or more, but still applies
+        the one forced deduction and every coincidence.  The marks are
+        read once per coset: a bit that a coincidence adds to the mask
+        meanwhile only lets a relator that already closes be scanned
+        again, which changes nothing.
 
         Returns the new index of the first live coset at or after alpha;
         alpha itself may have died in the lookahead.
         """
         p, closed = self.p, self.closed
-        relators = [(1 << i, *self._bind(cols)) for i, cols in enumerate(self.relator_cols)]
+        coincidence = self._coincidence
+        relators = [(1 << i, *self._bind(cols), len(cols) - 1)
+                    for i, cols in enumerate(self.relator_cols)]
         # A scan can store c in the table, so c is p's int for the label,
         # not a second one made by the range.
         for c, label in enumerate(_tail(p, alpha), alpha):
             if label != c:
                 continue
             c = label
-            for bit, fwd, back in relators:
-                if closed[c] & bit:
+            skip = closed[c]
+            for bit, fwd, back, last in relators:
+                if skip & bit:
                     continue
-                closes = self._scan(c, fwd, back)
-                if p[c] != c:
-                    break
-                if closes:
-                    closed[c] |= bit
+                f = b = c
+                i, j = 0, last
+                while i <= j:
+                    nxt = fwd[i][f]
+                    if nxt is None:
+                        break
+                    f = nxt
+                    i += 1
+                if i > j:
+                    if f != b:
+                        coincidence(f, b)
+                        if p[c] != c:
+                            break
+                else:
+                    while j >= i:
+                        prv = back[j][b]
+                        if prv is None:
+                            break
+                        b = prv
+                        j -= 1
+                    if j < i:
+                        coincidence(f, b)
+                        if p[c] != c:
+                            break
+                    elif j == i:
+                        fwd[i][f] = b
+                        back[i][b] = f
+                    else:
+                        # A gap: the relator does not close here yet.
+                        continue
+                closed[c] |= bit
         return self._compact(alpha)
 
     def _compact(self, alpha: int) -> int:

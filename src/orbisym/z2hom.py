@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import WordSyntaxError
 from .presentation import Presentation
-from .words import Word, exponent_vector_mod2
+from .words import Word, exponent_vector_mod2, parse_word
 
-__all__ = ["Z2Constraint", "Z2HomResult", "solve_hom_to_z2"]
+__all__ = ["Z2Constraint", "Z2HomResult", "parse_constraint", "solve_hom_to_z2"]
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,25 @@ class Z2Constraint:
     def __post_init__(self) -> None:
         if self.target not in (0, 1):
             raise ValueError("target must be 0 or 1")
+
+
+def parse_constraint(item: str, names: tuple[str, ...], aliases: dict[str, Word],
+                     source: str) -> Z2Constraint:
+    """The constraint WORD=BIT in item, the word parsed before the bit.
+
+    A missing '=' or a BIT that is not 0 or 1 raises WordSyntaxError
+    naming source (a flag or clause) and the item; an error in the word is
+    the word parser's.
+    """
+    word_text, sep, bit_text = item.rpartition("=")
+    bad = f"{source} needs WORD=BIT with BIT 0 or 1, got {item!r}"
+    if not sep:
+        raise WordSyntaxError(bad)
+    word = parse_word(word_text.strip(), names, aliases)
+    try:
+        return Z2Constraint(word, int(bit_text))
+    except ValueError:
+        raise WordSyntaxError(bad) from None
 
 
 @dataclass(frozen=True)

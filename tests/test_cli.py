@@ -214,6 +214,23 @@ def test_bad_case_file_is_an_input_error(capsys, tmp_path, monkeypatch):
         "broken.case: line 16: not a surface label: 'N_{6.6}'\n")
 
 
+@pytest.mark.parametrize("item", ["y=2", "y=", "y", "y=b"])
+@pytest.mark.parametrize("case_id,text,lineno", [
+    ("tiny-dashed", DASHED_CASE.replace("hom(y=1)", "hom(ITEM)"), 4),
+    ("tiny-edge", EDGE_CASE.replace("orient = always", "orient = hom(ITEM)"), 5),
+], ids=["dashed-scenario", "edge-orient"])
+def test_bad_hom_clause_is_an_input_error(capsys, tmp_path, monkeypatch, item,
+                                          case_id, text, lineno):
+    # The hom(...) clauses of a case file and hom2 --map share one WORD=BIT
+    # parser, and its message names the clause and the item.
+    path = tmp_path / "bad.case"
+    path.write_text(text.replace("ITEM", item))
+    monkeypatch.setenv("ORBISYM_CATALOG", str(tmp_path))
+    assert main(["case", case_id]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: line {lineno}: hom(...) needs "
+                                       f"WORD=BIT with BIT 0 or 1, got {item!r}\n")
+
+
 def test_stray_line_in_arithmetic_case_is_an_input_error(capsys, tmp_path, monkeypatch):
     base = (Path(__file__).resolve().parents[1]
             / "src/orbisym/data/alpha-29.case").read_text()

@@ -851,7 +851,43 @@ def test_tight_cap_with_long_power_marks(monkeypatch):
 # -- the incremental overflow path against the full rescan ---------------
 
 
-class ReferenceLookahead(_Enumerator):
+class ReferenceScan:
+    """Mixin: the lookahead's scan as a method, as the enumerator had it
+    before _make_room wrote it out."""
+
+    def _scan(self, alpha, fwd, back):
+        """Scan a relator loop at alpha, given its columns forward and
+        backward, without defining a coset: stop at a gap of two or more,
+        but apply the forced deduction and coincidences.  Returns whether
+        the loop got all the way round; False only at a gap."""
+        f = b = alpha
+        i, j = 0, len(fwd) - 1
+        while i <= j:
+            nxt = fwd[i][f]
+            if nxt is None:
+                break
+            f = nxt
+            i += 1
+        if i > j:
+            if f != b:
+                self._coincidence(f, b)
+            return True
+        while j >= i:
+            prv = back[j][b]
+            if prv is None:
+                break
+            b = prv
+            j -= 1
+        if j < i:
+            self._coincidence(f, b)
+            return True
+        if j == i:
+            fwd[i][f], back[i][b] = b, f
+            return True
+        return False
+
+
+class ReferenceLookahead(ReferenceScan, _Enumerator):
     """The overflow path as a full rescan: the lookahead scans every
     relator at every live coset from coset 0 and records no marks, and
     compaction builds each column afresh, renumbering every entry through
@@ -887,6 +923,18 @@ def raw_state(enum):
         return str(exc)
 
 
+def full_state(enum):
+    """Everything the enumerator writes, after enum runs: the
+    LimitExceeded message (None when the run completes), the raw table,
+    union-find, closed marks and first dead label."""
+    try:
+        enum.run()
+        message = None
+    except LimitExceeded as exc:
+        message = str(exc)
+    return message, enum.table, enum.p, enum.closed, enum.first_dead
+
+
 def triangle_23k(k):
     """The (2,3,k) triangle group: finite for k <= 5, infinite from 6."""
     return load_presentation(f"generators: x y\nrelators: x^2 y^3 (x*y)^{k}\n")
@@ -919,10 +967,48 @@ def test_incremental_lookahead_matches_the_full_rescan(case, max_cosets):
         raw_state(ReferenceLookahead(pres, subgroup, limits))
 
 
+class ReferenceScanLookahead(ReferenceScan, _Enumerator):
+    """The incremental lookahead with one _scan call per (coset, relator)
+    pair and the marks read afresh before each: _make_room as it was
+    before its scan was written out on local names.  Compaction is the
+    enumerator's."""
+
+    def _make_room(self, alpha):
+        p, closed = self.p, self.closed
+        relators = [(1 << i, *self._bind(cols)) for i, cols in enumerate(self.relator_cols)]
+        for c, label in enumerate(coset._tail(p, alpha), alpha):
+            if label != c:
+                continue
+            c = label
+            for bit, fwd, back in relators:
+                if closed[c] & bit:
+                    continue
+                closes = self._scan(c, fwd, back)
+                if p[c] != c:
+                    break
+                if closes:
+                    closed[c] |= bit
+        return self._compact(alpha)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(long_power_presentations(), triangle_groups(),
+                 short_relator_presentations()),
+       st.integers(5, 400))
+def test_inline_lookahead_matches_the_scan_calls(case, max_cosets):
+    pres, subgroup = case
+    limits = EnumerationLimits(max_cosets)
+    assert full_state(_Enumerator(pres, subgroup, limits)) == \
+        full_state(ReferenceScanLookahead(pres, subgroup, limits))
+
+
 class CountingLookahead:
     """Mixin that counts lookahead scans (every _scan call) per
     _make_room pass, and those at a coset below HLT's pointer, and
-    checks the marks that compaction leaves."""
+    checks the marks that compaction leaves.  The enumerator's scan is
+    written out, so the incremental lookahead is counted on
+    ReferenceScanLookahead, which the named-case test below proves equal
+    to it on LOOKAHEAD_CASES."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -949,18 +1035,37 @@ class CountingReference(CountingLookahead, ReferenceLookahead):
     pass
 
 
-class CountingIncremental(CountingLookahead, _Enumerator):
+class CountingIncremental(CountingLookahead, ReferenceScanLookahead):
     pass
 
 
-@pytest.mark.parametrize("pres,max_cosets", [
+LOOKAHEAD_CASES = [
     pytest.param(triangle_23k(7), 2000, id="237-cap-2000"),
     pytest.param(triangle_23k(5), 40, id="235-cap-40"),
     pytest.param(load_presentation(ORBIFOLD_28_TEXT), 121, id="orbifold-28-cap-121"),
     # 197 compactions under this cap, and 858 under a cap of 3000.
     pytest.param(load_presentation("generators: x y z\nrelators: y*x^-1*z^-2 x^-40 "
                                    "y*z*y*z^-3*y^-1 x^-25\n"), 300, id="xyz-cap-300"),
+]
+
+
+@pytest.mark.parametrize("pres,max_cosets", [
+    *LOOKAHEAD_CASES,
+    # In these a lookahead scan kills the coset it started from, closing
+    # forward in the first and backward in the second, so scanning on from
+    # that coset, instead of moving to the next, changes the state.
+    pytest.param(load_presentation("generators: x y z\nrelators: z^4 x^-1*y*x*y^2 "
+                                   "(x*z)^8 x^-1*y^-1*z^-1\n"), 27, id="xyz-cap-27"),
+    pytest.param(load_presentation("generators: x y z\nrelators: y^-1*x^2*z*y^-1 x*y\n"),
+                 23, id="xyz-cap-23"),
 ])
+def test_inline_lookahead_matches_the_scan_calls_on_named_cases(pres, max_cosets):
+    limits = EnumerationLimits(max_cosets)
+    assert full_state(_Enumerator(pres, (), limits)) == \
+        full_state(ReferenceScanLookahead(pres, (), limits))
+
+
+@pytest.mark.parametrize("pres,max_cosets", LOOKAHEAD_CASES)
 def test_lookahead_starts_at_the_pointer_and_skips_closed_pairs(pres, max_cosets):
     limits = EnumerationLimits(max_cosets)
     reference = CountingReference(pres, (), limits)
@@ -1169,22 +1274,10 @@ class ReferenceCoincidenceHLT(ReferenceCoincidence, _Enumerator):
     pass
 
 
-def coincidence_state(enum):
-    """What _coincidence writes, after enum runs: the LimitExceeded
-    message (None when the run completes), the raw table, union-find,
-    closed marks and first dead label."""
-    try:
-        enum.run()
-        message = None
-    except LimitExceeded as exc:
-        message = str(exc)
-    return message, enum.table, enum.p, enum.closed, enum.first_dead
-
-
 def assert_coincidence_matches_the_reference(pres, subgroup, limits):
     fast = _Enumerator(pres, subgroup, limits)
     reference = ReferenceCoincidenceHLT(pres, subgroup, limits)
-    assert coincidence_state(fast) == coincidence_state(reference)
+    assert full_state(fast) == full_state(reference)
     return reference
 
 
@@ -1217,20 +1310,23 @@ def test_coincidence_reaches_every_outcome(relators, order, cascade):
 
 def test_lookahead_coincidences_match_the_reference():
     # (2,3,7) is infinite: under 2000 cosets it runs the lookahead, whose
-    # scans kill cosets, and then gives up.
+    # scans kill cosets, and then gives up.  The lookahead's kills are
+    # those recorded between _make_room's start and its _compact call.
     class LookaheadKills(ReferenceCoincidenceHLT):
         lookahead_kills = 0
 
-        def _scan(self, alpha, fwd, back):
-            calls = len(self.kills)
-            closes = super()._scan(alpha, fwd, back)
-            self.lookahead_kills += sum(map(len, self.kills[calls:]))
-            return closes
+        def _make_room(self, alpha):
+            self.calls = len(self.kills)
+            return super()._make_room(alpha)
+
+        def _compact(self, alpha):
+            self.lookahead_kills += sum(map(len, self.kills[self.calls:]))
+            return super()._compact(alpha)
 
     limits = EnumerationLimits(2000)
     reference = LookaheadKills(triangle_23k(7), (), limits)
-    assert coincidence_state(_Enumerator(triangle_23k(7), (), limits)) == \
-        coincidence_state(reference)
+    assert full_state(_Enumerator(triangle_23k(7), (), limits)) == \
+        full_state(reference)
     assert reference.lookahead_kills > 0
 
 
