@@ -17,8 +17,11 @@ which changes nothing.
 Tables index cosets from 0 (the subgroup itself) and act on the right:
 column 2*i is the action of generator i, column 2*i+1 of its inverse.
 Completed tables are renumbered by breadth-first traversal from coset 0
-in column order, so equal inputs give byte-for-byte equal tables, and
-CosetTable.action holds them as a tuple of rows.
+in column order, so equal inputs give byte-for-byte equal tables.  The
+table is CosetTable.columns, one tuple per column, columns[col][c] being
+coset c's entry, and every reader in this module reads those.
+CosetTable.action, the same table as a tuple of rows, is derived: each
+access builds it afresh, a full transpose, for callers that want rows.
 
 The raw table the enumerator fills is stored by column: table[col] is
 one list, and table[col][c] is coset c's entry in that column, None
@@ -93,7 +96,11 @@ label, which would cost a live coset 32 bytes more.
 _standardize relies on the second invariant too.  When run returns, a
 breadth-first traversal from coset 0 over the raw labels meets only
 live cosets, so it numbers the completed table in one pass, without the
-union-find and without reading a dead coset's entries.
+union-find and without reading a dead coset's entries.  It then builds
+the standardized columns one at a time, and empties each raw column as
+soon as its standardized column exists, so the completed table and the
+whole raw table, which holds about two rows per coset on the family
+tables, are never held at once.
 
 verify_coset_table does not use this argument: it checks every relator
 at every coset, so a skipped scan that was needed shows up there as a
@@ -153,14 +160,23 @@ class EnumerationLimits:
 class CosetTable:
     """A complete, standardized coset table.
 
-    action[c][2*i] is coset c times generator i; column 2*i+1 is the
-    inverse generator.  Coset 0 is the subgroup.
+    columns is the table: 2 * n_generators tuples, each n_cosets long.
+    columns[2*i][c] is coset c times generator i, and columns[2*i+1][c]
+    is coset c times its inverse.  Coset 0 is the subgroup.
     """
 
     generator_names: tuple[str, ...]
     n_cosets: int
-    action: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
     subgroup_generators: tuple[Word, ...]
+
+    @property
+    def action(self) -> tuple[tuple[int, ...], ...]:
+        """The table as rows: action[c][col] is columns[col][c].  Derived
+        from the columns at each access, which costs a full transpose."""
+        if not self.columns:
+            return ((),) * self.n_cosets
+        return tuple(zip(*self.columns))
 
 
 # Relators at least this long that are proper powers get their scans
@@ -604,13 +620,16 @@ def _tail(items: list, start: int) -> Iterator:
 
 def _standardize(table: list[list[int | None]], p: list[int]) -> tuple[tuple[int, ...], ...]:
     """Number the live cosets breadth-first from coset 0 in column order,
-    and return the table as a tuple of rows.
+    and return the standardized columns, one tuple per raw column.
 
     One pass over the raw labels: when run returns, no live coset points
     at a dead one (module docstring), so the traversal from coset 0 meets
     only live cosets, and neither the union-find nor the dead cosets'
     entries are read.  Raises AssertionError when a coset it reaches has
     an undefined entry or when it does not reach every live coset.
+
+    Each raw column is emptied in place as soon as its standardized
+    column is built, so the raw table is gone when this returns.
     """
     # pos[d] is raw label d's new label, -1 until the traversal reaches d.
     pos = [-1] * len(p)
@@ -626,10 +645,14 @@ def _standardize(table: list[list[int | None]], p: list[int]) -> tuple[tuple[int
                 order.append(d)
     if len(order) != sum(map(eq, p, range(len(p)))):
         raise AssertionError("completed table is not transitive")
-    if not table:
-        return ((),)
-    columns = [[pos[d] for d in map(column.__getitem__, order)] for column in table]
-    return tuple(zip(*columns))
+    columns = []
+    for column in table:
+        standard = [pos[d] for d in map(column.__getitem__, order)]
+        # Emptied before the tuple copy, so the list, the tuple and the
+        # whole raw column are never held at once.
+        column.clear()
+        columns.append(tuple(standard))
+    return tuple(columns)
 
 
 def enumerate_cosets(pres: Presentation, subgroup: Iterable[Word] = (),
@@ -643,12 +666,12 @@ def enumerate_cosets(pres: Presentation, subgroup: Iterable[Word] = (),
     subgroup = tuple(subgroup)
     limits = limits or EnumerationLimits()
     enum = _Enumerator(pres, subgroup, limits)
-    table = enum.run()
-    action = _standardize(table, enum.p)
+    columns = _standardize(enum.run(), enum.p)
     result = CosetTable(
         generator_names=pres.generator_names,
-        n_cosets=len(action),
-        action=action,
+        # With no generators the group is trivial: one coset, no columns.
+        n_cosets=len(columns[0]) if columns else 1,
+        columns=columns,
         subgroup_generators=subgroup,
     )
     verify_coset_table(result, pres)
@@ -667,8 +690,9 @@ def trace_word(table: CosetTable, start: int, w: Word) -> int:
     if w.max_generator_index() >= len(table.generator_names):
         raise ValueError("word uses a generator outside the table's alphabet")
     c = start
+    columns = table.columns
     for col in letter_columns(w):
-        c = table.action[c][col]
+        c = columns[col][c]
     return c
 
 
@@ -685,16 +709,17 @@ def subgroup_index(regular: CosetTable, words: Iterable[Word]) -> int:
     words = tuple(words)
     if any(w.max_generator_index() >= len(regular.generator_names) for w in words):
         raise ValueError("word uses a generator outside the table's alphabet")
-    action = regular.action
-    word_cols = [letter_columns(w) for w in words]
+    columns = regular.columns
+    # Each word's column lists, bound once, as _Enumerator._bind does.
+    word_cols = [[columns[col] for col in letter_columns(w)] for w in words]
     seen = bytearray(regular.n_cosets)
     seen[0] = 1
     orbit = [0]
     for c in orbit:
         for cols in word_cols:
             d = c
-            for col in cols:
-                d = action[d][col]
+            for column in cols:
+                d = column[d]
             if not seen[d]:
                 seen[d] = 1
                 orbit.append(d)
@@ -714,11 +739,13 @@ def coset_words(table: CosetTable) -> tuple[Word, ...]:
     words: list[tuple[int, ...]] = [()] * table.n_cosets
     seen = bytearray(table.n_cosets)
     seen[0] = 1
+    columns = table.columns
     for c in order:
-        for col, d in enumerate(table.action[c]):
+        for letter, column in zip(letters, columns):
+            d = column[c]
             if not seen[d]:
                 seen[d] = 1
-                words[d] = words[c] + (letters[col],)
+                words[d] = words[c] + (letter,)
                 order.append(d)
     return tuple(Word(w) for w in words)
 
@@ -726,33 +753,33 @@ def coset_words(table: CosetTable) -> tuple[Word, ...]:
 def permutation_rep(table: CosetTable) -> PermGroup:
     """Generator actions on cosets as a permutation group on 0..n_cosets-1."""
     gens = []
-    for i, name in enumerate(table.generator_names):
-        images = tuple(table.action[c][2 * i] for c in range(table.n_cosets))
-        gens.append((name, Permutation(images)))
+    for name, images in zip(table.generator_names, table.columns[::2]):
+        gens.append((name, Permutation(tuple(images))))
     return PermGroup(degree=table.n_cosets, generators=tuple(gens))
 
 
 def verify_coset_table(table: CosetTable, pres: Presentation) -> None:
     """Check that table is a complete coset table of pres and its subgroup.
 
-    Checks, in this order: n_cosets rows of 2 * n_generators entries, each
-    in range; inverse pairing; every relator closing at every coset; every
-    subgroup generator fixing coset 0.  Raises AssertionError naming the
-    first failure.  The work is on whole columns (see the module
-    docstring): a relator w^k costs one composition per letter of w and
-    about log2(k) squarings, with no Python loop over cosets.
+    Checks, in this order: 2 * n_generators columns of n_cosets entries,
+    each in range; inverse pairing; every relator closing at every coset;
+    every subgroup generator fixing coset 0.  Raises AssertionError
+    naming the first failure.  The work is on whole columns (see the
+    module docstring): a relator w^k costs one composition per letter of
+    w and about log2(k) squarings, with no Python loop over cosets.
     """
     n = table.n_cosets
     ncols = 2 * pres.n_generators
-    action = table.action
-    if n < 1 or len(action) != n:
-        raise AssertionError(f"table has {len(action)} rows, n_cosets is {n}")
-    for c, row in enumerate(action):
-        if len(row) != ncols:
-            raise AssertionError(f"row {c} has {len(row)} columns, wanted {ncols}")
+    columns = table.columns
+    if len(columns) != ncols:
+        raise AssertionError(f"table has {len(columns)} columns, wanted {ncols}")
+    rows = len(columns[0]) if columns else n
+    if n < 1 or rows != n:
+        raise AssertionError(f"table has {rows} rows, n_cosets is {n}")
     # Range first: a -1 entry would otherwise index from the end below.
-    columns = [list(column) for column in zip(*action)]
     for col, column in enumerate(columns):
+        if len(column) != n:
+            raise AssertionError(f"column {col} has {len(column)} rows, n_cosets is {n}")
         if min(column) < 0 or max(column) >= n:
             c = next(c for c, d in enumerate(column) if not 0 <= d < n)
             raise AssertionError(f"entry ({c},{col}) out of range")
@@ -767,7 +794,9 @@ def verify_coset_table(table: CosetTable, pres: Presentation) -> None:
             raise AssertionError(f"entry ({c},{col}) has no inverse pairing")
     for r, cols in zip(pres.relators, pres.relator_columns):
         root, k = _primitive_root(cols)
-        perm = columns[root[0]]
+        # A list, as every composition is: power is compared with the
+        # identity list below, which no tuple equals.
+        perm = list(columns[root[0]])
         for col in root[1:]:
             column = columns[col]
             perm = [column[d] for d in perm]
@@ -795,6 +824,6 @@ def table_to_tsv(table: CosetTable) -> str:
     for name in table.generator_names:
         headers.extend([name, f"{name}^-1"])
     lines = ["\t".join(headers)]
-    for c, row in enumerate(table.action):
-        lines.append("\t".join(str(v) for v in (c, *row)))
+    for row in zip(range(table.n_cosets), *table.columns):
+        lines.append("\t".join(map(str, row)))
     return "\n".join(lines) + "\n"

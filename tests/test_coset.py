@@ -186,6 +186,23 @@ def reference_standardize(table, p):
     return tuple(tuple([pos[d] for d in rows[old]]) for old in order)
 
 
+def rows_to_columns(rows, width):
+    """The columns of a table given as rows, for building a CosetTable or
+    comparing a row-based standardization with _standardize.  Each row
+    must be width entries wide, the check verify_coset_table made when
+    tables were rows, with its message."""
+    for c, row in enumerate(rows):
+        if len(row) != width:
+            raise AssertionError(f"row {c} has {len(row)} columns, wanted {width}")
+    return tuple(tuple(row[col] for row in rows) for col in range(width))
+
+
+def copy_table(table):
+    """A copy of a raw table of columns, for _standardize, which empties
+    the columns it is given."""
+    return [list(column) for column in table]
+
+
 # -- the coincidence as method calls ----------------------------------------
 
 
@@ -333,8 +350,8 @@ class FelschReference(ReferenceCoincidence, ReferenceHLT):
         return self.table
 
 
-def felsch_action(pres, subgroup=(), limits=EnumerationLimits()):
-    """The reference's standardized table, or LimitExceeded."""
+def felsch_columns(pres, subgroup=(), limits=EnumerationLimits()):
+    """The reference's standardized columns, or LimitExceeded."""
     enum = FelschReference(pres, tuple(subgroup), limits)
     return coset._standardize(enum.run(), enum.p)
 
@@ -361,7 +378,7 @@ def test_identity_subgroup_word_is_noop():
     pres = load_presentation(D7)
     regular = enumerate_cosets(pres)
     with_identity = enumerate_cosets(pres, subgroup=(Word.identity(),))
-    assert with_identity.action == regular.action
+    assert with_identity.columns == regular.columns
 
 
 def test_free_group_finite_index_subgroup():
@@ -407,20 +424,20 @@ def _agree_cases():
 def test_strategies_agree(pres, subgroup, max_cosets):
     limits = EnumerationLimits() if max_cosets is None else EnumerationLimits(max_cosets)
     hlt = enumerate_cosets(pres, subgroup, limits)
-    assert hlt.action == felsch_action(pres, subgroup)
+    assert hlt.columns == felsch_columns(pres, subgroup)
 
 
 def test_relator_order_irrelevant(orbifold_28):
     shuffled = list(orbifold_28.relators)
     random.Random(7).shuffle(shuffled)
     pres2 = type(orbifold_28)(orbifold_28.generator_names, tuple(shuffled))
-    assert enumerate_cosets(pres2).action == enumerate_cosets(orbifold_28).action
+    assert enumerate_cosets(pres2).columns == enumerate_cosets(orbifold_28).columns
 
 
 def test_deterministic(orbifold_28):
     a = enumerate_cosets(orbifold_28)
     b = enumerate_cosets(orbifold_28)
-    assert a.action == b.action
+    assert a.columns == b.columns
     assert a.subgroup_generators == b.subgroup_generators
 
 
@@ -429,11 +446,12 @@ def test_table_is_bfs_standardized(orbifold_28):
     # meet the cosets exactly in numeric order.
     for subgroup in ((), (Word((1, 2)),)):
         table = enumerate_cosets(orbifold_28, subgroup=subgroup)
+        action = table.action
         seen = {0}
         order = [0]
         for alpha in order:
-            for col in range(len(table.action[alpha])):
-                beta = table.action[alpha][col]
+            for col in range(len(action[alpha])):
+                beta = action[alpha][col]
                 if beta not in seen:
                     seen.add(beta)
                     order.append(beta)
@@ -452,7 +470,7 @@ def test_collapse_then_fit_under_tight_cap(orbifold_28):
     # with the same standardized table.
     base = enumerate_cosets(orbifold_28)
     tight = enumerate_cosets(orbifold_28, limits=EnumerationLimits(max_cosets=121))
-    assert tight.action == base.action
+    assert tight.columns == base.columns
     assert tight.n_cosets == 120
 
 
@@ -483,12 +501,7 @@ def test_verify_coset_table_catches_corruption(orbifold_28):
     table = enumerate_cosets(orbifold_28, subgroup=(Word((1, 2)),))
     rows = [list(r) for r in table.action]
     rows[3][0], rows[4][0] = rows[4][0], rows[3][0]
-    broken = type(table)(
-        generator_names=table.generator_names,
-        n_cosets=table.n_cosets,
-        action=tuple(tuple(r) for r in rows),
-        subgroup_generators=table.subgroup_generators,
-    )
+    broken = _with_rows(table, rows)
     with pytest.raises(AssertionError):
         verify_coset_table(broken, orbifold_28)
 
@@ -496,27 +509,37 @@ def test_verify_coset_table_catches_corruption(orbifold_28):
 # -- column-wise verification against the letter-by-letter reference -----
 
 
-def reference_verify(table, pres):
-    """The letter-by-letter check: every entry, its inverse, and every
-    relator traced from every coset one letter at a time."""
+def row_trace_word(action, start, w):
+    """trace_word on a table's rows, action."""
+    c = start
+    for col in letter_columns(w):
+        c = action[c][col]
+    return c
+
+
+def reference_verify(table, pres, rows=None):
+    """The letter-by-letter check on the table's rows (table.action, or
+    rows when given): every entry, its inverse, and every relator traced
+    from every coset one letter at a time."""
     ncols = 2 * pres.n_generators
-    for c, row in enumerate(table.action):
+    action = table.action if rows is None else rows
+    for c, row in enumerate(action):
         if len(row) != ncols:
             raise AssertionError(f"row {c} has {len(row)} columns, wanted {ncols}")
         for col, d in enumerate(row):
             if not 0 <= d < table.n_cosets:
                 raise AssertionError(f"entry ({c},{col}) out of range")
-            if table.action[d][col ^ 1] != c:
+            if action[d][col ^ 1] != c:
                 raise AssertionError(f"entry ({c},{col}) has no inverse pairing")
     for cols in pres.relator_columns:
         for c in range(table.n_cosets):
             cur = c
             for col in cols:
-                cur = table.action[cur][col]
+                cur = action[cur][col]
             if cur != c:
                 raise AssertionError(f"relator does not close at coset {c}")
     for w in table.subgroup_generators:
-        if trace_word(table, 0, w) != 0:
+        if row_trace_word(action, 0, w) != 0:
             raise AssertionError("subgroup generator does not stabilize coset 0")
 
 
@@ -549,13 +572,19 @@ VERIFIED_IDS = ("small0-trivial", "small4-y,xyx", "orbifold-28-xy", "coxeter-s6"
                 "15E-17", "19-7")
 
 
-def _with_rows(table, rows, **changes):
+def _with_columns(table, columns, **changes):
     return type(table)(
         generator_names=table.generator_names,
-        n_cosets=changes.get("n_cosets", len(rows)),
-        action=tuple(tuple(r) for r in rows),
+        n_cosets=changes.get("n_cosets", table.n_cosets),
+        columns=tuple(tuple(column) for column in columns),
         subgroup_generators=changes.get("subgroup_generators", table.subgroup_generators),
     )
+
+
+def _with_rows(table, rows, **changes):
+    """table with its rows replaced, through rows_to_columns."""
+    changes.setdefault("n_cosets", len(rows))
+    return _with_columns(table, rows_to_columns(rows, len(table.columns)), **changes)
 
 
 def assert_both_reject(table, pres):
@@ -617,7 +646,25 @@ def test_both_verifiers_reject_a_row_of_the_wrong_width(case_id, delta):
     pres, table = verified_cases()[case_id]
     rows = [list(r) for r in table.action]
     rows[0] = rows[0][:-1] if delta < 0 else rows[0] + [0]
-    assert_both_reject(_with_rows(table, rows), pres)
+    ncols = len(table.columns)
+    message = rf"row 0 has {ncols + delta} columns, wanted {ncols}"
+    with pytest.raises(AssertionError, match=message):
+        reference_verify(table, pres, rows)
+    # A table is its columns, so such rows cannot become one: the rows to
+    # columns step rejects them as verify_coset_table rejected them.
+    with pytest.raises(AssertionError, match=message):
+        _with_rows(table, rows)
+    # The same fault in columns: the last column lacks row 0's entry, or
+    # one more column holds only the extra entry.
+    columns = [list(column) for column in table.columns]
+    if delta < 0:
+        del columns[-1][0]
+        message = rf"column {ncols - 1} has {table.n_cosets - 1} rows, n_cosets is {table.n_cosets}"
+    else:
+        columns.append([0])
+        message = rf"table has {ncols + 1} columns, wanted {ncols}"
+    with pytest.raises(AssertionError, match=message):
+        verify_coset_table(_with_columns(table, columns), pres)
 
 
 @pytest.mark.parametrize("case_id", VERIFIED_IDS)
@@ -633,6 +680,15 @@ def test_verify_rejects_shapes_the_reference_crashes_on(case_id):
     rows[-1] = rows[-1][:-1]
     with pytest.raises(AssertionError, match=rf"row {n - 1} has"):
         verify_coset_table(_with_rows(table, rows), pres)
+    # Wrong column shapes: a column too few, and one column a row short
+    # while the others are n_cosets long.
+    columns = list(table.columns)
+    ncols = len(columns)
+    with pytest.raises(AssertionError, match=rf"table has {ncols - 1} columns, wanted {ncols}"):
+        verify_coset_table(_with_columns(table, columns[:-1]), pres)
+    columns[1] = columns[1][:-1]
+    with pytest.raises(AssertionError, match=rf"column 1 has {n - 1} rows, n_cosets is {n}"):
+        verify_coset_table(_with_columns(table, columns), pres)
 
 
 @pytest.mark.parametrize("family,n,power", [
@@ -677,7 +733,7 @@ def test_verify_names_the_first_open_coset(case_id, extra, coset):
 def test_both_verifiers_reject_a_subgroup_word_that_moves_coset_0(case_id):
     pres, table = verified_cases()[case_id]
     mover = next(Word.generator(i) for i in range(pres.n_generators)
-                 if table.action[0][2 * i] != 0)
+                 if table.columns[2 * i][0] != 0)
     wrong = _with_rows(table, table.action,
                        subgroup_generators=table.subgroup_generators + (mover,))
     assert_both_reject(wrong, pres)
@@ -691,7 +747,7 @@ def test_both_verifiers_reject_one_random_corrupted_entry(data):
     n = table.n_cosets
     c = data.draw(st.integers(0, n - 1))
     col = data.draw(st.integers(0, 2 * pres.n_generators - 1))
-    old = table.action[c][col]
+    old = table.columns[col][c]
     new = data.draw(st.integers(-1, n).filter(lambda d: d != old))
     rows = [list(r) for r in table.action]
     rows[c][col] = new
@@ -732,7 +788,7 @@ def test_table_to_tsv():
 def test_make_room_resumes_after_collapse(relators, max_cosets, order):
     pres = load_presentation(f"generators: x y\nrelators: {relators}\n")
     tight = enumerate_cosets(pres, limits=EnumerationLimits(max_cosets=max_cosets))
-    assert tight.action == enumerate_cosets(pres).action
+    assert tight.columns == enumerate_cosets(pres).columns
     assert tight.n_cosets == order
 
 
@@ -802,7 +858,7 @@ def test_long_power_skip_changes_nothing(case, max_cosets):
     if isinstance(hlt, str):
         return
     try:
-        felsch = felsch_action(pres, subgroup, REFERENCE_LIMITS)
+        felsch = felsch_columns(pres, subgroup, REFERENCE_LIMITS)
     except LimitExceeded:
         return
     assert coset._standardize(hlt[0], hlt[1]) == felsch
@@ -843,7 +899,7 @@ def test_tight_cap_with_long_power_marks(monkeypatch):
 
     monkeypatch.setattr(_Enumerator, "_make_room", recording_make_room)
     tight = EnumerationLimits(max_cosets=157)
-    assert enumerate_cosets(pres, limits=tight).action == base.action
+    assert enumerate_cosets(pres, limits=tight).columns == base.columns
     assert marks_at_compaction and marks_at_compaction[0] > 0
     _assert_skip_changes_nothing(pres, (), tight)
 
@@ -1236,8 +1292,8 @@ def assert_hlt_matches_the_reference(pres, subgroup, limits):
     assert state == raw_state(reference)
     assert hlt.returns == reference.returns
     if not isinstance(state, str):
-        assert coset._standardize(state[0], state[1]) == \
-            reference_standardize(state[0], state[1])
+        assert coset._standardize(copy_table(state[0]), state[1]) == \
+            rows_to_columns(reference_standardize(state[0], state[1]), hlt.ncols)
     return hlt
 
 
@@ -1385,20 +1441,23 @@ def _standardize_input():
 
 def test_standardize_numbers_the_live_cosets_breadth_first():
     table, p = _standardize_input()
-    action = coset._standardize(table, p)
-    assert action == reference_standardize(table, p)
-    assert len(action) == 6
-    assert action == enumerate_cosets(
-        load_presentation("generators: x y\nrelators: x^3 y^2 (x*y)^2\n")).action
+    rows = reference_standardize(table, p)
+    columns = coset._standardize(table, p)
+    assert columns == rows_to_columns(rows, 4)
+    assert len(rows) == 6
+    assert columns == enumerate_cosets(
+        load_presentation("generators: x y\nrelators: x^3 y^2 (x*y)^2\n")).columns
+    # Each raw column is emptied once its standardized column is built.
+    assert table == [[], [], [], []]
 
 
 def test_standardize_ignores_the_stale_entries_of_dead_rows():
     table, p = _standardize_input()
-    expected = coset._standardize(table, p)
+    expected = coset._standardize(copy_table(table), p)
     for column, e in zip(table, [5, None, 2, 0]):
         column[2] = e
-    assert coset._standardize(table, p) == expected
-    assert reference_standardize(table, p) == expected
+    assert coset._standardize(copy_table(table), p) == expected
+    assert rows_to_columns(reference_standardize(table, p), 4) == expected
 
 
 def test_standardize_rejects_an_incomplete_live_row():
@@ -1423,10 +1482,11 @@ def test_standardize_rejects_a_live_row_coset_0_cannot_reach():
 # -- the column lists against the row layout ------------------------------
 
 
-def layout_state(enum, standardize, columns):
+def layout_state(enum, columns):
     """What a run leaves: the LimitExceeded message (None when it
     completes), the raw table as rows, p, closed, first_dead, and the
-    standardized table when the run completes."""
+    standardized columns when the run completes.  The row layout's
+    standardized rows are transposed to compare them."""
     try:
         enum.run()
         message = None
@@ -1435,17 +1495,23 @@ def layout_state(enum, standardize, columns):
     rows = enum.table
     if columns:
         rows = [[column[c] for column in enum.table] for c in range(len(enum.p))]
-    action = None if message else standardize(enum.table, enum.p)
-    return message, rows, enum.p, enum.closed, enum.first_dead, action
+    if message:
+        standard = None
+    elif columns:
+        # Last, since it empties enum.table.
+        standard = coset._standardize(enum.table, enum.p)
+    else:
+        standard = rows_to_columns(row_standardize(enum.table, enum.p), enum.ncols)
+    return message, rows, enum.p, enum.closed, enum.first_dead, standard
 
 
 def assert_the_layouts_agree(pres, subgroup, limits):
-    state = layout_state(_Enumerator(pres, subgroup, limits), coset._standardize, True)
-    assert state == layout_state(RowLayoutEnumerator(pres, subgroup, limits),
-                                 row_standardize, False)
-    action = state[-1]
-    if action is not None:
-        assert type(action) is tuple and all(type(row) is tuple for row in action)
+    state = layout_state(_Enumerator(pres, subgroup, limits), True)
+    assert state == layout_state(RowLayoutEnumerator(pres, subgroup, limits), False)
+    columns = state[-1]
+    if columns is not None:
+        assert type(columns) is tuple and all(type(column) is tuple for column in columns)
+        assert len(columns) == 2 * pres.n_generators
     return state
 
 
@@ -1638,3 +1704,113 @@ def test_subgroup_index_rejects_other_tables():
         subgroup_index(enumerate_cosets(pres, (Word((1,)),)), ())
     with pytest.raises(ValueError):
         subgroup_index(enumerate_cosets(pres), (Word((3,)),))
+
+
+# -- the column readers against row-based readers --------------------------
+
+
+def row_subgroup_index(regular, words):
+    """subgroup_index reading the regular table's rows."""
+    action = regular.action
+    word_cols = [letter_columns(w) for w in words]
+    seen = bytearray(regular.n_cosets)
+    seen[0] = 1
+    orbit = [0]
+    for c in orbit:
+        for cols in word_cols:
+            d = c
+            for col in cols:
+                d = action[d][col]
+            if not seen[d]:
+                seen[d] = 1
+                orbit.append(d)
+    return regular.n_cosets // len(orbit)
+
+
+def row_coset_words(table):
+    """coset_words reading the table's rows."""
+    letters = [(col // 2 + 1) * (-1 if col & 1 else 1)
+               for col in range(2 * len(table.generator_names))]
+    action = table.action
+    order = [0]
+    words = [()] * table.n_cosets
+    seen = bytearray(table.n_cosets)
+    seen[0] = 1
+    for c in order:
+        for col, d in enumerate(action[c]):
+            if not seen[d]:
+                seen[d] = 1
+                words[d] = words[c] + (letters[col],)
+                order.append(d)
+    return tuple(Word(w) for w in words)
+
+
+def assert_the_column_readers_match_the_rows(table, words):
+    """trace_word from every coset, coset_words, permutation_rep and, on
+    a regular table, subgroup_index of each prefix of words, against the
+    same reads of the rows."""
+    action = table.action
+    assert action == tuple(zip(*table.columns))
+    for w in words:
+        for c in range(table.n_cosets):
+            assert trace_word(table, c, w) == row_trace_word(action, c, w)
+    assert coset_words(table) == row_coset_words(table)
+    images = [perm.images for _, perm in permutation_rep(table).generators]
+    assert images == [tuple(row[2 * i] for row in action)
+                      for i in range(len(table.generator_names))]
+    if not table.subgroup_generators:
+        for k in range(len(words) + 1):
+            assert subgroup_index(table, words[:k]) == row_subgroup_index(table, words[:k])
+
+
+def test_the_column_readers_match_the_row_readers_on_verified_cases():
+    for pres, table in verified_cases().values():
+        gens = [Word.generator(i) for i in range(pres.n_generators)]
+        mixed = [a * ~b for a, b in zip(gens, gens[1:])]
+        words = gens + mixed + list(pres.relators) + list(table.subgroup_generators)
+        assert_the_column_readers_match_the_rows(table, words)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(long_power_presentations(), triangle_groups(),
+                 short_relator_presentations()),
+       st.data())
+def test_the_column_readers_match_the_row_readers(case, data):
+    pres, subgroup = case
+    letter = st.integers(1, pres.n_generators).flatmap(lambda g: st.sampled_from((g, -g)))
+    words = data.draw(st.lists(st.lists(letter, max_size=8).map(lambda ls: Word(tuple(ls))),
+                               max_size=3))
+    for sub in ((), subgroup):
+        try:
+            table = enumerate_cosets(pres, sub, EnumerationLimits(500))
+        except LimitExceeded:
+            continue
+        assert_the_column_readers_match_the_rows(table, words + list(pres.relators))
+
+
+def test_enumerate_cosets_empties_the_raw_columns(monkeypatch):
+    enumerators = []
+
+    class Recorded(_Enumerator):
+        def run(self):
+            enumerators.append(self)
+            return super().run()
+
+    monkeypatch.setattr(coset, "_Enumerator", Recorded)
+    orbifold = load_presentation(ORBIFOLD_28_TEXT)
+    for pres, limits in ((family_19(12), EnumerationLimits()), (COXETER_S6, EnumerationLimits()),
+                         (orbifold, EnumerationLimits(121))):
+        table = enumerate_cosets(pres, limits=limits)
+        (enum,) = enumerators
+        enumerators.clear()
+        assert len(enum.table) == len(table.columns) == 2 * pres.n_generators
+        assert all(column == [] for column in enum.table)
+        assert all(len(column) == table.n_cosets for column in table.columns)
+
+
+def test_a_presentation_without_generators_has_one_coset_and_no_columns():
+    table = enumerate_cosets(Presentation((), ()))
+    assert (table.n_cosets, table.columns, table.action) == (1, (), ((),))
+    verify_coset_table(table, Presentation((), ()))
+    assert table_to_tsv(table) == "coset\n0\n"
+    assert coset_words(table) == (Word(()),)

@@ -7,6 +7,8 @@ their reports name the file by its stem, so keep those names.  Its stdout must e
 ``golden/<name>.json`` (the JSON report with its ``elapsed_ms`` line
 removed, the one field that differs from run to run), and its exit code
 and stderr must equal the entry for that name in ``golden/exits.json``.
+The TSV that ``index --dump-table`` writes is pinned the same way, in
+``golden/index-s5-a-dump-table.tsv``.
 A change that means to alter the output rewrites the files with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -52,6 +54,11 @@ COMMANDS = {
     "hom2-s5-ab1": ["hom2", str(INPUTS / "s5.txt"), "--map", "a*b=1"],
 }
 
+# index on the S5 Coxeter presentation over <a>: 60 cosets, whose table
+# --dump-table writes to the path that follows it.
+DUMP_TABLE = ["index", str(INPUTS / "s5.txt"), "--subgroup", "a", "--dump-table"]
+DUMP_TABLE_GOLDEN = GOLDEN / "index-s5-a-dump-table.tsv"
+
 _ELAPSED = re.compile(r',\n  "elapsed_ms": \d+\n}')
 
 
@@ -92,6 +99,12 @@ def test_cli_output_is_unchanged(name, empty_cwd):
         assert [code, err] == exits[name][mode], (name, mode)
 
 
+def test_dump_table_is_unchanged(empty_cwd, tmp_path):
+    out = tmp_path / "table.tsv"
+    assert run([*DUMP_TABLE, str(out)]) == (0, "index: 60\n", "")
+    assert out.read_bytes() == DUMP_TABLE_GOLDEN.read_bytes()
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     exits = {}
@@ -104,6 +117,7 @@ def regenerate() -> None:
                 (GOLDEN / f"{name}{suffix}").write_text(got[mode][1])
             exits[name] = {mode: [code, err] for mode, (code, _, err) in got.items()}
     (GOLDEN / "exits.json").write_text(json.dumps(exits, indent=2) + "\n")
+    run([*DUMP_TABLE, str(DUMP_TABLE_GOLDEN)])
 
 
 if __name__ == "__main__":
