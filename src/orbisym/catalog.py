@@ -16,7 +16,7 @@ families.  Cases live in a human-readable file format (see data/, the
 only built-in copy); an optional directory of ``*.case`` files
 (environment variable ORBISYM_CATALOG, default ./catalog) overrides
 them by id.  A file there that does not parse fails only the lookup of
-the id its ``case:`` line names.
+the id its ``case:`` line names; one that cannot be read declares no id.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ __all__ = [
     "CatalogEntry",
     "CaseReport",
     "parse_case_text",
-    "load_case_dir",
     "catalog_search_dir",
     "builtin_cases",
     "find_case",
@@ -301,10 +300,19 @@ def _line_error(lineno: int, exc: Exception) -> OrbisymError:
     return kind(f"line {lineno}: {exc}")
 
 
+def _declared_id(text: str) -> str | None:
+    """The id a case file declares: that of its last 'case:' line."""
+    case_id = None
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("case:"):
+            case_id = line[len("case:"):].strip()
+    return case_id
+
+
 def parse_case_text(text: str) -> CatalogEntry:
     """Parse one .case file; malformed lines raise an OrbisymError that
     names the line."""
-    case_id: str | None = None
     arithmetic = False
     alpha: int | None = None
     m_label: str | None = None
@@ -327,7 +335,7 @@ def parse_case_text(text: str) -> CatalogEntry:
             continue
         try:
             if line.startswith("case:"):
-                case_id = line[len("case:"):].strip()
+                continue  # _declared_id reads the id
             elif line.startswith("arithmetic_only:"):
                 arithmetic = line.split(":", 1)[1].strip().lower() == "true"
             elif line.startswith("alpha:"):
@@ -369,6 +377,7 @@ def parse_case_text(text: str) -> CatalogEntry:
         except (OrbisymError, ValueError) as exc:
             raise _line_error(lineno, exc) from None
 
+    case_id = _declared_id(text)
     if case_id is None:
         raise WordSyntaxError("case file needs a 'case:' line")
     if arithmetic:
@@ -439,15 +448,39 @@ def _parse_pattern(line: str, names: tuple[str, ...],
     return BoundaryPattern(name, words, rule)
 
 
+@functools.lru_cache(maxsize=64)
+def _read_case(path: Path, mtime_ns: int,
+               size: int) -> tuple[str | None, CatalogEntry | OrbisymError]:
+    """A case file's declared id, and its entry or the error reading or
+    parsing it gave; read once while its mtime and size stay the same.
+    Bytes that are not UTF-8 fail the parse, and are replaced to find the id."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        return None, OrbisymError(f"cannot read {path}: {exc}")
+    case_id = _declared_id(data.decode("utf-8", errors="replace"))
+    try:
+        return case_id, parse_case_text(decode_utf8(data))
+    except OrbisymError as exc:
+        return case_id, type(exc)(f"{path}: {exc}")
+
+
+def _entry(read: CatalogEntry | OrbisymError) -> CatalogEntry:
+    """The entry of a read, or a fresh copy of its error raised."""
+    if isinstance(read, OrbisymError):
+        raise type(read)(*read.args) from None
+    return read
+
+
 @functools.cache
 def _builtin_entries() -> dict[str, CatalogEntry]:
-    """All compiled-in entries by id, including arithmetic-only rows;
-    parsed once per process, since package data is read-only."""
+    """All compiled-in entries by id, including arithmetic-only rows; read
+    once per process and keyed without a stat, since package data is read-only."""
     by_id = {}
     data = resources.files("orbisym").joinpath("data")
     for path in sorted(data.iterdir(), key=lambda e: e.name):
         if path.name.endswith(".case"):
-            entry = parse_case_text(path.read_text())
+            entry = _entry(_read_case(path, 0, 0)[1])
             by_id[entry.id] = entry
     for family in (FAMILY_15E, FAMILY_19):
         by_id[family] = CatalogEntry(id=family, kind="family", family=family)
@@ -455,7 +488,7 @@ def _builtin_entries() -> dict[str, CatalogEntry]:
 
 
 def builtin_cases() -> tuple[CatalogEntry, ...]:
-    """The four runnable cases, compiled-in copies."""
+    """The four runnable cases, compiled-in copies, in reproduce-all's order."""
     by_id = _builtin_entries()
     return (by_id["orbifold-28-edge"], by_id["orbifold-28-dashed"],
             by_id["15E"], by_id["19"])
@@ -466,61 +499,24 @@ def catalog_search_dir() -> Path:
     return Path(os.environ.get(CATALOG_ENV_VAR, DEFAULT_CATALOG_DIR))
 
 
-@functools.lru_cache(maxsize=64)
-def _parse_case_file(path: Path, mtime_ns: int, size: int) -> CatalogEntry:
-    """One case file, parsed once while its mtime and size stay the same.
-
-    Entries are frozen, so callers can share them; lru_cache keeps no
-    exceptions, so a broken file fails every call with its path.  Bytes
-    that are not UTF-8 are a WordSyntaxError naming the line they are on.
-    """
-    try:
-        return parse_case_text(decode_utf8(path.read_bytes()))
-    except OrbisymError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-
-
-def _case_files(directory: Path | None) -> list[Path]:
-    directory = directory if directory is not None else catalog_search_dir()
-    return sorted(directory.glob("*.case")) if directory.is_dir() else []
-
-
-def _load_case_file(path: Path) -> CatalogEntry:
-    stat = path.stat()
-    return _parse_case_file(path, stat.st_mtime_ns, stat.st_size)
-
-
-def _declared_id(text: str) -> str | None:
-    """The id of the last 'case:' line, the one parse_case_text keeps."""
-    case_id = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line.startswith("case:"):
-            case_id = line[len("case:"):].strip()
-    return case_id
-
-
-def load_case_dir(directory: Path | None = None) -> dict[str, CatalogEntry]:
-    """Every *.case file in the search directory (may be empty), by id."""
-    return {entry.id: entry for entry in map(_load_case_file, _case_files(directory))}
-
-
 def find_case(case_id: str, search_dir: Path | None = None) -> CatalogEntry:
     """File entries override compiled-in entries by id; UnknownCase otherwise.
 
-    A file that does not parse is read again for its 'case:' line, with
-    any bytes that are not UTF-8 replaced, and its error is raised only
-    when that line names case_id.
+    A file that fails raises its error only when its 'case:' line names
+    case_id.
     """
     entries = dict(_builtin_entries())
-    for path in _case_files(search_dir):
+    directory = search_dir if search_dir is not None else catalog_search_dir()
+    for path in sorted(directory.glob("*.case")) if directory.is_dir() else ():
         try:
-            entry = _load_case_file(path)
-        except OrbisymError:
-            if _declared_id(path.read_text(encoding="utf-8", errors="replace")) == case_id:
-                raise
+            stat = path.stat()
+        except OSError:  # a dangling link declares no id
             continue
-        entries[entry.id] = entry
+        declared, read = _read_case(path, stat.st_mtime_ns, stat.st_size)
+        if isinstance(read, CatalogEntry):
+            entries[read.id] = read
+        elif declared == case_id:
+            _entry(read)  # raises the file's error
     if case_id not in entries:
         raise UnknownCase(f"no case {case_id!r}; known: {', '.join(sorted(entries))}")
     return entries[case_id]
@@ -585,10 +581,10 @@ def run_case(case_id: str, n: int | None = None,
     # index is read off it.
     regular = enumerate_cosets(scenario.presentation, (), limits)
     if entry.kind == "dashed":
-        result = evaluate_dashed_arc_scenario(scenario, limits, threads=threads,
+        result = evaluate_dashed_arc_scenario(scenario, threads=threads,
                                               early_stop=early_stop, regular=regular)
     else:
-        result = evaluate_edge_scenario(scenario, limits, regular=regular)
+        result = evaluate_edge_scenario(scenario, regular=regular)
     detail = (closed_form_mismatches(entry.family, n, result.per_pattern)
               if entry.kind == "family" else [])
     computed, computed_order = result.surfaces, regular.n_cosets

@@ -21,7 +21,7 @@ import sys
 import time
 from pathlib import Path
 
-from .catalog import CaseReport, run_case, verify_table
+from .catalog import CaseReport, builtin_cases, run_case, verify_table
 from .coset import EnumerationLimits, enumerate_cosets, group_order, table_to_tsv
 from .errors import LimitExceeded, OrbisymError
 from .presentation import decode_utf8, load_presentation_with_aliases
@@ -240,11 +240,9 @@ def _cmd_verify_table(args: argparse.Namespace, started: float) -> int:
 
 
 def _reproduce_case_ids() -> list[tuple[str, int | None]]:
-    ids: list[tuple[str, int | None]] = [("orbifold-28-edge", None),
-                                         ("orbifold-28-dashed", None)]
-    ids.extend(("15E", n) for n in FAMILY_SWEEP)
-    ids.extend(("19", n) for n in FAMILY_SWEEP)
-    return ids
+    """Every built-in case, each family once per n in FAMILY_SWEEP."""
+    return [(entry.id, n) for entry in builtin_cases()
+            for n in (FAMILY_SWEEP if entry.kind == "family" else (None,))]
 
 
 def _cmd_reproduce_all(args: argparse.Namespace, started: float) -> int:

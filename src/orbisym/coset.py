@@ -667,6 +667,7 @@ def enumerate_cosets(pres: Presentation, subgroup: Iterable[Word] = (),
     limits = limits or EnumerationLimits()
     enum = _Enumerator(pres, subgroup, limits)
     columns = _standardize(enum.run(), enum.p)
+    del enum  # free its p, closed and emptied columns before verifying
     result = CosetTable(
         generator_names=pres.generator_names,
         # With no generators the group is trivial: one coset, no columns.

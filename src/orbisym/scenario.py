@@ -173,9 +173,6 @@ def evaluate_edge_scenario(scenario: EdgeScenario,
     return ScenarioResult(frozenset(surfaces), tuple(outcomes))
 
 
-_DASHED_PATTERNS = ("loop", "loop_inv", "reflection", "reflection_inv")
-
-
 def _dashed_pattern_words(scenario: DashedArcScenario, c: Word) -> tuple[tuple[str, tuple[Word, ...]], ...]:
     fixed, arc = scenario.fixed_word, scenario.arc_word
     moved = conjugate(arc, c)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,7 +30,6 @@ from orbisym import (
 from orbisym import catalog
 from orbisym.catalog import (
     is_remaining_alpha,
-    load_case_dir,
     parse_case_text,
     remaining_family_surfaces,
     square_family_surface,
@@ -279,19 +279,65 @@ def test_case_files_are_parsed_once_until_rewritten(tmp_path, monkeypatch):
     path.write_text(text.replace("m: 4(a+1) = 120", "m: 4(a+1) = 1210"))
     assert find_case("alpha-29", search_dir=tmp_path).m_value == 1210
     assert len(calls) == 3
-    # Errors are not cached: a broken rewrite fails every lookup of its
-    # id, and a repaired file is read again.
+    # A broken rewrite is parsed once too, and fails every lookup of its
+    # id; a repaired file (a new size again) is read again.
     path.write_text(text.replace("S_{9,12}", "S_{9.12}"))
     for _ in range(2):
         with pytest.raises(OrbisymError, match=rf"^{re.escape(str(path))}: line 5: "):
             find_case("alpha-29", search_dir=tmp_path)
+    assert len(calls) == 4
+    path.write_text(text + "# repaired\n")
+    assert find_case("alpha-29", search_dir=tmp_path).m_value == 120
     assert len(calls) == 5
+
+
+def test_an_unreadable_case_path_blocks_no_id(tmp_path):
+    # A dangling link and a directory named *.case cannot be read, so they
+    # declare no id and every lookup goes on as without them.
+    (tmp_path / "dangling.case").symlink_to(tmp_path / "missing.case")
+    (tmp_path / "dir.case").mkdir()
+    assert find_case("orbifold-28-edge", search_dir=tmp_path).kind == "edge"
+    assert run_case("15E", n=3, search_dir=tmp_path).matched
+    for case_id in ("dangling", "dir", ""):
+        with pytest.raises(UnknownCase):
+            find_case(case_id, search_dir=tmp_path)
+
+
+def test_a_case_file_is_found_under_its_last_case_line(tmp_path):
+    path = tmp_path / "two.case"
+    text = ARITHMETIC_CASE.replace("case: little-row", "case: first\ncase: little-row")
     path.write_text(text)
+    assert find_case("little-row", search_dir=tmp_path).id == "little-row"
+    with pytest.raises(UnknownCase):
+        find_case("first", search_dir=tmp_path)
+    # Broken, it fails only the id of that last line.
+    path.write_text(text + "bogus line\n")
+    with pytest.raises(WordSyntaxError, match=rf"^{re.escape(str(path))}: line 7: "):
+        find_case("little-row", search_dir=tmp_path)
+    with pytest.raises(UnknownCase):
+        find_case("first", search_dir=tmp_path)
     assert find_case("alpha-29", search_dir=tmp_path).m_value == 120
 
 
-def test_load_case_dir_missing(tmp_path):
-    assert load_case_dir(tmp_path / "absent") == {}
+@pytest.mark.parametrize("make,error", [
+    (lambda path: path.write_text("case: bad\nrelators: x^2\n"), WordSyntaxError),
+    (lambda path: path.mkdir(), OrbisymError),
+], ids=["broken", "unreadable"])
+def test_a_packaged_case_file_that_fails_raises_its_error(tmp_path, monkeypatch,
+                                                          make, error):
+    # Package data is not skipped like an override: its error is raised,
+    # on every call, and names the file.
+    path = tmp_path / "data" / "bad.case"
+    path.parent.mkdir()
+    make(path)
+    monkeypatch.setattr(catalog, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    catalog._builtin_entries.cache_clear()
+    try:
+        for _ in range(2):
+            with pytest.raises(error, match=re.escape(str(path))):
+                find_case("orbifold-28-edge")
+    finally:
+        catalog._builtin_entries.cache_clear()
 
 
 def test_run_edge_case():

@@ -391,6 +391,26 @@ def test_reproduce_all(capsys):
     assert all(i["status"] == "match" for i in payload["items"])
 
 
+def test_an_unreadable_case_path_blocks_no_command(capsys, tmp_path, monkeypatch):
+    # ./catalog holds a dangling link and a directory named *.case: they
+    # declare no id, so reproduce-all and every case run; a file that is
+    # not UTF-8 still fails the id it declares.
+    (tmp_path / "catalog").mkdir()
+    (tmp_path / "catalog" / "dangling.case").symlink_to(tmp_path / "missing.case")
+    (tmp_path / "catalog" / "dir.case").mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ORBISYM_CATALOG", raising=False)
+    code, payload = run_json(capsys, ["reproduce-all"])
+    assert code == 0
+    assert payload["status"] == "match" and len(payload["items"]) == 98
+    assert main(["case", "orbifold-28-edge"]) == 0
+    capsys.readouterr()
+    (tmp_path / "catalog" / "bad.case").write_bytes(b"case: x\n\xff\xfe\n")
+    assert main(["case", "x"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {Path('catalog/bad.case')}: line 2: byte 0xff is not UTF-8\n")
+
+
 def test_reproduce_all_ignores_a_case_file_without_a_case_line(capsys, tmp_path,
                                                                monkeypatch):
     # reproduce-all runs only built-in ids, and a file that names none of

@@ -7,6 +7,7 @@ import functools
 import math
 import random
 import tracemalloc
+import weakref
 from bisect import bisect_left
 from unittest import mock
 
@@ -1806,6 +1807,27 @@ def test_enumerate_cosets_empties_the_raw_columns(monkeypatch):
         assert len(enum.table) == len(table.columns) == 2 * pres.n_generators
         assert all(column == [] for column in enum.table)
         assert all(len(column) == table.n_cosets for column in table.columns)
+
+
+def test_enumerate_cosets_frees_the_enumerator_before_verifying(monkeypatch):
+    # Nothing reads the enumerator after _standardize, so its p, closed and
+    # emptied column lists must be gone while the table is verified.
+    refs = []
+
+    def tracked(*args):
+        enum = _Enumerator(*args)
+        refs.append(weakref.ref(enum))
+        return enum
+
+    def verify(table, pres):
+        assert refs and refs[-1]() is None
+        verify_coset_table(table, pres)
+
+    monkeypatch.setattr(coset, "_Enumerator", tracked)
+    monkeypatch.setattr(coset, "verify_coset_table", verify)
+    assert enumerate_cosets(family_19(12)).n_cosets == 144
+    assert group_order(COXETER_S6) == 720
+    assert len(refs) == 2
 
 
 def test_a_presentation_without_generators_has_one_coset_and_no_columns():
