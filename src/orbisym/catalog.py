@@ -448,21 +448,31 @@ def _parse_pattern(line: str, names: tuple[str, ...],
     return BoundaryPattern(name, words, rule)
 
 
-@functools.lru_cache(maxsize=64)
+# path -> ((mtime_ns, size), read): one entry per path, so a directory of
+# any size is read once and a rewritten file replaces only its own entry
+_reads: dict[Path, tuple[tuple[int, int], tuple[str | None, CatalogEntry | OrbisymError]]] = {}
+
+
 def _read_case(path: Path, mtime_ns: int,
                size: int) -> tuple[str | None, CatalogEntry | OrbisymError]:
     """A case file's declared id, and its entry or the error reading or
     parsing it gave; read once while its mtime and size stay the same.
     Bytes that are not UTF-8 fail the parse, and are replaced to find the id."""
+    cached = _reads.get(path)
+    if cached is not None and cached[0] == (mtime_ns, size):
+        return cached[1]
     try:
         data = path.read_bytes()
     except OSError as exc:
-        return None, OrbisymError(f"cannot read {path}: {exc}")
-    case_id = _declared_id(data.decode("utf-8", errors="replace"))
-    try:
-        return case_id, parse_case_text(decode_utf8(data))
-    except OrbisymError as exc:
-        return case_id, type(exc)(f"{path}: {exc}")
+        read = None, OrbisymError(f"cannot read {path}: {exc}")
+    else:
+        case_id = _declared_id(data.decode("utf-8", errors="replace"))
+        try:
+            read = case_id, parse_case_text(decode_utf8(data))
+        except OrbisymError as exc:
+            read = case_id, type(exc)(f"{path}: {exc}")
+    _reads[path] = (mtime_ns, size), read
+    return read
 
 
 def _entry(read: CatalogEntry | OrbisymError) -> CatalogEntry:

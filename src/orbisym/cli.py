@@ -79,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("id", help="case id (see catalog)")
     p.add_argument("--n", type=int, default=None, help="family parameter")
     p.add_argument("--early-stop", action="store_true",
-                   help="skip conjugators whose moved arc repeats")
+                   help="list only the first conjugator per moved element "
+                        "(the sweep evaluates each moved element once either way)")
     add_common(p, cosets=True, threads=True)
 
     p = sub.add_parser("verify-table", help="recompute the classification table arithmetic")

@@ -6,7 +6,8 @@ orientability rule (always orientable, or the solvability of a Z2
 constraint system).  A dashed-arc scenario sweeps a conjugating element
 c over the whole group: whenever <fixed, c*arc*c^-1> is the full group,
 two loop patterns (always orientable) and two reflection patterns (Z2
-rule) are evaluated for that c.
+rule) are evaluated for that c: once per moved element c*arc*c^-1, on
+which they alone depend (20 for the order-120 orbifold's 120 conjugators).
 
 Every evaluator works from one table: the regular coset table of the
 group (cosets of the trivial subgroup), enumerated once and passed in
@@ -193,10 +194,12 @@ def evaluate_dashed_arc_scenario(scenario: DashedArcScenario,
     """Sweep the conjugating element over the whole group.
 
     By default every element's shortlex word (coset_words of the regular
-    table) is visited; with early_stop, conjugators whose moved arc
-    c*arc*c^-1 is an element already processed are skipped (the four
-    patterns depend on c only through it).  An explicit conjugators
-    sequence replaces the element sweep, e.g. to probe a single element.
+    table) is visited.  The patterns depend on c only through the moved
+    element c*arc*c^-1, so the probe and four indices run once per moved
+    element, at its first c, and are replayed with each later c's label;
+    early_stop keeps only the first c per moved element, which shortens
+    the audit trail, not the work.  An explicit conjugators sequence
+    replaces the element sweep, e.g. to probe a single element.
     regular is the group's regular coset table; it is enumerated under
     limits when not given, also for explicit conjugators.  threads is
     accepted and has no effect: the sweep is one pass over one table.
@@ -206,34 +209,39 @@ def evaluate_dashed_arc_scenario(scenario: DashedArcScenario,
     if regular is None:
         regular = enumerate_cosets(pres, (), limits)
     sweep = coset_words(regular) if conjugators is None else tuple(conjugators)
+    pairs = [(c, trace_word(regular, 0, conjugate(scenario.arc_word, c))) for c in sweep]
     if early_stop:
-        picked = []
-        seen_moved = set()
-        for c in sweep:
-            moved = trace_word(regular, 0, conjugate(scenario.arc_word, c))
-            if moved not in seen_moved:
-                seen_moved.add(moved)
-                picked.append(c)
-        sweep = tuple(picked)
+        first = {}
+        for c, moved in pairs:
+            first.setdefault(moved, c)
+        pairs = [(c, moved) for moved, c in first.items()]
 
     outcomes = []
     surfaces = set()
     admissible = 0
-    for index, c in enumerate(sweep):
-        probe = (scenario.fixed_word, conjugate(scenario.arc_word, c))
-        if subgroup_index(regular, probe) != 1:
+    # moved element -> its four (name, boundary, orientable, surface); none
+    # when <fixed, c*arc*c^-1> is not the whole group
+    results: dict[int, list] = {}
+    for index, (c, moved) in enumerate(pairs):
+        if moved not in results:
+            results[moved] = []
+            probe = (scenario.fixed_word, conjugate(scenario.arc_word, c))
+            if subgroup_index(regular, probe) == 1:
+                for name, words in _dashed_pattern_words(scenario, c):
+                    boundary = subgroup_index(regular, words)
+                    orientable = True if name.startswith("loop") else reflections_orientable
+                    surface = classify_surface(scenario.alpha, boundary, orientable)
+                    results[moved].append((name, boundary, orientable, surface))
+        if not results[moved]:
             continue
         admissible += 1
         label = f"c{index}={format_word(c, pres.generator_names)}"
-        for name, words in _dashed_pattern_words(scenario, c):
-            boundary = subgroup_index(regular, words)
-            orientable = True if name.startswith("loop") else reflections_orientable
-            surface = classify_surface(scenario.alpha, boundary, orientable)
+        for name, boundary, orientable, surface in results[moved]:
             outcomes.append(PatternOutcome(name, boundary, orientable, surface.genus,
                                            conjugator=label, sweep_index=index))
             surfaces.add(surface)
     return ScenarioResult(frozenset(surfaces), tuple(outcomes),
-                          visited=len(sweep), admissible=admissible)
+                          visited=len(pairs), admissible=admissible)
 
 
 @dataclass(frozen=True)

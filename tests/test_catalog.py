@@ -291,6 +291,33 @@ def test_case_files_are_parsed_once_until_rewritten(tmp_path, monkeypatch):
     assert len(calls) == 5
 
 
+def test_a_large_case_directory_is_parsed_once(tmp_path, monkeypatch):
+    # find_case walks every override file in order on each call, so a
+    # bounded cache smaller than the directory would evict each entry
+    # before its reuse and parse every file on every lookup.
+    calls = []
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse_case_text(text)
+
+    catalog._builtin_entries()
+    monkeypatch.setattr(catalog, "parse_case_text", counting_parse)
+    for k in range(70):
+        (tmp_path / f"row{k:02d}.case").write_text(
+            ARITHMETIC_CASE.replace("case: little-row", f"case: row-{k}"))
+    assert find_case("row-0", search_dir=tmp_path).alpha == 29
+    assert len(calls) == 70
+    assert find_case("row-69", search_dir=tmp_path).alpha == 29
+    assert len(calls) == 70
+    # a rewritten file (a new size) replaces its own entry and no other
+    path = tmp_path / "row33.case"
+    path.write_text(path.read_text().replace("alpha: 29", "alpha: 29\n# rewritten"))
+    for _ in range(2):
+        assert find_case("row-33", search_dir=tmp_path).alpha == 29
+    assert len(calls) == 71
+
+
 def test_an_unreadable_case_path_blocks_no_id(tmp_path):
     # A dangling link and a directory named *.case cannot be read, so they
     # declare no id and every lookup goes on as without them.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -35,6 +36,7 @@ from orbisym import (
     permutation_rep,
     solve_hom_to_z2,
     subgroup_index,
+    trace_word,
 )
 import orbisym.scenario as scenario_module
 from orbisym.scenario import FAMILY_15E, FAMILY_19, family_scenario
@@ -135,19 +137,22 @@ def test_dashed_full_sweep(orbifold_28):
     assert all(o.boundary == 12 and o.orientable for o in result.per_pattern)
 
 
-def test_dashed_connectivity_filter(orbifold_28):
-    # a conjugator is skipped when fixed word plus moved arc fail to
-    # generate the whole group; the identity never fails here, so probe
-    # a scenario where it does
-    pres = family_19(3)
-    scenario = DashedArcScenario(
-        presentation=pres,
+def inadmissible_scenario():
+    # <x, c*x*c^-1> is never the whole abelian group Z3 x Z3
+    return DashedArcScenario(
+        presentation=family_19(3),
         alpha=4,
         fixed_word=Word.generator(0),
         arc_word=Word.generator(0),
         hom_constraints=(Z2Constraint(Word.generator(0), 0),),
     )
-    result = evaluate_dashed_arc_scenario(scenario)
+
+
+def test_dashed_connectivity_filter(orbifold_28):
+    # a conjugator is skipped when fixed word plus moved arc fail to
+    # generate the whole group; the identity never fails here, so probe
+    # a scenario where it does
+    result = evaluate_dashed_arc_scenario(inadmissible_scenario())
     assert result.surfaces == frozenset()
     assert result.per_pattern == ()
 
@@ -319,3 +324,93 @@ def test_regular_table_is_required(orbifold_28):
     table = enumerate_cosets(orbifold_28, (Word.generator(0),))
     with pytest.raises(ValueError):
         evaluate_dashed_arc_scenario(dashed_scenario(orbifold_28), regular=table)
+
+
+# -- the sweep cached by moved element against the per-conjugator loop --
+
+
+def uncached_sweep(scenario, early_stop=False, conjugators=None):
+    """The dashed-arc sweep with one probe and four indices per conjugator,
+    as it ran before its work was cached by moved element."""
+    pres = scenario.presentation
+    reflections = solve_hom_to_z2(pres, scenario.hom_constraints).solvable
+    regular = enumerate_cosets(pres)
+    sweep = coset_words(regular) if conjugators is None else tuple(conjugators)
+    if early_stop:
+        picked, seen = [], set()
+        for c in sweep:
+            moved = trace_word(regular, 0, conjugate(scenario.arc_word, c))
+            if moved not in seen:
+                seen.add(moved)
+                picked.append(c)
+        sweep = tuple(picked)
+    outcomes, surfaces, admissible = [], set(), 0
+    for index, c in enumerate(sweep):
+        if subgroup_index(regular, (scenario.fixed_word, conjugate(scenario.arc_word, c))) != 1:
+            continue
+        admissible += 1
+        label = f"c{index}={format_word(c, pres.generator_names)}"
+        for name, words in scenario_module._dashed_pattern_words(scenario, c):
+            boundary = subgroup_index(regular, words)
+            orientable = name.startswith("loop") or reflections
+            surface = classify_surface(scenario.alpha, boundary, orientable)
+            outcomes.append(scenario_module.PatternOutcome(
+                name, boundary, orientable, surface.genus, conjugator=label, sweep_index=index))
+            surfaces.add(surface)
+    return scenario_module.ScenarioResult(frozenset(surfaces), tuple(outcomes),
+                                          visited=len(sweep), admissible=admissible)
+
+
+def s4_scenario():
+    # S4: 12 of 24 conjugators admissible, 8 moved elements; hom(y=1)
+    # fails on y^3, so the reflection patterns are non-orientable
+    pres = load_presentation("generators: x y\nrelators: x^2 y^3 (x*y)^4\n")
+    return DashedArcScenario(pres, 7, Word.generator(0), Word.generator(1),
+                             (Z2Constraint(Word.generator(1), 1),))
+
+
+def conjugator_lists(pres, seed):
+    """Element words shuffled, some repeated, and some times a relator:
+    equal as elements to words already in the list, different as words."""
+    rng = random.Random(seed)
+    words = list(coset_words(enumerate_cosets(pres)))
+    rng.shuffle(words)
+    repeated = words + rng.sample(words, len(words) // 3)
+    rng.shuffle(repeated)
+    shifted = [w * rng.choice(pres.relators) if rng.random() < 0.5 else
+               rng.choice(pres.relators) * w for w in rng.sample(words, len(words) // 2)]
+    return [None, words, repeated, shifted + words[:5] + shifted[:3]]
+
+
+@pytest.mark.parametrize("early_stop", [False, True])
+@pytest.mark.parametrize("which", ["orbifold-28", "family-19-n3", "s4"])
+def test_cached_sweep_matches_uncached(orbifold_28, which, early_stop):
+    scenario = {"orbifold-28": lambda: dashed_scenario(orbifold_28),
+                "family-19-n3": inadmissible_scenario, "s4": s4_scenario}[which]()
+    for seed, conjugators in enumerate(conjugator_lists(scenario.presentation, 18)):
+        result = evaluate_dashed_arc_scenario(scenario, early_stop=early_stop,
+                                              conjugators=conjugators)
+        expected = uncached_sweep(scenario, early_stop, conjugators)
+        assert result.per_pattern == expected.per_pattern, seed
+        assert result.surfaces == expected.surfaces
+        assert (result.visited, result.admissible) == (expected.visited, expected.admissible)
+    if which == "s4":
+        assert (expected.visited, expected.admissible) != (0, 0)
+        assert any(not o.orientable for o in expected.per_pattern)
+
+
+@pytest.mark.parametrize("early_stop", [False, True])
+def test_sweep_evaluates_each_moved_element_once(orbifold_28, monkeypatch, early_stop):
+    # 20 distinct moved elements, 8 of them admissible: 20 probes and
+    # 4 x 8 pattern indices, where one evaluation per conjugator made 312
+    calls = []
+
+    def counting_index(regular, words):
+        calls.append(words)
+        return subgroup_index(regular, words)
+    monkeypatch.setattr(scenario_module, "subgroup_index", counting_index)
+    regular = enumerate_cosets(orbifold_28)
+    result = evaluate_dashed_arc_scenario(dashed_scenario(orbifold_28), early_stop=early_stop,
+                                          regular=regular)
+    assert result.admissible == (8 if early_stop else 48)
+    assert len(calls) == 20 + 4 * 8
