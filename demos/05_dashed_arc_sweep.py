@@ -10,14 +10,15 @@ words are the conjugators and whose orbits give every subgroup index.
 
 import time
 
-from orbisym import evaluate_dashed_arc_scenario, find_case
+from orbisym import enumerate_cosets, evaluate_dashed_arc_scenario, find_case
 
 entry = find_case("orbifold-28-dashed")
 scenario = entry.scenario
 print("alpha:", scenario.alpha)
 
 started = time.perf_counter()
-result = evaluate_dashed_arc_scenario(scenario)
+regular = enumerate_cosets(scenario.presentation)  # the one enumeration
+result = evaluate_dashed_arc_scenario(scenario, regular)
 elapsed = time.perf_counter() - started
 
 print(f"admissible conjugators: {result.admissible} of {result.visited}")
@@ -25,11 +26,11 @@ print(f"pattern evaluations:    {len(result.per_pattern)}")
 print(f"boundary components:    {sorted({o.boundary for o in result.per_pattern})}")
 print(f"all orientable:         {all(o.orientable for o in result.per_pattern)}")
 print(f"surfaces:               {', '.join(str(s) for s in result.surfaces)}")
-print(f"swept in {elapsed * 1000:.0f} ms")
+print(f"enumerated and swept in {elapsed * 1000:.0f} ms")
 
 # the early-stop mode skips conjugators whose moved arc c*arc*c^-1 is an
 # element already seen; the surface set cannot change
-stopped = evaluate_dashed_arc_scenario(scenario, early_stop=True)
+stopped = evaluate_dashed_arc_scenario(scenario, regular, early_stop=True)
 print(f"early stop: {stopped.visited} conjugators visited, "
       f"{len(stopped.per_pattern)} evaluations, "
       f"same surfaces: {stopped.surfaces == result.surfaces}")

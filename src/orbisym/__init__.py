@@ -91,7 +91,6 @@ from .words import (
     conjugate,
     exponent_vector_mod2,
     format_word,
-    invert,
     parse_word,
 )
 from .z2hom import Z2Constraint, Z2HomResult, solve_hom_to_z2

@@ -7,16 +7,16 @@ fixed rows, the perfect-square family, and the generic remainder.
 against the row's algebraic genus, maximal order against the formula
 class) and reports one check result per fact.
 The surfaces of the square and generic rows are the closed forms in
-``surface``, re-exported here; the families in ``scenario`` use them too.
+``surface``; the families in ``scenario`` use them too.
 
 ``builtin_cases`` returns the four rows that come with printed
 presentations and are therefore runnable end to end: the order-120
 orbifold in both singular-set variants, and the two parametric
 families.  Cases live in a human-readable file format (see data/, the
-only built-in copy); an optional directory of ``*.case`` files
-(environment variable ORBISYM_CATALOG, default ./catalog) overrides
-them by id.  A file there that does not parse fails only the lookup of
-the id its ``case:`` line names; one that cannot be read declares no id.
+only built-in copy); an optional directory of ``*.case`` files overrides
+them by id.  ORBISYM_CATALOG, default ./catalog, is the one way to choose
+that directory.  A file there that does not parse fails only the lookup
+of the id its ``case:`` line names; one that cannot be read declares no id.
 """
 
 from __future__ import annotations
@@ -70,8 +70,6 @@ from .z2hom import Z2Constraint, parse_constraint
 __all__ = [
     "TableRow",
     "builtin_table",
-    "square_family_surface",
-    "remaining_family_surfaces",
     "is_remaining_alpha",
     "CheckResult",
     "verify_table",
@@ -263,6 +261,15 @@ _SURFACE_SEP_RE = re.compile(r"[\s,]+(?![^{]*\})")
 _EXPECT_RE = re.compile(r"expect\s+order=(\d+)\s+surfaces=(.+)$")
 _PATTERN_RE = re.compile(r"pattern\s+([A-Za-z0-9_]+)\s*:\s*(.+)$")
 _HOM_RE = re.compile(r"hom\((.*)\)\s*$")
+# A case file line that starts with none of these is a presentation line
+# (None).  Each kind reads only its own; only case: and pattern repeat.
+_DIRECTIVES = ("case:", "arithmetic_only:", "alpha:", "m:", "surfaces:", "expect",
+               "scenario", "pattern")
+_KIND_READS = {
+    "arithmetic": ("an arithmetic case", {"arithmetic_only:", "alpha:", "m:", "surfaces:"}),
+    "edge": ("an edge case", {None, "arithmetic_only:", "scenario", "pattern", "expect"}),
+    "dashed": ("a dashed case", {None, "arithmetic_only:", "scenario", "expect"}),
+}
 
 
 def _parse_constraints(text: str, names: tuple[str, ...], aliases: dict[str, Word]) -> tuple[Z2Constraint, ...]:
@@ -320,44 +327,49 @@ def parse_case_text(text: str) -> CatalogEntry:
     surfaces: tuple[SurfaceType, ...] = ()
     expected_order: int | None = None
     scenario_kind: str | None = None
-    scenario_lineno = 0
     scenario_alpha: int | None = None
     dashed_spec: dict[str, str] | None = None
     pattern_lines: list[tuple[int, str]] = []
     # Presentation lines in place, other lines blank, so that errors from
     # the presentation parser carry case-file line numbers.
     pres_lines: list[str] = []
+    # directive -> (lineno, line) of its first line
+    seen: dict[str | None, tuple[int, str]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         pres_lines.append("")
-        if not line:
+        directive = next((d for d in _DIRECTIVES if line.startswith(d)), None)
+        if not line or directive == "case:":
             continue
         try:
-            if line.startswith("case:"):
-                continue  # _declared_id reads the id
-            elif line.startswith("arithmetic_only:"):
-                arithmetic = line.split(":", 1)[1].strip().lower() == "true"
-            elif line.startswith("alpha:"):
+            if directive in seen and directive not in (None, "pattern"):
+                raise WordSyntaxError(f"a second {directive} line, after line {seen[directive][0]}")
+            seen.setdefault(directive, (lineno, line))
+            if directive == "arithmetic_only:":
+                value = line.split(":", 1)[1].strip().lower()
+                if value not in ("true", "false"):
+                    raise WordSyntaxError(f"arithmetic_only: must be true or false, got {value!r}")
+                arithmetic = value == "true"
+            elif directive == "alpha:":
                 alpha = int(line.split(":", 1)[1])
-            elif line.startswith("m:"):
+            elif directive == "m:":
                 body = line.split(":", 1)[1]
                 label, _, value = body.rpartition("=")
                 m_label, m_value = label.strip(), int(value)
-            elif line.startswith("surfaces:"):
+            elif directive == "surfaces:":
                 surfaces = _parse_surfaces(line.split(":", 1)[1])
-            elif line.startswith("expect"):
+            elif directive == "expect":
                 m = _EXPECT_RE.match(line)
                 if not m:
                     raise WordSyntaxError(f"bad expect line: {line!r}")
                 expected_order = int(m.group(1))
                 surfaces = _parse_surfaces(m.group(2))
-            elif line.startswith("scenario"):
+            elif directive == "scenario":
                 parts = line.split(None, 2)
                 if len(parts) < 3:
                     raise WordSyntaxError(f"bad scenario line: {line!r}")
                 scenario_kind, body = parts[1], parts[2]
-                scenario_lineno = lineno
                 if scenario_kind == "edge":
                     kv = _scenario_fields(body, ("alpha",))
                 elif scenario_kind == "dashed":
@@ -370,7 +382,7 @@ def parse_case_text(text: str) -> CatalogEntry:
                 else:
                     raise WordSyntaxError(f"unknown scenario kind {scenario_kind!r}")
                 scenario_alpha = int(kv["alpha"])
-            elif line.startswith("pattern"):
+            elif directive == "pattern":
                 pattern_lines.append((lineno, line))
             else:
                 pres_lines[-1] = line
@@ -380,13 +392,15 @@ def parse_case_text(text: str) -> CatalogEntry:
     case_id = _declared_id(text)
     if case_id is None:
         raise WordSyntaxError("case file needs a 'case:' line")
+    kind = "arithmetic" if arithmetic else scenario_kind
+    if kind in _KIND_READS:
+        # A line its kind does not read is a typo or belongs to another
+        # kind; an arithmetic case has no presentation.
+        name, reads = _KIND_READS[kind]
+        stray = min((at for d, at in seen.items() if d not in reads), default=None)
+        if stray is not None:
+            raise _line_error(stray[0], WordSyntaxError(f"not a line of {name}: {stray[1]!r}"))
     if arithmetic:
-        # Nothing reads the presentation lines of an arithmetic case, so
-        # a line left there is a typo, not a presentation.
-        for lineno, line in enumerate(pres_lines, start=1):
-            if line:
-                raise _line_error(lineno, WordSyntaxError(
-                    f"not a line of an arithmetic case: {line!r}"))
         if alpha is None or m_label is None or m_value is None or not surfaces:
             raise WordSyntaxError("arithmetic case needs alpha:, m:, and surfaces: lines")
         return CatalogEntry(id=case_id, kind="arithmetic", alpha=alpha,
@@ -416,7 +430,7 @@ def parse_case_text(text: str) -> CatalogEntry:
                 arc_word=parse_word(dashed_spec["arc"], names, aliases),
                 hom_constraints=_parse_constraints(dashed_spec["hom"], names, aliases))
         except (OrbisymError, ValueError) as exc:
-            raise _line_error(scenario_lineno, exc) from None
+            raise _line_error(seen["scenario"][0], exc) from None
         return CatalogEntry(id=case_id, kind="dashed", scenario=scenario,
                             expected_order=expected_order, expected_surfaces=surfaces)
     raise WordSyntaxError("case file needs a scenario line or arithmetic_only: true")
@@ -509,14 +523,15 @@ def catalog_search_dir() -> Path:
     return Path(os.environ.get(CATALOG_ENV_VAR, DEFAULT_CATALOG_DIR))
 
 
-def find_case(case_id: str, search_dir: Path | None = None) -> CatalogEntry:
-    """File entries override compiled-in entries by id; UnknownCase otherwise.
+def find_case(case_id: str) -> CatalogEntry:
+    """File entries in catalog_search_dir() override compiled-in entries by
+    id; UnknownCase otherwise.
 
     A file that fails raises its error only when its 'case:' line names
     case_id.
     """
     entries = dict(_builtin_entries())
-    directory = search_dir if search_dir is not None else catalog_search_dir()
+    directory = catalog_search_dir()
     for path in sorted(directory.glob("*.case")) if directory.is_dir() else ():
         try:
             stat = path.stat()
@@ -558,11 +573,11 @@ def _sorted_surfaces(surfaces) -> tuple[SurfaceType, ...]:
 
 def run_case(case_id: str, n: int | None = None,
              limits: EnumerationLimits | None = None,
-             threads: int = 1, early_stop: bool = False,
-             search_dir: Path | None = None) -> CaseReport:
+             threads: int = 1, early_stop: bool = False) -> CaseReport:
     """Run a catalog case and compare against its expectations; the
-    status is "mismatch" exactly when a detail was recorded."""
-    entry = find_case(case_id, search_dir)
+    status is "mismatch" exactly when a detail was recorded.  threads has
+    no effect."""
+    entry = find_case(case_id)
 
     if entry.kind == "arithmetic":
         assert entry.alpha is not None
@@ -591,10 +606,9 @@ def run_case(case_id: str, n: int | None = None,
     # index is read off it.
     regular = enumerate_cosets(scenario.presentation, (), limits)
     if entry.kind == "dashed":
-        result = evaluate_dashed_arc_scenario(scenario, threads=threads,
-                                              early_stop=early_stop, regular=regular)
+        result = evaluate_dashed_arc_scenario(scenario, regular, early_stop)
     else:
-        result = evaluate_edge_scenario(scenario, regular=regular)
+        result = evaluate_edge_scenario(scenario, regular)
     detail = (closed_form_mismatches(entry.family, n, result.per_pattern)
               if entry.kind == "family" else [])
     computed, computed_order = result.surfaces, regular.n_cosets

@@ -111,6 +111,17 @@ def _load_presentation_file(path: str):
         raise type(exc)(f"{path}: {exc}") from None
 
 
+def _flag_item(flag: str, item: str, parse):
+    """parse(item); an error names the flag and the item, unless, like a
+    bad WORD=BIT, its message already does."""
+    try:
+        return parse(item)
+    except OrbisymError as exc:
+        if str(exc).startswith(flag):
+            raise
+        raise type(exc)(f"{flag} item {item!r}: {exc}") from None
+
+
 def _emit(args: argparse.Namespace, command: str, items: list[dict],
           status: str, started: float, text_lines: list[str]) -> None:
     if args.json:
@@ -187,7 +198,8 @@ def _cmd_order(args: argparse.Namespace, started: float) -> int:
 
 def _cmd_index(args: argparse.Namespace, started: float) -> int:
     pres, aliases = _load_presentation_file(args.file)
-    words = tuple(parse_word(w.strip(), pres.generator_names, aliases)
+    words = tuple(_flag_item("--subgroup", w.strip(),
+                             lambda w: parse_word(w, pres.generator_names, aliases))
                   for w in args.subgroup.split(",") if w.strip())
     table = enumerate_cosets(pres, words, _limits(args))
     if args.dump_table:
@@ -199,7 +211,8 @@ def _cmd_index(args: argparse.Namespace, started: float) -> int:
 
 def _cmd_hom2(args: argparse.Namespace, started: float) -> int:
     pres, aliases = _load_presentation_file(args.file)
-    constraints = [parse_constraint(item, pres.generator_names, aliases, "--map")
+    constraints = [_flag_item("--map", item, lambda text: parse_constraint(
+                       text, pres.generator_names, aliases, "--map"))
                    for item in args.map]
     result = solve_hom_to_z2(pres, constraints)
     if result.solvable:
@@ -219,8 +232,7 @@ def _cmd_hom2(args: argparse.Namespace, started: float) -> int:
 
 def _cmd_case(args: argparse.Namespace, started: float) -> int:
     report = run_case(args.id, n=args.n, limits=_limits(args),
-                      threads=args.threads, early_stop=args.early_stop,
-                      search_dir=None)
+                      threads=args.threads, early_stop=args.early_stop)
     _emit(args, "case", _case_items(report), report.status, started,
           _case_text(report))
     return EXIT_OK if report.matched else EXIT_MISMATCH

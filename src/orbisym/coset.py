@@ -19,9 +19,8 @@ column 2*i is the action of generator i, column 2*i+1 of its inverse.
 Completed tables are renumbered by breadth-first traversal from coset 0
 in column order, so equal inputs give byte-for-byte equal tables.  The
 table is CosetTable.columns, one tuple per column, columns[col][c] being
-coset c's entry, and every reader in this module reads those.
-CosetTable.action, the same table as a tuple of rows, is derived: each
-access builds it afresh, a full transpose, for callers that want rows.
+coset c's entry; it has no second, row-shaped view, and every reader in
+this module reads the columns.
 
 The raw table the enumerator fills is stored by column: table[col] is
 one list, and table[col][c] is coset c's entry in that column, None
@@ -169,14 +168,6 @@ class CosetTable:
     n_cosets: int
     columns: tuple[tuple[int, ...], ...]
     subgroup_generators: tuple[Word, ...]
-
-    @property
-    def action(self) -> tuple[tuple[int, ...], ...]:
-        """The table as rows: action[c][col] is columns[col][c].  Derived
-        from the columns at each access, which costs a full transpose."""
-        if not self.columns:
-            return ((),) * self.n_cosets
-        return tuple(zip(*self.columns))
 
 
 # Relators at least this long that are proper powers get their scans

@@ -9,12 +9,14 @@ two loop patterns (always orientable) and two reflection patterns (Z2
 rule) are evaluated for that c: once per moved element c*arc*c^-1, on
 which they alone depend (20 for the order-120 orbifold's 120 conjugators).
 
-Every evaluator works from one table: the regular coset table of the
-group (cosets of the trivial subgroup), enumerated once and passed in
-as ``regular=`` by a caller that already has it.  Each subgroup index is
-an orbit size in that table (``coset.subgroup_index``), and the sweep's
-conjugators are its coset words (``coset.coset_words``), so a sweep is
-one pass over one table with no further enumeration.
+The edge and dashed-arc evaluators take one table as an argument: the
+regular coset table of the group (cosets of the trivial subgroup), which
+their caller enumerates once (``catalog.run_case`` does, once per case).
+Each subgroup index is an orbit size in that table
+(``coset.subgroup_index``), and the sweep's conjugators are its coset
+words (``coset.coset_words``), so a sweep is one pass over one table and
+neither evaluator enumerates.  ``evaluate_family``, which builds its own
+presentation, enumerates that presentation once itself.
 
 Genus always comes from the scenario's algebraic genus and the computed
 boundary count; a parity or genus failure aborts the whole scenario
@@ -48,7 +50,7 @@ from .surface import (
     remaining_family_surfaces,
     square_family_surface,
 )
-from .words import Word, conjugate, format_word, invert
+from .words import Word, conjugate, format_word
 from .z2hom import Z2Constraint, solve_hom_to_z2
 
 __all__ = [
@@ -152,17 +154,10 @@ def _rule_orientable(pres: Presentation, rule: OrientabilityRule) -> bool:
     return solve_hom_to_z2(pres, rule.constraints).solvable
 
 
-def evaluate_edge_scenario(scenario: EdgeScenario,
-                           limits: EnumerationLimits | None = None,
-                           regular: CosetTable | None = None) -> ScenarioResult:
-    """Evaluate every pattern; surfaces are deduped, the audit trail is not.
-
-    regular is the group's regular coset table; it is enumerated under
-    limits when not given.
-    """
+def evaluate_edge_scenario(scenario: EdgeScenario, regular: CosetTable) -> ScenarioResult:
+    """Evaluate every pattern on regular, the group's regular coset table;
+    surfaces are deduped, the audit trail is not."""
     pres = scenario.presentation
-    if regular is None:
-        regular = enumerate_cosets(pres, (), limits)
     outcomes = []
     surfaces = set()
     for pattern in scenario.patterns:
@@ -179,35 +174,28 @@ def _dashed_pattern_words(scenario: DashedArcScenario, c: Word) -> tuple[tuple[s
     moved = conjugate(arc, c)
     return (
         ("loop", (fixed * moved,)),
-        ("loop_inv", (invert(fixed) * moved,)),
+        ("loop_inv", (~fixed * moved,)),
         ("reflection", (fixed, conjugate(fixed, moved))),
-        ("reflection_inv", (fixed, conjugate(fixed, conjugate(invert(arc), c)))),
+        ("reflection_inv", (fixed, conjugate(fixed, conjugate(~arc, c)))),
     )
 
 
-def evaluate_dashed_arc_scenario(scenario: DashedArcScenario,
-                                 limits: EnumerationLimits | None = None,
-                                 threads: int = 1,
+def evaluate_dashed_arc_scenario(scenario: DashedArcScenario, regular: CosetTable,
                                  early_stop: bool = False,
-                                 conjugators: Sequence[Word] | None = None,
-                                 regular: CosetTable | None = None) -> ScenarioResult:
-    """Sweep the conjugating element over the whole group.
+                                 conjugators: Sequence[Word] | None = None) -> ScenarioResult:
+    """Sweep the conjugating element over the whole group, on regular, the
+    group's regular coset table.
 
-    By default every element's shortlex word (coset_words of the regular
-    table) is visited.  The patterns depend on c only through the moved
-    element c*arc*c^-1, so the probe and four indices run once per moved
+    By default every element's shortlex word (coset_words of regular) is
+    visited.  The patterns depend on c only through the moved element
+    c*arc*c^-1, so the probe and four indices run once per moved
     element, at its first c, and are replayed with each later c's label;
     early_stop keeps only the first c per moved element, which shortens
     the audit trail, not the work.  An explicit conjugators sequence
     replaces the element sweep, e.g. to probe a single element.
-    regular is the group's regular coset table; it is enumerated under
-    limits when not given, also for explicit conjugators.  threads is
-    accepted and has no effect: the sweep is one pass over one table.
     """
     pres = scenario.presentation
     reflections_orientable = solve_hom_to_z2(pres, scenario.hom_constraints).solvable
-    if regular is None:
-        regular = enumerate_cosets(pres, (), limits)
     sweep = coset_words(regular) if conjugators is None else tuple(conjugators)
     pairs = [(c, trace_word(regular, 0, conjugate(scenario.arc_word, c))) for c in sweep]
     if early_stop:
@@ -299,14 +287,11 @@ def closed_form_mismatches(family: str, n: int,
 
 
 def evaluate_family(family: str, n: int, embedding: str | None = None,
-                    limits: EnumerationLimits | None = None,
-                    regular: CosetTable | None = None) -> SurfaceType:
+                    limits: EnumerationLimits | None = None) -> SurfaceType:
     """Classify one family embedding as an edge pattern and cross-check the
     result against the closed form; MismatchError if they disagree.  None
-    names the embedding of a family that has only one.
-
-    regular is the regular coset table of the family's group at n; it is
-    enumerated under limits when not given.
+    names the embedding of a family that has only one.  The family's group
+    at n is enumerated once, under limits.
     """
     scenario = family_scenario(family, n)
     names = [p.name.removeprefix("embedding ") for p in scenario.patterns]
@@ -316,7 +301,8 @@ def evaluate_family(family: str, n: int, embedding: str | None = None,
         raise InvalidParameter(f"family {family} has embeddings "
                                f"{' and '.join(names)}, got {embedding!r}")
     pattern = scenario.patterns[names.index(embedding)]
-    result = evaluate_edge_scenario(replace(scenario, patterns=(pattern,)), limits, regular)
+    regular = enumerate_cosets(scenario.presentation, (), limits)
+    result = evaluate_edge_scenario(replace(scenario, patterns=(pattern,)), regular)
     mismatches = closed_form_mismatches(family, n, result.per_pattern)
     if mismatches:
         raise MismatchError(mismatches[0])

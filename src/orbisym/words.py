@@ -34,7 +34,6 @@ __all__ = [
     "Word",
     "parse_word",
     "format_word",
-    "invert",
     "conjugate",
     "exponent_vector_mod2",
     "MAX_WORD_LETTERS",
@@ -121,11 +120,6 @@ class Word:
 def letter_columns(w: Word) -> tuple[int, ...]:
     """w's letters as coset-table columns: 2*i for generator i, 2*i+1 for its inverse."""
     return tuple(2 * (abs(l) - 1) + (0 if l > 0 else 1) for l in w.letters)
-
-
-def invert(w: Word) -> Word:
-    """The inverse word, letters reversed and signs flipped."""
-    return ~w
 
 
 def conjugate(w: Word, c: Word) -> Word:

@@ -28,16 +28,19 @@ from orbisym import (
     verify_table,
 )
 from orbisym import catalog
-from orbisym.catalog import (
-    is_remaining_alpha,
-    parse_case_text,
-    remaining_family_surfaces,
-    square_family_surface,
-)
+from orbisym.catalog import is_remaining_alpha, parse_case_text
 from orbisym.cli import main
 from orbisym.scenario import FAMILY_19, evaluate_family
 import orbisym.scenario as scenario_module
+from orbisym.surface import remaining_family_surfaces, square_family_surface
 from conftest import DASHED_CASE, EDGE_CASE
+
+
+@pytest.fixture
+def catalog_dir(tmp_path, monkeypatch):
+    """tmp_path, made the override directory through ORBISYM_CATALOG."""
+    monkeypatch.setenv("ORBISYM_CATALOG", str(tmp_path))
+    return tmp_path
 
 
 def S(g, b):
@@ -175,7 +178,14 @@ def test_parse_case_errors():
     (ARITHMETIC_CASE.replace("alpha: 29", "alpha_: 30"), 3, "alpha_: 30"),
     (ARITHMETIC_CASE.replace("case: little-row", "case: little-row\ngenerators: x"),
      2, "generators: x"),
-], ids=["stray-line", "misspelt-key", "presentation-line"])
+    (ARITHMETIC_CASE + "pattern P1: subgroup = x ; orient = always\n", 6,
+     "pattern P1: subgroup = x ; orient = always"),
+    (ARITHMETIC_CASE + "scenario edge alpha=29\n", 6, "scenario edge alpha=29"),
+    # an expect line would replace the surfaces: line
+    (ARITHMETIC_CASE + "expect order=120 surfaces=S_{0,30}\n", 6,
+     "expect order=120 surfaces=S_{0,30}"),
+], ids=["stray-line", "misspelt-key", "presentation-line", "pattern-line", "scenario-line",
+        "expect-line"])
 def test_arithmetic_case_rejects_a_line_it_does_not_read(text, lineno, line):
     # An arithmetic case has no presentation, so a line the parser does
     # not know is a typo and must not be dropped.
@@ -184,15 +194,38 @@ def test_arithmetic_case_rejects_a_line_it_does_not_read(text, lineno, line):
     assert str(exc.value) == f"line {lineno}: not a line of an arithmetic case: {line!r}"
 
 
+@pytest.mark.parametrize("text,lineno,message", [
+    (EDGE_CASE + "alpha: 2\n", 7, "not a line of an edge case: 'alpha: 2'"),
+    (EDGE_CASE + "m: 4(a+1) = 12\n", 7, "not a line of an edge case: 'm: 4(a+1) = 12'"),
+    # a surfaces: line after expect would replace the expected set
+    (EDGE_CASE + "surfaces: S_{0,3}\n", 7, "not a line of an edge case: 'surfaces: S_{0,3}'"),
+    # a dashed case would ignore its pattern lines
+    (DASHED_CASE + "pattern P1: subgroup = x ; orient = always\n", 6,
+     "not a line of a dashed case: 'pattern P1: subgroup = x ; orient = always'"),
+    # the last scenario line would win
+    (DASHED_CASE.replace("expect", "scenario dashed alpha=3 fixed=x arc=y hom(x=1)\nexpect"),
+     5, "a second scenario line, after line 4"),
+    (EDGE_CASE + "expect order=6 surfaces=S_{0,3}\n", 7, "a second expect line, after line 6"),
+    # maybe would be read as false
+    (ARITHMETIC_CASE.replace("true", "maybe"), 2,
+     "arithmetic_only: must be true or false, got 'maybe'"),
+], ids=["edge-alpha", "edge-m", "edge-surfaces", "dashed-pattern", "two-scenarios",
+        "two-expects", "arithmetic-only-maybe"])
+def test_a_case_rejects_a_line_of_another_kind_or_a_second_one(text, lineno, message):
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_case_text(text)
+    assert str(exc.value) == f"line {lineno}: {message}"
+
+
 @pytest.mark.parametrize("text,missing", [
     (EDGE_CASE.replace("scenario edge alpha=2", "scenario edge beta=2"), "alpha="),
     (DASHED_CASE.replace(" alpha=2", ""), "alpha="),
     (DASHED_CASE.replace(" fixed=y", ""), "fixed="),
     (DASHED_CASE.replace(" arc=x", ""), "arc="),
 ])
-def test_bad_case_file_names_file_and_line(tmp_path, text, missing):
+def test_bad_case_file_names_file_and_line(catalog_dir, text, missing):
     parse_case_text(DASHED_CASE)  # intact, so only the edit breaks it
-    path = tmp_path / "broken.case"
+    path = catalog_dir / "broken.case"
     path.write_text(text)
     with pytest.raises(WordSyntaxError) as exc:
         parse_case_text(text)
@@ -202,9 +235,9 @@ def test_bad_case_file_names_file_and_line(tmp_path, text, missing):
     # id is still found.
     case_id = text.splitlines()[0].removeprefix("case: ")
     with pytest.raises(WordSyntaxError) as exc:
-        find_case(case_id, search_dir=tmp_path)
+        find_case(case_id)
     assert str(exc.value).startswith(f"{path}: line 4: ")
-    assert find_case("orbifold-28-edge", search_dir=tmp_path).kind == "edge"
+    assert find_case("orbifold-28-edge").kind == "edge"
 
 
 @pytest.mark.parametrize("text", [
@@ -212,15 +245,15 @@ def test_bad_case_file_names_file_and_line(tmp_path, text, missing):
     "case: \n",
     ARITHMETIC_CASE + "bogus line\n",
 ], ids=["no-case-line", "empty-id", "other-id"])
-def test_bad_case_file_blocks_no_other_id(tmp_path, text):
-    (tmp_path / "stray.case").write_text(text)
-    (tmp_path / "alpha-29.case").write_text(
+def test_bad_case_file_blocks_no_other_id(catalog_dir, text):
+    (catalog_dir / "stray.case").write_text(text)
+    (catalog_dir / "alpha-29.case").write_text(
         ARITHMETIC_CASE.replace("case: little-row", "case: alpha-29"))
-    assert find_case("orbifold-28-edge", search_dir=tmp_path).kind == "edge"
-    assert find_case("alpha-29", search_dir=tmp_path).m_value == 120
-    assert run_case("15E", n=3, search_dir=tmp_path).matched
+    assert find_case("orbifold-28-edge").kind == "edge"
+    assert find_case("alpha-29").m_value == 120
+    assert run_case("15E", n=3).matched
     with pytest.raises(UnknownCase):
-        find_case("not-a-case", search_dir=tmp_path)
+        find_case("not-a-case")
 
 
 @pytest.mark.parametrize("data,lineno,byte", [
@@ -228,14 +261,14 @@ def test_bad_case_file_blocks_no_other_id(tmp_path, text):
     (b"\xff\ncase: x\n", 1, "0xff"),
     (b"case: x\r\ngenerators: y\r\n\r\nrelators: y^2 \xe9\n", 4, "0xe9"),
 ])
-def test_a_case_file_that_is_not_utf8_fails_only_its_own_id(tmp_path, data, lineno, byte):
-    path = tmp_path / "bad.case"
+def test_a_case_file_that_is_not_utf8_fails_only_its_own_id(catalog_dir, data, lineno, byte):
+    path = catalog_dir / "bad.case"
     path.write_bytes(data)
     with pytest.raises(WordSyntaxError) as exc:
-        find_case("x", search_dir=tmp_path)
+        find_case("x")
     assert str(exc.value) == f"{path}: line {lineno}: byte {byte} is not UTF-8"
-    assert find_case("orbifold-28-edge", search_dir=tmp_path).kind == "edge"
-    assert run_case("15E", n=3, search_dir=tmp_path).matched
+    assert find_case("orbifold-28-edge").kind == "edge"
+    assert run_case("15E", n=3).matched
 
 
 def test_find_case_builtin_and_unknown():
@@ -247,17 +280,18 @@ def test_find_case_builtin_and_unknown():
     assert "15E" in str(exc.value)
 
 
-def test_find_case_file_overrides_builtin(tmp_path):
+def test_find_case_file_overrides_builtin(catalog_dir, monkeypatch):
     text = ARITHMETIC_CASE.replace("case: little-row", "case: alpha-29")
     text = text.replace("m: 4(a+1) = 120", "m: 4(a+1) = 121")
-    (tmp_path / "override.case").write_text(text)
-    entry = find_case("alpha-29", search_dir=tmp_path)
+    (catalog_dir / "override.case").write_text(text)
+    entry = find_case("alpha-29")
     assert entry.m_value == 121
-    builtin = find_case("alpha-29", search_dir=tmp_path / "missing")
+    monkeypatch.setenv("ORBISYM_CATALOG", str(catalog_dir / "missing"))
+    builtin = find_case("alpha-29")
     assert builtin.m_value == 120
 
 
-def test_case_files_are_parsed_once_until_rewritten(tmp_path, monkeypatch):
+def test_case_files_are_parsed_once_until_rewritten(catalog_dir, monkeypatch):
     calls = []
 
     def counting_parse(text):
@@ -267,31 +301,31 @@ def test_case_files_are_parsed_once_until_rewritten(tmp_path, monkeypatch):
     catalog._builtin_entries()  # the package data is parsed once per process
     monkeypatch.setattr(catalog, "parse_case_text", counting_parse)
     text = ARITHMETIC_CASE.replace("case: little-row", "case: alpha-29")
-    path = tmp_path / "override.case"
+    path = catalog_dir / "override.case"
     path.write_text(text.replace("m: 4(a+1) = 120", "m: 4(a+1) = 121"))
-    (tmp_path / "edge.case").write_text(EDGE_CASE)
+    (catalog_dir / "edge.case").write_text(EDGE_CASE)
     for _ in range(5):
-        assert find_case("alpha-29", search_dir=tmp_path).m_value == 121
-        assert run_case("orbifold-28-edge", search_dir=tmp_path).matched
+        assert find_case("alpha-29").m_value == 121
+        assert run_case("orbifold-28-edge").matched
     assert len(calls) == 2
     # A rewritten file (new size, so a new key even within one mtime
     # tick) is parsed again on the next call.
     path.write_text(text.replace("m: 4(a+1) = 120", "m: 4(a+1) = 1210"))
-    assert find_case("alpha-29", search_dir=tmp_path).m_value == 1210
+    assert find_case("alpha-29").m_value == 1210
     assert len(calls) == 3
     # A broken rewrite is parsed once too, and fails every lookup of its
     # id; a repaired file (a new size again) is read again.
     path.write_text(text.replace("S_{9,12}", "S_{9.12}"))
     for _ in range(2):
         with pytest.raises(OrbisymError, match=rf"^{re.escape(str(path))}: line 5: "):
-            find_case("alpha-29", search_dir=tmp_path)
+            find_case("alpha-29")
     assert len(calls) == 4
     path.write_text(text + "# repaired\n")
-    assert find_case("alpha-29", search_dir=tmp_path).m_value == 120
+    assert find_case("alpha-29").m_value == 120
     assert len(calls) == 5
 
 
-def test_a_large_case_directory_is_parsed_once(tmp_path, monkeypatch):
+def test_a_large_case_directory_is_parsed_once(catalog_dir, monkeypatch):
     # find_case walks every override file in order on each call, so a
     # bounded cache smaller than the directory would evict each entry
     # before its reuse and parse every file on every lookup.
@@ -304,46 +338,46 @@ def test_a_large_case_directory_is_parsed_once(tmp_path, monkeypatch):
     catalog._builtin_entries()
     monkeypatch.setattr(catalog, "parse_case_text", counting_parse)
     for k in range(70):
-        (tmp_path / f"row{k:02d}.case").write_text(
+        (catalog_dir / f"row{k:02d}.case").write_text(
             ARITHMETIC_CASE.replace("case: little-row", f"case: row-{k}"))
-    assert find_case("row-0", search_dir=tmp_path).alpha == 29
+    assert find_case("row-0").alpha == 29
     assert len(calls) == 70
-    assert find_case("row-69", search_dir=tmp_path).alpha == 29
+    assert find_case("row-69").alpha == 29
     assert len(calls) == 70
     # a rewritten file (a new size) replaces its own entry and no other
-    path = tmp_path / "row33.case"
+    path = catalog_dir / "row33.case"
     path.write_text(path.read_text().replace("alpha: 29", "alpha: 29\n# rewritten"))
     for _ in range(2):
-        assert find_case("row-33", search_dir=tmp_path).alpha == 29
+        assert find_case("row-33").alpha == 29
     assert len(calls) == 71
 
 
-def test_an_unreadable_case_path_blocks_no_id(tmp_path):
+def test_an_unreadable_case_path_blocks_no_id(catalog_dir):
     # A dangling link and a directory named *.case cannot be read, so they
     # declare no id and every lookup goes on as without them.
-    (tmp_path / "dangling.case").symlink_to(tmp_path / "missing.case")
-    (tmp_path / "dir.case").mkdir()
-    assert find_case("orbifold-28-edge", search_dir=tmp_path).kind == "edge"
-    assert run_case("15E", n=3, search_dir=tmp_path).matched
+    (catalog_dir / "dangling.case").symlink_to(catalog_dir / "missing.case")
+    (catalog_dir / "dir.case").mkdir()
+    assert find_case("orbifold-28-edge").kind == "edge"
+    assert run_case("15E", n=3).matched
     for case_id in ("dangling", "dir", ""):
         with pytest.raises(UnknownCase):
-            find_case(case_id, search_dir=tmp_path)
+            find_case(case_id)
 
 
-def test_a_case_file_is_found_under_its_last_case_line(tmp_path):
-    path = tmp_path / "two.case"
+def test_a_case_file_is_found_under_its_last_case_line(catalog_dir):
+    path = catalog_dir / "two.case"
     text = ARITHMETIC_CASE.replace("case: little-row", "case: first\ncase: little-row")
     path.write_text(text)
-    assert find_case("little-row", search_dir=tmp_path).id == "little-row"
+    assert find_case("little-row").id == "little-row"
     with pytest.raises(UnknownCase):
-        find_case("first", search_dir=tmp_path)
+        find_case("first")
     # Broken, it fails only the id of that last line.
     path.write_text(text + "bogus line\n")
     with pytest.raises(WordSyntaxError, match=rf"^{re.escape(str(path))}: line 7: "):
-        find_case("little-row", search_dir=tmp_path)
+        find_case("little-row")
     with pytest.raises(UnknownCase):
-        find_case("first", search_dir=tmp_path)
-    assert find_case("alpha-29", search_dir=tmp_path).m_value == 120
+        find_case("first")
+    assert find_case("alpha-29").m_value == 120
 
 
 @pytest.mark.parametrize("make,error", [
@@ -460,21 +494,21 @@ def test_run_case_unknown():
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_run_case_reports_mismatch(tmp_path):
+def test_run_case_reports_mismatch(catalog_dir):
     # corrupt the expected order in a file override and watch it flagged
     base = (REPO_ROOT / "src/orbisym/data/orbifold-28-edge.case").read_text()
-    (tmp_path / "edge.case").write_text(base.replace("order=120", "order=121"))
-    report = run_case("orbifold-28-edge", search_dir=tmp_path)
+    (catalog_dir / "edge.case").write_text(base.replace("order=120", "order=121"))
+    report = run_case("orbifold-28-edge")
     assert not report.matched
     assert report.status == "mismatch"
     assert report.computed_order == 120
     assert any("121" in d for d in report.detail)
 
 
-def test_run_arithmetic_mismatch(tmp_path):
+def test_run_arithmetic_mismatch(catalog_dir):
     text = ARITHMETIC_CASE.replace("m: 4(a+1) = 120", "m: 4(a+1) = 124")
-    (tmp_path / "row.case").write_text(text)
-    report = run_case("little-row", search_dir=tmp_path)
+    (catalog_dir / "row.case").write_text(text)
+    report = run_case("little-row")
     assert not report.matched
     assert any("124" in d for d in report.detail)
 

@@ -131,6 +131,18 @@ def test_hom2_bad_map(capsys, orbifold_file, item):
         f"error: --map needs WORD=BIT with BIT 0 or 1, got {item!r}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["hom2", "--map", "q=1"], "--map item 'q=1': unknown generator 'q'"),
+    (["hom2", "--map", "x=1", "--map", "x**y=0"],
+     "--map item 'x**y=0': unexpected '*' at position 2"),
+    (["index", "--subgroup", "x**y"], "--subgroup item 'x**y': unexpected '*' at position 2"),
+    (["index", "--subgroup", "x*y, q"], "--subgroup item 'q': unknown generator 'q'"),
+], ids=["map-generator", "map-syntax", "subgroup-syntax", "subgroup-generator"])
+def test_a_bad_word_in_a_flag_names_the_flag_and_item(capsys, orbifold_file, argv, message):
+    assert main([argv[0], orbifold_file, *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_case_edge(capsys):
     assert main(["case", "orbifold-28-edge"]) == 0
     out = capsys.readouterr().out

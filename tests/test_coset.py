@@ -42,6 +42,12 @@ from row_layout import RowLayoutEnumerator, renumber, row_standardize
 
 D7 = "generators: x y\nrelators: x^7 y^2 (x*y)^2\n"
 
+
+def table_rows(table):
+    """The table as rows, for the row-based oracles: row c is coset c's
+    entry in each column."""
+    return tuple(zip(*table.columns)) if table.columns else ((),) * table.n_cosets
+
 TRIANGLE = "generators: x y\nrelators: x^3 y^2 (x*y)^{q}\n"
 
 
@@ -447,7 +453,7 @@ def test_table_is_bfs_standardized(orbifold_28):
     # meet the cosets exactly in numeric order.
     for subgroup in ((), (Word((1, 2)),)):
         table = enumerate_cosets(orbifold_28, subgroup=subgroup)
-        action = table.action
+        action = table_rows(table)
         seen = {0}
         order = [0]
         for alpha in order:
@@ -500,7 +506,7 @@ def test_verify_coset_table_passes(orbifold_28):
 
 def test_verify_coset_table_catches_corruption(orbifold_28):
     table = enumerate_cosets(orbifold_28, subgroup=(Word((1, 2)),))
-    rows = [list(r) for r in table.action]
+    rows = [list(r) for r in table_rows(table)]
     rows[3][0], rows[4][0] = rows[4][0], rows[3][0]
     broken = _with_rows(table, rows)
     with pytest.raises(AssertionError):
@@ -519,11 +525,11 @@ def row_trace_word(action, start, w):
 
 
 def reference_verify(table, pres, rows=None):
-    """The letter-by-letter check on the table's rows (table.action, or
+    """The letter-by-letter check on the table's rows (table_rows(table), or
     rows when given): every entry, its inverse, and every relator traced
     from every coset one letter at a time."""
     ncols = 2 * pres.n_generators
-    action = table.action if rows is None else rows
+    action = table_rows(table) if rows is None else rows
     for c, row in enumerate(action):
         if len(row) != ncols:
             raise AssertionError(f"row {c} has {len(row)} columns, wanted {ncols}")
@@ -607,7 +613,7 @@ def test_both_verifiers_accept_every_valid_table():
 @pytest.mark.parametrize("case_id", VERIFIED_IDS)
 def test_both_verifiers_reject_one_changed_entry(case_id):
     pres, table = verified_cases()[case_id]
-    rows = [list(r) for r in table.action]
+    rows = [list(r) for r in table_rows(table)]
     last = table.n_cosets - 1
     rows[last][1] = (rows[last][1] + 1) % table.n_cosets
     assert_both_reject(_with_rows(table, rows), pres)
@@ -618,7 +624,7 @@ def test_both_verifiers_reject_a_broken_inverse_pair(case_id):
     # Swapping two entries of a column keeps it a permutation, but the
     # inverse column no longer undoes it.
     pres, table = verified_cases()[case_id]
-    rows = [list(r) for r in table.action]
+    rows = [list(r) for r in table_rows(table)]
     col = 2 * (pres.n_generators - 1)
     c = next(c for c in range(1, table.n_cosets) if rows[c][col] != rows[0][col])
     rows[0][col], rows[c][col] = rows[c][col], rows[0][col]
@@ -630,7 +636,7 @@ def test_both_verifiers_reject_a_broken_inverse_pair(case_id):
 @pytest.mark.parametrize("bad", ["-1", "n"])
 def test_both_verifiers_reject_an_entry_out_of_range(case_id, where, bad):
     pres, table = verified_cases()[case_id]
-    rows = [list(r) for r in table.action]
+    rows = [list(r) for r in table_rows(table)]
     c, col = (0, 0) if where == "first" else (table.n_cosets - 1, 2 * pres.n_generators - 1)
     rows[c][col] = -1 if bad == "-1" else table.n_cosets
     broken = _with_rows(table, rows)
@@ -645,7 +651,7 @@ def test_both_verifiers_reject_a_row_of_the_wrong_width(case_id, delta):
     # Row 0, because the reference checks rows in order and follows each
     # entry into a later row: a later short row makes it raise IndexError.
     pres, table = verified_cases()[case_id]
-    rows = [list(r) for r in table.action]
+    rows = [list(r) for r in table_rows(table)]
     rows[0] = rows[0][:-1] if delta < 0 else rows[0] + [0]
     ncols = len(table.columns)
     message = rf"row 0 has {ncols + delta} columns, wanted {ncols}"
@@ -672,7 +678,7 @@ def test_both_verifiers_reject_a_row_of_the_wrong_width(case_id, delta):
 def test_verify_rejects_shapes_the_reference_crashes_on(case_id):
     # Each of these escapes the letter-by-letter check as IndexError.
     pres, table = verified_cases()[case_id]
-    rows = [list(r) for r in table.action]
+    rows = [list(r) for r in table_rows(table)]
     n = table.n_cosets
     with pytest.raises(AssertionError, match=rf"table has {n} rows, n_cosets is {n + 1}"):
         verify_coset_table(_with_rows(table, rows, n_cosets=n + 1), pres)
@@ -735,7 +741,7 @@ def test_both_verifiers_reject_a_subgroup_word_that_moves_coset_0(case_id):
     pres, table = verified_cases()[case_id]
     mover = next(Word.generator(i) for i in range(pres.n_generators)
                  if table.columns[2 * i][0] != 0)
-    wrong = _with_rows(table, table.action,
+    wrong = _with_rows(table, table_rows(table),
                        subgroup_generators=table.subgroup_generators + (mover,))
     assert_both_reject(wrong, pres)
 
@@ -750,7 +756,7 @@ def test_both_verifiers_reject_one_random_corrupted_entry(data):
     col = data.draw(st.integers(0, 2 * pres.n_generators - 1))
     old = table.columns[col][c]
     new = data.draw(st.integers(-1, n).filter(lambda d: d != old))
-    rows = [list(r) for r in table.action]
+    rows = [list(r) for r in table_rows(table)]
     rows[c][col] = new
     assert_both_reject(_with_rows(table, rows), pres)
 
@@ -1712,7 +1718,7 @@ def test_subgroup_index_rejects_other_tables():
 
 def row_subgroup_index(regular, words):
     """subgroup_index reading the regular table's rows."""
-    action = regular.action
+    action = table_rows(regular)
     word_cols = [letter_columns(w) for w in words]
     seen = bytearray(regular.n_cosets)
     seen[0] = 1
@@ -1732,7 +1738,7 @@ def row_coset_words(table):
     """coset_words reading the table's rows."""
     letters = [(col // 2 + 1) * (-1 if col & 1 else 1)
                for col in range(2 * len(table.generator_names))]
-    action = table.action
+    action = table_rows(table)
     order = [0]
     words = [()] * table.n_cosets
     seen = bytearray(table.n_cosets)
@@ -1750,8 +1756,7 @@ def assert_the_column_readers_match_the_rows(table, words):
     """trace_word from every coset, coset_words, permutation_rep and, on
     a regular table, subgroup_index of each prefix of words, against the
     same reads of the rows."""
-    action = table.action
-    assert action == tuple(zip(*table.columns))
+    action = table_rows(table)
     for w in words:
         for c in range(table.n_cosets):
             assert trace_word(table, c, w) == row_trace_word(action, c, w)
@@ -1832,7 +1837,7 @@ def test_enumerate_cosets_frees_the_enumerator_before_verifying(monkeypatch):
 
 def test_a_presentation_without_generators_has_one_coset_and_no_columns():
     table = enumerate_cosets(Presentation((), ()))
-    assert (table.n_cosets, table.columns, table.action) == (1, (), ((),))
+    assert (table.n_cosets, table.columns) == (1, ())
     verify_coset_table(table, Presentation((), ()))
     assert table_to_tsv(table) == "coset\n0\n"
     assert coset_words(table) == (Word(()),)

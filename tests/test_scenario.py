@@ -13,9 +13,7 @@ from orbisym import (
     ClassificationError,
     DashedArcScenario,
     EdgeScenario,
-    EnumerationLimits,
     InvalidParameter,
-    LimitExceeded,
     MismatchError,
     SurfaceType,
     Word,
@@ -34,10 +32,12 @@ from orbisym import (
     load_presentation,
     parse_word,
     permutation_rep,
+    run_case,
     solve_hom_to_z2,
     subgroup_index,
     trace_word,
 )
+import orbisym.coset as coset_module
 import orbisym.scenario as scenario_module
 from orbisym.scenario import FAMILY_15E, FAMILY_19, family_scenario
 
@@ -48,6 +48,11 @@ def S(g, b):
 
 def N(g, b):
     return SurfaceType(orientable=False, genus=g, boundary=b)
+
+
+def regular_of(scenario):
+    """The regular coset table an evaluator is handed."""
+    return enumerate_cosets(scenario.presentation)
 
 
 def orbifold_edge_scenario(pres):
@@ -71,7 +76,8 @@ def orbifold_edge_scenario(pres):
 
 
 def test_edge_scenario_surfaces(orbifold_28):
-    result = evaluate_edge_scenario(orbifold_edge_scenario(orbifold_28))
+    scenario = orbifold_edge_scenario(orbifold_28)
+    result = evaluate_edge_scenario(scenario, regular_of(scenario))
     assert result.surfaces == frozenset({S(0, 12), N(6, 6)})
     assert [o.pattern for o in result.per_pattern] == ["G1", "G2", "G3", "G4"]
     by_name = {o.pattern: o for o in result.per_pattern}
@@ -87,7 +93,8 @@ def test_edge_single_pattern_whole_group(orbifold_28):
     words = tuple(Word.generator(i) for i in range(3))
     pattern = BoundaryPattern("all", words, AlwaysOrientable())
     result = evaluate_edge_scenario(
-        EdgeScenario(presentation=orbifold_28, alpha=2, patterns=(pattern,)))
+        EdgeScenario(presentation=orbifold_28, alpha=2, patterns=(pattern,)),
+        enumerate_cosets(orbifold_28))
     assert result.surfaces == frozenset({S(1, 1)})
 
 
@@ -96,7 +103,7 @@ def test_edge_parity_failure_aborts(orbifold_28):
     pattern = BoundaryPattern("all", words, AlwaysOrientable())
     scenario = EdgeScenario(presentation=orbifold_28, alpha=3, patterns=(pattern,))
     with pytest.raises(ClassificationError):
-        evaluate_edge_scenario(scenario)
+        evaluate_edge_scenario(scenario, regular_of(scenario))
 
 
 def dashed_scenario(pres):
@@ -114,8 +121,9 @@ def dashed_scenario(pres):
 
 
 def test_dashed_identity_conjugator_only(orbifold_28):
-    result = evaluate_dashed_arc_scenario(
-        dashed_scenario(orbifold_28), conjugators=(Word.identity(),))
+    scenario = dashed_scenario(orbifold_28)
+    result = evaluate_dashed_arc_scenario(scenario, regular_of(scenario),
+                                          conjugators=(Word.identity(),))
     assert result.surfaces == frozenset({S(5, 12)})
     assert len(result.per_pattern) == 4
     assert {o.pattern for o in result.per_pattern} == {
@@ -129,7 +137,8 @@ def test_dashed_identity_conjugator_only(orbifold_28):
 
 
 def test_dashed_full_sweep(orbifold_28):
-    result = evaluate_dashed_arc_scenario(dashed_scenario(orbifold_28))
+    scenario = dashed_scenario(orbifold_28)
+    result = evaluate_dashed_arc_scenario(scenario, regular_of(scenario))
     assert result.surfaces == frozenset({S(5, 12)})
     admissible = {o.sweep_index for o in result.per_pattern}
     assert len(admissible) == 48
@@ -152,34 +161,29 @@ def test_dashed_connectivity_filter(orbifold_28):
     # a conjugator is skipped when fixed word plus moved arc fail to
     # generate the whole group; the identity never fails here, so probe
     # a scenario where it does
-    result = evaluate_dashed_arc_scenario(inadmissible_scenario())
+    scenario = inadmissible_scenario()
+    result = evaluate_dashed_arc_scenario(scenario, regular_of(scenario))
     assert result.surfaces == frozenset()
     assert result.per_pattern == ()
 
 
 def test_dashed_early_stop_same_surfaces(orbifold_28):
     scenario = dashed_scenario(orbifold_28)
-    full = evaluate_dashed_arc_scenario(scenario)
-    stopped = evaluate_dashed_arc_scenario(scenario, early_stop=True)
+    full = evaluate_dashed_arc_scenario(scenario, regular_of(scenario))
+    stopped = evaluate_dashed_arc_scenario(scenario, regular_of(scenario), early_stop=True)
     assert stopped.surfaces == full.surfaces
     assert len(stopped.per_pattern) < len(full.per_pattern)
-
-
-def test_dashed_threads_match_single(orbifold_28):
-    scenario = dashed_scenario(orbifold_28)
-    single = evaluate_dashed_arc_scenario(scenario, threads=1)
-    threaded = evaluate_dashed_arc_scenario(scenario, threads=4)
-    assert single == threaded
 
 
 def test_dashed_sweep_words_can_be_replaced(orbifold_28):
     # multiplying each conjugator by a relator changes the words but not
     # the group elements, so the outcome surfaces must not move
     scenario = dashed_scenario(orbifold_28)
-    base = evaluate_dashed_arc_scenario(scenario, conjugators=(
+    regular = regular_of(scenario)
+    base = evaluate_dashed_arc_scenario(scenario, regular, conjugators=(
         Word.identity(), parse_word("x", orbifold_28.generator_names)))
     relator = orbifold_28.relators[0]
-    shifted = evaluate_dashed_arc_scenario(scenario, conjugators=(
+    shifted = evaluate_dashed_arc_scenario(scenario, regular, conjugators=(
         relator, parse_word("x", orbifold_28.generator_names) * relator))
     assert shifted.surfaces == base.surfaces
     assert [o.boundary for o in shifted.per_pattern] == [o.boundary for o in base.per_pattern]
@@ -264,7 +268,7 @@ def per_subgroup_sweep(scenario, early_stop):
 @pytest.mark.parametrize("early_stop", [False, True])
 def test_dashed_sweep_matches_per_subgroup_path(orbifold_28, early_stop):
     scenario = dashed_scenario(orbifold_28)
-    result = evaluate_dashed_arc_scenario(scenario, early_stop=early_stop)
+    result = evaluate_dashed_arc_scenario(scenario, regular_of(scenario), early_stop=early_stop)
     assert result.per_pattern == per_subgroup_sweep(scenario, early_stop)
 
 
@@ -292,38 +296,64 @@ def test_family_indices_match_enumeration(family):
         member = family_scenario(family, n)
         regular = enumerate_cosets(member.presentation)
         for pattern in member.patterns:
-            words, name = pattern.subgroup_words, pattern.name.removeprefix("embedding ")
+            words = pattern.subgroup_words
             assert subgroup_index(regular, words) == \
                 enumerate_cosets(member.presentation, words).n_cosets
-            assert evaluate_family(family, n, name, regular=regular) == \
-                evaluate_family(family, n, name)
 
 
 def test_sweep_accounting(orbifold_28):
     scenario = dashed_scenario(orbifold_28)
-    full = evaluate_dashed_arc_scenario(scenario)
+    regular = regular_of(scenario)
+    full = evaluate_dashed_arc_scenario(scenario, regular)
     assert (full.visited, full.admissible) == (120, 48)
-    stopped = evaluate_dashed_arc_scenario(scenario, early_stop=True)
+    stopped = evaluate_dashed_arc_scenario(scenario, regular, early_stop=True)
     assert (stopped.visited, stopped.admissible) == (20, 8)
     assert len(stopped.per_pattern) == 4 * stopped.admissible
-    probe = evaluate_dashed_arc_scenario(scenario, conjugators=(Word.identity(),))
+    probe = evaluate_dashed_arc_scenario(scenario, regular, conjugators=(Word.identity(),))
     assert (probe.visited, probe.admissible) == (1, 1)
-    edge = evaluate_edge_scenario(orbifold_edge_scenario(orbifold_28))
+    edge = evaluate_edge_scenario(orbifold_edge_scenario(orbifold_28), regular)
     assert (edge.visited, edge.admissible) == (0, 0)
 
 
 def test_regular_table_is_required(orbifold_28):
-    # an explicit conjugator still needs the regular table, so an infinite
-    # group ends in LimitExceeded; a non-trivial subgroup's table is refused
-    infinite = load_presentation("generators: x y\nrelators: x^2 y^3\n")
-    scenario = DashedArcScenario(infinite, 2, Word.generator(0), Word.generator(1), (
-        Z2Constraint(Word.generator(0), 1),))
-    with pytest.raises(LimitExceeded):
-        evaluate_dashed_arc_scenario(scenario, EnumerationLimits(max_cosets=200),
-                                     conjugators=(Word.identity(),))
+    # a non-trivial subgroup's table is refused
     table = enumerate_cosets(orbifold_28, (Word.generator(0),))
     with pytest.raises(ValueError):
-        evaluate_dashed_arc_scenario(dashed_scenario(orbifold_28), regular=table)
+        evaluate_dashed_arc_scenario(dashed_scenario(orbifold_28), table)
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """The arguments of every enumerator made while the test runs."""
+    made = []
+
+    class Counted(coset_module._Enumerator):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(coset_module, "_Enumerator", Counted)
+    return made
+
+
+@pytest.mark.parametrize("case_id,n", [("orbifold-28-edge", None), ("orbifold-28-dashed", None),
+                                       ("15E", 5), ("19", 5)])
+def test_a_case_is_one_enumeration(enumerations, case_id, n):
+    assert run_case(case_id, n=n).matched
+    assert len(enumerations) == 1
+
+
+def test_an_evaluator_handed_the_table_enumerates_nothing(orbifold_28, enumerations):
+    edge, dashed = orbifold_edge_scenario(orbifold_28), dashed_scenario(orbifold_28)
+    regular = enumerate_cosets(orbifold_28)
+    enumerations.clear()
+    evaluate_edge_scenario(edge, regular)
+    for early_stop in (False, True):
+        evaluate_dashed_arc_scenario(dashed, regular, early_stop=early_stop)
+    evaluate_dashed_arc_scenario(dashed, regular, conjugators=(Word.identity(),))
+    assert enumerations == []
+    # evaluate_family builds its presentation, so it enumerates it once
+    evaluate_family(FAMILY_19, 5)
+    assert len(enumerations) == 1
 
 
 # -- the sweep cached by moved element against the per-conjugator loop --
@@ -388,8 +418,8 @@ def test_cached_sweep_matches_uncached(orbifold_28, which, early_stop):
     scenario = {"orbifold-28": lambda: dashed_scenario(orbifold_28),
                 "family-19-n3": inadmissible_scenario, "s4": s4_scenario}[which]()
     for seed, conjugators in enumerate(conjugator_lists(scenario.presentation, 18)):
-        result = evaluate_dashed_arc_scenario(scenario, early_stop=early_stop,
-                                              conjugators=conjugators)
+        result = evaluate_dashed_arc_scenario(scenario, regular_of(scenario),
+                                              early_stop=early_stop, conjugators=conjugators)
         expected = uncached_sweep(scenario, early_stop, conjugators)
         assert result.per_pattern == expected.per_pattern, seed
         assert result.surfaces == expected.surfaces
@@ -410,7 +440,7 @@ def test_sweep_evaluates_each_moved_element_once(orbifold_28, monkeypatch, early
         return subgroup_index(regular, words)
     monkeypatch.setattr(scenario_module, "subgroup_index", counting_index)
     regular = enumerate_cosets(orbifold_28)
-    result = evaluate_dashed_arc_scenario(dashed_scenario(orbifold_28), early_stop=early_stop,
-                                          regular=regular)
+    result = evaluate_dashed_arc_scenario(dashed_scenario(orbifold_28), regular,
+                                          early_stop=early_stop)
     assert result.admissible == (8 if early_stop else 48)
     assert len(calls) == 20 + 4 * 8
