@@ -12,11 +12,12 @@ The surfaces of the square and generic rows are the closed forms in
 ``builtin_cases`` returns the four rows that come with printed
 presentations and are therefore runnable end to end: the order-120
 orbifold in both singular-set variants, and the two parametric
-families.  Cases live in a human-readable file format (see data/, the
-only built-in copy); an optional directory of ``*.case`` files overrides
-them by id.  ORBISYM_CATALOG, default ./catalog, is the one way to choose
-that directory.  A file there that does not parse fails only the lookup
-of the id its ``case:`` line names; one that cannot be read declares no id.
+families.  The orbifold cases are human-readable case files in data/,
+their only built-in copy; ``alpha-29`` is built from its table row.  An
+optional directory of ``*.case`` files overrides any case by id; it is
+ORBISYM_CATALOG, or ./catalog when that is unset or empty.  A file there
+that does not parse fails only the lookup of the id its ``case:`` line
+names; one that cannot be read declares no id.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .errors import (
     OrbisymError,
     UnknownCase,
     WordSyntaxError,
+    at,
 )
 from .presentation import decode_utf8, load_presentation_with_aliases
 from .scenario import (
@@ -254,11 +256,10 @@ class CatalogEntry:
     m_value: int | None = None
 
 
-_SURFACE_RE = re.compile(r"[SN]_\{\d+,\d+\}")
 # Commas and whitespace separate surface labels, except the comma inside
 # a label's braces.
 _SURFACE_SEP_RE = re.compile(r"[\s,]+(?![^{]*\})")
-_EXPECT_RE = re.compile(r"expect\s+order=(\d+)\s+surfaces=(.+)$")
+_EXPECT_RE = re.compile(r"expect\s+order=([0-9]+)\s+surfaces=(.+)$")
 _PATTERN_RE = re.compile(r"pattern\s+([A-Za-z0-9_]+)\s*:\s*(.+)$")
 _HOM_RE = re.compile(r"hom\((.*)\)\s*$")
 # A case file line that starts with none of these is a presentation line
@@ -292,19 +293,15 @@ def _scenario_fields(body: str, required: tuple[str, ...]) -> dict[str, str]:
 
 
 def _parse_surfaces(text: str) -> tuple[SurfaceType, ...]:
-    surfaces = []
-    for token in filter(None, _SURFACE_SEP_RE.split(text)):
-        if not _SURFACE_RE.fullmatch(token):
-            raise WordSyntaxError(f"not a surface label: {token!r}")
-        surfaces.append(surface_from_str(token))
-    return tuple(surfaces)
+    return tuple(map(surface_from_str, filter(None, _SURFACE_SEP_RE.split(text))))
 
 
-def _line_error(lineno: int, exc: Exception) -> OrbisymError:
-    """exc with the case-file line number in front; ValueError becomes
-    WordSyntaxError."""
-    kind = type(exc) if isinstance(exc, OrbisymError) else WordSyntaxError
-    return kind(f"line {lineno}: {exc}")
+def _integer(text: str) -> int:
+    """text, stripped, as an integer of ASCII digits: '-'? [0-9]+."""
+    text = text.strip()
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise WordSyntaxError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _declared_id(text: str) -> str | None:
@@ -352,11 +349,11 @@ def parse_case_text(text: str) -> CatalogEntry:
                     raise WordSyntaxError(f"arithmetic_only: must be true or false, got {value!r}")
                 arithmetic = value == "true"
             elif directive == "alpha:":
-                alpha = int(line.split(":", 1)[1])
+                alpha = _integer(line.split(":", 1)[1])
             elif directive == "m:":
                 body = line.split(":", 1)[1]
                 label, _, value = body.rpartition("=")
-                m_label, m_value = label.strip(), int(value)
+                m_label, m_value = label.strip(), _integer(value)
             elif directive == "surfaces:":
                 surfaces = _parse_surfaces(line.split(":", 1)[1])
             elif directive == "expect":
@@ -381,13 +378,13 @@ def parse_case_text(text: str) -> CatalogEntry:
                     dashed_spec = kv
                 else:
                     raise WordSyntaxError(f"unknown scenario kind {scenario_kind!r}")
-                scenario_alpha = int(kv["alpha"])
+                scenario_alpha = _integer(kv["alpha"])
             elif directive == "pattern":
                 pattern_lines.append((lineno, line))
             else:
                 pres_lines[-1] = line
         except (OrbisymError, ValueError) as exc:
-            raise _line_error(lineno, exc) from None
+            raise at(f"line {lineno}", exc) from None
 
     case_id = _declared_id(text)
     if case_id is None:
@@ -397,9 +394,9 @@ def parse_case_text(text: str) -> CatalogEntry:
         # A line its kind does not read is a typo or belongs to another
         # kind; an arithmetic case has no presentation.
         name, reads = _KIND_READS[kind]
-        stray = min((at for d, at in seen.items() if d not in reads), default=None)
+        stray = min((first for d, first in seen.items() if d not in reads), default=None)
         if stray is not None:
-            raise _line_error(stray[0], WordSyntaxError(f"not a line of {name}: {stray[1]!r}"))
+            raise at(f"line {stray[0]}", WordSyntaxError(f"not a line of {name}: {stray[1]!r}"))
     if arithmetic:
         if alpha is None or m_label is None or m_value is None or not surfaces:
             raise WordSyntaxError("arithmetic case needs alpha:, m:, and surfaces: lines")
@@ -415,7 +412,7 @@ def parse_case_text(text: str) -> CatalogEntry:
             try:
                 patterns.append(_parse_pattern(line, names, aliases))
             except (OrbisymError, ValueError) as exc:
-                raise _line_error(lineno, exc) from None
+                raise at(f"line {lineno}", exc) from None
         if scenario_alpha is None or not patterns:
             raise WordSyntaxError("edge case needs a scenario line and pattern lines")
         scenario = EdgeScenario(pres, scenario_alpha, tuple(patterns))
@@ -430,7 +427,7 @@ def parse_case_text(text: str) -> CatalogEntry:
                 arc_word=parse_word(dashed_spec["arc"], names, aliases),
                 hom_constraints=_parse_constraints(dashed_spec["hom"], names, aliases))
         except (OrbisymError, ValueError) as exc:
-            raise _line_error(seen["scenario"][0], exc) from None
+            raise at(f"line {seen['scenario'][0]}", exc) from None
         return CatalogEntry(id=case_id, kind="dashed", scenario=scenario,
                             expected_order=expected_order, expected_surfaces=surfaces)
     raise WordSyntaxError("case file needs a scenario line or arithmetic_only: true")
@@ -483,8 +480,8 @@ def _read_case(path: Path, mtime_ns: int,
         case_id = _declared_id(data.decode("utf-8", errors="replace"))
         try:
             read = case_id, parse_case_text(decode_utf8(data))
-        except OrbisymError as exc:
-            read = case_id, type(exc)(f"{path}: {exc}")
+        except (OrbisymError, ValueError) as exc:
+            read = case_id, at(str(path), exc)
     _reads[path] = (mtime_ns, size), read
     return read
 
@@ -498,14 +495,20 @@ def _entry(read: CatalogEntry | OrbisymError) -> CatalogEntry:
 
 @functools.cache
 def _builtin_entries() -> dict[str, CatalogEntry]:
-    """All compiled-in entries by id, including arithmetic-only rows; read
-    once per process and keyed without a stat, since package data is read-only."""
+    """All compiled-in entries by id; the files in data/ are read once per
+    process and keyed without a stat, since package data is read-only."""
     by_id = {}
     data = resources.files("orbisym").joinpath("data")
     for path in sorted(data.iterdir(), key=lambda e: e.name):
         if path.name.endswith(".case"):
             entry = _entry(_read_case(path, 0, 0)[1])
             by_id[entry.id] = entry
+    # Algebraic genus 29 carries one surface beyond the generic pair; no
+    # presentation is published for it, so its row is checked by arithmetic:
+    # each surface must sit at a = 29, and m must come from 4(a+1).
+    _, m_label, m_value, surfaces = next(row for row in _FIXED_ROWS if row[0] == 29)
+    by_id["alpha-29"] = CatalogEntry("alpha-29", "arithmetic", alpha=29, m_label=m_label,
+                                     m_value=m_value, expected_surfaces=surfaces)
     for family in (FAMILY_15E, FAMILY_19):
         by_id[family] = CatalogEntry(id=family, kind="family", family=family)
     return by_id
@@ -519,8 +522,8 @@ def builtin_cases() -> tuple[CatalogEntry, ...]:
 
 
 def catalog_search_dir() -> Path:
-    """Directory searched for *.case overrides."""
-    return Path(os.environ.get(CATALOG_ENV_VAR, DEFAULT_CATALOG_DIR))
+    """Directory searched for *.case overrides; an empty setting is unset."""
+    return Path(os.environ.get(CATALOG_ENV_VAR) or DEFAULT_CATALOG_DIR)
 
 
 def find_case(case_id: str) -> CatalogEntry:

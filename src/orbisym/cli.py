@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .catalog import CaseReport, builtin_cases, run_case, verify_table
 from .coset import EnumerationLimits, enumerate_cosets, group_order, table_to_tsv
-from .errors import LimitExceeded, OrbisymError
+from .errors import LimitExceeded, OrbisymError, at
 from .presentation import decode_utf8, load_presentation_with_aliases
 from .surface import SurfaceType
 from .words import parse_word
@@ -107,19 +107,8 @@ def _load_presentation_file(path: str):
         raise OrbisymError(f"cannot read {path}: {exc}") from exc
     try:
         return load_presentation_with_aliases(decode_utf8(data))
-    except OrbisymError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-
-
-def _flag_item(flag: str, item: str, parse):
-    """parse(item); an error names the flag and the item, unless, like a
-    bad WORD=BIT, its message already does."""
-    try:
-        return parse(item)
-    except OrbisymError as exc:
-        if str(exc).startswith(flag):
-            raise
-        raise type(exc)(f"{flag} item {item!r}: {exc}") from None
+    except (OrbisymError, ValueError) as exc:
+        raise at(path, exc) from None
 
 
 def _emit(args: argparse.Namespace, command: str, items: list[dict],
@@ -157,15 +146,17 @@ def _case_items(report: CaseReport) -> list[dict]:
             "status": "match" if surface in report.expected_surfaces else "mismatch",
         }
         items.append(item)
-    summary = {
-        "id": report.case_id,
-        "surface": _surface_names(report.computed_surfaces),
-        "status": report.status,
-    }
-    if report.computed_order is not None:
-        summary["order"] = report.computed_order
-    items.append(summary)
+    items.append(_summary_item(report.case_id, report))
     return items
+
+
+def _summary_item(label: str, report: CaseReport) -> dict:
+    """A case's summary: the last item of case, one item of reproduce-all."""
+    item = {"id": label, "surface": _surface_names(report.computed_surfaces),
+            "status": report.status}
+    if report.computed_order is not None:
+        item["order"] = report.computed_order
+    return item
 
 
 def _case_text(report: CaseReport) -> list[str]:
@@ -198,9 +189,12 @@ def _cmd_order(args: argparse.Namespace, started: float) -> int:
 
 def _cmd_index(args: argparse.Namespace, started: float) -> int:
     pres, aliases = _load_presentation_file(args.file)
-    words = tuple(_flag_item("--subgroup", w.strip(),
-                             lambda w: parse_word(w, pres.generator_names, aliases))
-                  for w in args.subgroup.split(",") if w.strip())
+    words = []
+    for item in filter(None, map(str.strip, args.subgroup.split(","))):
+        try:
+            words.append(parse_word(item, pres.generator_names, aliases))
+        except (OrbisymError, ValueError) as exc:
+            raise at(f"--subgroup item {item!r}", exc) from None
     table = enumerate_cosets(pres, words, _limits(args))
     if args.dump_table:
         Path(args.dump_table).write_text(table_to_tsv(table))
@@ -211,8 +205,7 @@ def _cmd_index(args: argparse.Namespace, started: float) -> int:
 
 def _cmd_hom2(args: argparse.Namespace, started: float) -> int:
     pres, aliases = _load_presentation_file(args.file)
-    constraints = [_flag_item("--map", item, lambda text: parse_constraint(
-                       text, pres.generator_names, aliases, "--map"))
+    constraints = [parse_constraint(item, pres.generator_names, aliases, "--map")
                    for item in args.map]
     result = solve_hom_to_z2(pres, constraints)
     if result.solvable:
@@ -266,11 +259,7 @@ def _cmd_reproduce_all(args: argparse.Namespace, started: float) -> int:
         report = run_case(case_id, n=n, limits=_limits(args), threads=args.threads)
         label = case_id if n is None else f"{case_id} n={n}"
         all_match = all_match and report.matched
-        item = {"id": label, "surface": _surface_names(report.computed_surfaces),
-                "status": report.status}
-        if report.computed_order is not None:
-            item["order"] = report.computed_order
-        items.append(item)
+        items.append(_summary_item(label, report))
         text.append(f"{label}: {report.status} (order {report.computed_order}; "
                     f"surfaces {_surface_names(report.computed_surfaces)})")
         for note in report.detail:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``at``, which locates one."""
 
 from __future__ import annotations
 
@@ -64,3 +64,10 @@ class MismatchError(OrbisymError):
 
 class UnknownCase(OrbisymError):
     """A catalog lookup used an id that no entry carries."""
+
+
+def at(where: str, exc: Exception) -> OrbisymError:
+    """exc with where (a file, line, flag or item) in front of its message,
+    as the same OrbisymError type; a ValueError becomes a WordSyntaxError."""
+    kind = type(exc) if isinstance(exc, OrbisymError) else WordSyntaxError
+    return kind(f"{where}: {exc}")

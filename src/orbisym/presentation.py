@@ -23,6 +23,7 @@ from .errors import (
     InvalidParameter,
     OrbisymError,
     WordSyntaxError,
+    at,
 )
 from .words import MAX_WORD_LETTERS, Word, format_word, letter_columns, parse_word
 
@@ -124,8 +125,8 @@ def load_presentation_with_aliases(text: str) -> tuple[Presentation, dict[str, W
                     relators.append(relator)
             else:
                 raise WordSyntaxError(f"unrecognized directive {line.split()[0]!r}")
-        except OrbisymError as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
+        except (OrbisymError, ValueError) as exc:
+            raise at(f"line {lineno}", exc) from None
     if names is None:
         raise WordSyntaxError("missing generators line")
     return Presentation(names, tuple(relators)), aliases

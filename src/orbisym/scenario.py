@@ -36,7 +36,6 @@ from typing import Callable, Sequence
 
 from .coset import (
     CosetTable,
-    EnumerationLimits,
     coset_words,
     enumerate_cosets,
     subgroup_index,
@@ -286,12 +285,11 @@ def closed_form_mismatches(family: str, n: int,
     return texts
 
 
-def evaluate_family(family: str, n: int, embedding: str | None = None,
-                    limits: EnumerationLimits | None = None) -> SurfaceType:
+def evaluate_family(family: str, n: int, embedding: str | None = None) -> SurfaceType:
     """Classify one family embedding as an edge pattern and cross-check the
     result against the closed form; MismatchError if they disagree.  None
     names the embedding of a family that has only one.  The family's group
-    at n is enumerated once, under limits.
+    at n is enumerated once, under the default coset budget.
     """
     scenario = family_scenario(family, n)
     names = [p.name.removeprefix("embedding ") for p in scenario.patterns]
@@ -301,7 +299,7 @@ def evaluate_family(family: str, n: int, embedding: str | None = None,
         raise InvalidParameter(f"family {family} has embeddings "
                                f"{' and '.join(names)}, got {embedding!r}")
     pattern = scenario.patterns[names.index(embedding)]
-    regular = enumerate_cosets(scenario.presentation, (), limits)
+    regular = enumerate_cosets(scenario.presentation)
     result = evaluate_edge_scenario(replace(scenario, patterns=(pattern,)), regular)
     mismatches = closed_form_mismatches(family, n, result.per_pattern)
     if mismatches:

@@ -15,6 +15,7 @@ six excluded roots, and every other a gets 4(a+1).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .errors import ClassificationError, InvalidParameter, NegativeGenus, ParityError
@@ -56,15 +57,16 @@ class SurfaceType:
         return f"{letter}_{{{self.genus},{self.boundary}}}"
 
 
+# With its minus sign, a negative genus or boundary fails as a surface.
+_LABEL = re.compile(r"([SN])_\{(-?[0-9]+),(-?[0-9]+)\}")
+
+
 def surface_from_str(text: str) -> SurfaceType:
-    """Parse 'S_{g,b}' or 'N_{g,b}'."""
-    text = text.strip()
-    if len(text) < 7 or text[0] not in "SN" or text[1:3] != "_{" or text[-1] != "}":
+    """Parse 'S_{g,b}' or 'N_{g,b}', with g and b ASCII integers."""
+    m = _LABEL.fullmatch(text.strip())
+    if m is None:
         raise ValueError(f"not a surface label: {text!r}")
-    inner = text[3:-1].split(",")
-    if len(inner) != 2:
-        raise ValueError(f"not a surface label: {text!r}")
-    return SurfaceType(text[0] == "S", int(inner[0]), int(inner[1]))
+    return SurfaceType(m[1] == "S", int(m[2]), int(m[3]))
 
 
 def algebraic_genus(surface: SurfaceType) -> int:

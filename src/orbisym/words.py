@@ -10,7 +10,7 @@ Word text follows the grammar
     word    := term ('*' term)*
     term    := atom ('^' integer)?
     atom    := identifier | '(' word ')' | '1'
-    integer := '-'? digit+
+    integer := '-'? [0-9]+
 
 with insignificant whitespace.  The bare atom ``1`` denotes the empty
 word; it is also what the canonical printer emits for it, so
@@ -19,7 +19,7 @@ word; it is also what the canonical printer emits for it, so
 The parser sizes each power and product before building it: a word
 over MAX_WORD_LETTERS letters, counted before free reduction, or
 parentheses nested deeper than MAX_NESTING, is a WordSyntaxError that
-names the position.
+names the position; so is an integer of over 18 digits, never converted.
 """
 
 from __future__ import annotations
@@ -137,7 +137,10 @@ def exponent_vector_mod2(w: Word, n_generators: int) -> tuple[int, ...]:
     return tuple(bits)
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<int>-?\d+)|(?P<op>[*^()]))")
+_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<int>-?[0-9]+)|(?P<op>[*^()]))")
+
+# Over the letter limit as any letter's power; int() refuses thousands of digits.
+_MAX_INTEGER_DIGITS = 18
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -152,6 +155,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if m.group("name") is not None:
             tokens.append(("name", m.group("name"), m.start("name")))
         elif m.group("int") is not None:
+            digits = len(m.group("int").lstrip("-"))
+            if digits > _MAX_INTEGER_DIGITS:
+                raise WordSyntaxError(f"integer of {digits} digits at position {m.start('int')} "
+                                      f"is over the {MAX_WORD_LETTERS}-letter limit")
             tokens.append(("int", int(m.group("int")), m.start("int")))
         else:
             tokens.append(("op", m.group("op"), m.start("op")))

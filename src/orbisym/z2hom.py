@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import WordSyntaxError
+from .errors import OrbisymError, WordSyntaxError, at
 from .presentation import Presentation
 from .words import Word, exponent_vector_mod2, parse_word
 
@@ -34,19 +34,19 @@ def parse_constraint(item: str, names: tuple[str, ...], aliases: dict[str, Word]
                      source: str) -> Z2Constraint:
     """The constraint WORD=BIT in item, the word parsed before the bit.
 
-    A missing '=' or a BIT that is not 0 or 1 raises WordSyntaxError
-    naming source (a flag or clause) and the item; an error in the word is
-    the word parser's.
+    Every error names source (a flag or clause) and the item.  A missing
+    '=', or a BIT that is not exactly 0 or 1 once stripped, is a
+    WordSyntaxError; an error in the word is the word parser's.
     """
     word_text, sep, bit_text = item.rpartition("=")
-    bad = f"{source} needs WORD=BIT with BIT 0 or 1, got {item!r}"
-    if not sep:
-        raise WordSyntaxError(bad)
-    word = parse_word(word_text.strip(), names, aliases)
-    try:
-        return Z2Constraint(word, int(bit_text))
-    except ValueError:
-        raise WordSyntaxError(bad) from None
+    if sep:
+        try:
+            word = parse_word(word_text.strip(), names, aliases)
+        except (OrbisymError, ValueError) as exc:
+            raise at(f"{source} item {item!r}", exc) from None
+    if not sep or bit_text.strip() not in ("0", "1"):
+        raise WordSyntaxError(f"{source} needs WORD=BIT with BIT 0 or 1, got {item!r}")
+    return Z2Constraint(word, int(bit_text))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,14 @@ pattern P1: subgroup = x, y ; orient = always
 expect order=6 surfaces=S_{1,1}
 """
 
+ARITHMETIC_CASE = """\
+case: little-row
+arithmetic_only: true
+alpha: 29
+m: 4(a+1) = 120
+surfaces: S_{0,30} S_{9,12} S_{14,2}
+"""
+
 DASHED_CASE = """\
 case: tiny-dashed
 generators: x y

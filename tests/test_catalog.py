@@ -33,7 +33,9 @@ from orbisym.cli import main
 from orbisym.scenario import FAMILY_19, evaluate_family
 import orbisym.scenario as scenario_module
 from orbisym.surface import remaining_family_surfaces, square_family_surface
-from conftest import DASHED_CASE, EDGE_CASE
+from conftest import ARITHMETIC_CASE, DASHED_CASE, EDGE_CASE
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -117,15 +119,6 @@ def test_builtin_cases_order():
     assert set(dashed.expected_surfaces) == {S(5, 12)}
 
 
-ARITHMETIC_CASE = """\
-case: little-row
-arithmetic_only: true
-alpha: 29
-m: 4(a+1) = 120
-surfaces: S_{0,30} S_{9,12} S_{14,2}
-"""
-
-
 def test_parse_arithmetic_case():
     entry = parse_case_text(ARITHMETIC_CASE)
     assert entry.kind == "arithmetic"
@@ -167,10 +160,31 @@ def test_parse_case_errors():
          "line 5: not a surface label: 'S_{9.12}'"),
         (EDGE_CASE.replace("surfaces=S_{1,1}", "surfaces=S_{1,1},N_{6,6}x"),
          "line 6: not a surface label: 'N_{6,6}x'"),
+        # g and b are ASCII integers
+        (ARITHMETIC_CASE.replace("S_{9,12}", "S_{9,1_2}"),
+         "line 5: not a surface label: 'S_{9,1_2}'"),
+        (ARITHMETIC_CASE.replace("S_{9,12}", "S_{٩,12}"),
+         "line 5: not a surface label: 'S_{٩,12}'"),
     ):
         with pytest.raises(WordSyntaxError) as exc:
             parse_case_text(text)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    (ARITHMETIC_CASE.replace("alpha: 29", "alpha: 2_9"), "line 3: not an integer: '2_9'"),
+    (ARITHMETIC_CASE.replace("alpha: 29", "alpha: ٢٩"), "line 3: not an integer: '٢٩'"),
+    (ARITHMETIC_CASE.replace("= 120", "= 1_20"), "line 4: not an integer: '1_20'"),
+    (EDGE_CASE.replace("alpha=2", "alpha=0_2"), "line 4: not an integer: '0_2'"),
+    (EDGE_CASE.replace("order=6", "order=٦"),
+     "line 6: bad expect line: 'expect order=٦ surfaces=S_{1,1}'"),
+], ids=["alpha-underscore", "alpha-arabic-indic", "m-underscore", "scenario-alpha-underscore",
+        "expect-order-arabic-indic"])
+def test_an_integer_in_a_case_file_is_ascii_digits(text, message):
+    # int() would read '2_9' as 29, and \d matches any Unicode digit.
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_case_text(text)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("text,lineno,line", [
@@ -278,6 +292,37 @@ def test_find_case_builtin_and_unknown():
         find_case("not-a-case")
     assert "orbifold-28-edge" in str(exc.value)
     assert "15E" in str(exc.value)
+
+
+def test_an_empty_catalog_variable_is_unset(tmp_path, monkeypatch):
+    # Path("") is the working directory; empty means the default ./catalog.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("ORBISYM_CATALOG", "")
+    (tmp_path / "stray.case").write_text(EDGE_CASE.replace("case: tiny-edge",
+                                                           "case: orbifold-28-edge")
+                                         .replace("alpha=2", "alpha=two"))
+    assert find_case("orbifold-28-edge").expected_order == 120
+    (tmp_path / "catalog").mkdir()
+    (tmp_path / "catalog" / "edge.case").write_text(EDGE_CASE)
+    assert find_case("tiny-edge").expected_order == 6
+
+
+def test_the_builtin_alpha_29_case_is_the_table_row():
+    (row,) = [r for r in builtin_table() if r.alpha == 29]
+    entry = catalog._builtin_entries()["alpha-29"]
+    assert entry == CatalogEntry(id="alpha-29", kind="arithmetic", alpha=29,
+                                 m_label=row.m_label, m_value=row.m_value,
+                                 expected_surfaces=row.surfaces)
+    assert entry.expected_surfaces == (S(0, 30), S(9, 12), S(14, 2))
+
+
+@pytest.mark.parametrize("path", sorted((REPO_ROOT / "bench" / "catalog").glob("*.case")),
+                         ids=lambda path: path.name)
+def test_a_bench_case_file_is_its_builtin_case(path):
+    # The benchmark runs with its own pinned copies as overrides; each must
+    # stand for the built-in case of its id, so read it and compare.
+    entry = parse_case_text(path.read_text())
+    assert entry == catalog._builtin_entries()[entry.id]
 
 
 def test_find_case_file_overrides_builtin(catalog_dir, monkeypatch):
@@ -489,9 +534,6 @@ def test_run_family_needs_n():
 def test_run_case_unknown():
     with pytest.raises(UnknownCase):
         run_case("missing-case")
-
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_run_case_reports_mismatch(catalog_dir):

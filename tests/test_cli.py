@@ -11,8 +11,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from orbisym import presentation
 from orbisym.cli import main
-from conftest import DASHED_CASE, EDGE_CASE, ORBIFOLD_28_TEXT
+from conftest import ARITHMETIC_CASE, DASHED_CASE, EDGE_CASE, ORBIFOLD_28_TEXT
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -124,7 +125,8 @@ def test_hom2_witness_in_json(capsys, orbifold_file):
     assert payload["items"][0]["witness"] == [0, 1, 0]
 
 
-@pytest.mark.parametrize("item", ["xy", "x=", "x=2", "x=b"])
+# A BIT is exactly 0 or 1: not whatever int() reads as 1.
+@pytest.mark.parametrize("item", ["xy", "x=", "x=2", "x=b", "x=0_1", "x=+1", "x=01", "x=１"])
 def test_hom2_bad_map(capsys, orbifold_file, item):
     assert main(["hom2", orbifold_file, "--map", item]) == 2
     assert capsys.readouterr().err == \
@@ -137,7 +139,11 @@ def test_hom2_bad_map(capsys, orbifold_file, item):
      "--map item 'x**y=0': unexpected '*' at position 2"),
     (["index", "--subgroup", "x**y"], "--subgroup item 'x**y': unexpected '*' at position 2"),
     (["index", "--subgroup", "x*y, q"], "--subgroup item 'q': unknown generator 'q'"),
-], ids=["map-generator", "map-syntax", "subgroup-syntax", "subgroup-generator"])
+    (["index", "--subgroup", "x^" + "7" * 5000], f"--subgroup item {'x^' + '7' * 5000!r}: "
+     "integer of 5000 digits at position 2 is over the 1000000-letter limit"),
+    (["hom2", "--map", "a=0_1"], "--map item 'a=0_1': unknown generator 'a'"),
+], ids=["map-generator", "map-syntax", "subgroup-syntax", "subgroup-generator",
+        "subgroup-long-exponent", "map-generator-and-bad-bit"])
 def test_a_bad_word_in_a_flag_names_the_flag_and_item(capsys, orbifold_file, argv, message):
     assert main([argv[0], orbifold_file, *argv[1:]]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -243,9 +249,38 @@ def test_bad_hom_clause_is_an_input_error(capsys, tmp_path, monkeypatch, item,
                                        f"WORD=BIT with BIT 0 or 1, got {item!r}\n")
 
 
+@pytest.mark.parametrize("case_id,text,lineno", [
+    ("tiny-dashed", DASHED_CASE.replace("hom(y=1)", "hom(y=1, q=1)"), 4),
+    ("tiny-edge", EDGE_CASE.replace("orient = always", "orient = hom(y=1, q=1)"), 5),
+], ids=["dashed-scenario", "edge-orient"])
+def test_a_bad_word_in_a_hom_clause_names_the_clause_and_item(capsys, tmp_path, monkeypatch,
+                                                              case_id, text, lineno):
+    path = tmp_path / "bad.case"
+    path.write_text(text)
+    monkeypatch.setenv("ORBISYM_CATALOG", str(tmp_path))
+    assert main(["case", case_id]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: line {lineno}: hom(...) item "
+                                       "'q=1': unknown generator 'q'\n")
+
+
+def test_a_value_error_in_a_presentation_line_names_the_file_and_line(capsys, tmp_path,
+                                                                     monkeypatch):
+    # Whatever ValueError a line's parse lets out is located like an OrbisymError.
+    def parse_word(text, *args):
+        if text == "y^3":
+            raise ValueError("no y^3 today")
+        return real_parse_word(text, *args)
+
+    real_parse_word = presentation.parse_word
+    monkeypatch.setattr(presentation, "parse_word", parse_word)
+    path = tmp_path / "bad.txt"
+    path.write_text("generators: x y\nrelators: x^2\nrelators: y^3\n")
+    assert main(["order", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 3: no y^3 today\n"
+
+
 def test_stray_line_in_arithmetic_case_is_an_input_error(capsys, tmp_path, monkeypatch):
-    base = (Path(__file__).resolve().parents[1]
-            / "src/orbisym/data/alpha-29.case").read_text()
+    base = ARITHMETIC_CASE.replace("case: little-row", "case: alpha-29")
     (tmp_path / "alpha-29.case").write_text(base + "bogus line\n")
     monkeypatch.setenv("ORBISYM_CATALOG", str(tmp_path))
     assert main(["case", "alpha-29"]) == 2
@@ -276,6 +311,9 @@ def test_case_text_layout_follows_entry_kind(capsys, tmp_path, monkeypatch,
 @pytest.mark.parametrize("relators,message", [
     ("x^3 q^2", "unknown generator 'q'"),
     ("x^3 y*y^-1", "relator freely reduces to the empty word"),
+    pytest.param("x^3 y^" + "7" * 5000,
+                 "integer of 5000 digits at position 2 is over the 1000000-letter limit",
+                 id="long-exponent"),
 ])
 @pytest.mark.parametrize("kind", ["presentation", "case"])
 def test_presentation_errors_name_the_line(capsys, tmp_path, monkeypatch,

@@ -91,7 +91,9 @@ def test_display_and_parse():
     assert str(N(6, 6)) == "N_{6,6}"
     assert surface_from_str("S_{5,12}") == S(5, 12)
     assert surface_from_str("N_{30,12}") == N(30, 12)
-    for bad in ("S_{5}", "X_{1,2}", "S_{a,b}", "S_{1,2", ""):
+    # g and b are ASCII integers, with no underscore, plus sign or space.
+    for bad in ("S_{5}", "X_{1,2}", "S_{a,b}", "S_{1,2", "", "S_{1_0,2}", "N_{+3,2}",
+                "S_{ 1,2}", "S_{١,3}"):
         with pytest.raises(ValueError):
             surface_from_str(bad)
     # well-formed text with an impossible surface fails validation instead

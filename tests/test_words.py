@@ -52,7 +52,9 @@ def test_parse_aliases():
 def test_parse_errors():
     with pytest.raises(UnknownGenerator):
         parse_word("w", ABC)
-    for bad in ("", "x*", "^2", "x^", "(x*y", "x)", "x**y", "2", "x^y", "x y"):
+    # An integer is ASCII digits: '١٢' is not 12, and '١' is not the identity.
+    for bad in ("", "x*", "^2", "x^", "(x*y", "x)", "x**y", "2", "x^y", "x y",
+                "x^١٢", "x^3*١"):
         with pytest.raises(WordSyntaxError):
             parse_word(bad, ABC)
 
@@ -67,6 +69,11 @@ HALF = {"h": Word((1,) * (MAX_WORD_LETTERS // 2))}
     ("y*h*h", "word of 1000001 letters at position 3 is over"),
     # Counted before free reduction, which would leave y.
     ("y*h^-1*h", "word of 1000001 letters at position 6 is over"),
+    # An integer too long for int() is refused unconverted.
+    pytest.param("x^" + "7" * 5000, "integer of 5000 digits at position 2 is over",
+                 id="5000-digits"),
+    pytest.param("y*x^-" + "1" * 19, "integer of 19 digits at position 4 is over",
+                 id="19-digits"),
 ])
 def test_a_word_over_the_letter_budget_is_rejected_before_it_is_built(text, message):
     with pytest.raises(WordSyntaxError, match=f"^{message} the {MAX_WORD_LETTERS}-letter limit$"):
