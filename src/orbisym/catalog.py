@@ -66,7 +66,7 @@ from .surface import (
     square_family_surface,
     surface_from_str,
 )
-from .words import Word, parse_word
+from .words import Word, parse_integer, parse_word
 from .z2hom import Z2Constraint, parse_constraint
 
 __all__ = [
@@ -296,14 +296,6 @@ def _parse_surfaces(text: str) -> tuple[SurfaceType, ...]:
     return tuple(map(surface_from_str, filter(None, _SURFACE_SEP_RE.split(text))))
 
 
-def _integer(text: str) -> int:
-    """text, stripped, as an integer of ASCII digits: '-'? [0-9]+."""
-    text = text.strip()
-    if not (text.isascii() and text.removeprefix("-").isdigit()):
-        raise WordSyntaxError(f"not an integer: {text!r}")
-    return int(text)
-
-
 def _declared_id(text: str) -> str | None:
     """The id a case file declares: that of its last 'case:' line."""
     case_id = None
@@ -349,18 +341,18 @@ def parse_case_text(text: str) -> CatalogEntry:
                     raise WordSyntaxError(f"arithmetic_only: must be true or false, got {value!r}")
                 arithmetic = value == "true"
             elif directive == "alpha:":
-                alpha = _integer(line.split(":", 1)[1])
+                alpha = parse_integer(line.split(":", 1)[1])
             elif directive == "m:":
                 body = line.split(":", 1)[1]
                 label, _, value = body.rpartition("=")
-                m_label, m_value = label.strip(), _integer(value)
+                m_label, m_value = label.strip(), parse_integer(value)
             elif directive == "surfaces:":
                 surfaces = _parse_surfaces(line.split(":", 1)[1])
             elif directive == "expect":
                 m = _EXPECT_RE.match(line)
                 if not m:
                     raise WordSyntaxError(f"bad expect line: {line!r}")
-                expected_order = int(m.group(1))
+                expected_order = parse_integer(m.group(1))
                 surfaces = _parse_surfaces(m.group(2))
             elif directive == "scenario":
                 parts = line.split(None, 2)
@@ -378,7 +370,7 @@ def parse_case_text(text: str) -> CatalogEntry:
                     dashed_spec = kv
                 else:
                     raise WordSyntaxError(f"unknown scenario kind {scenario_kind!r}")
-                scenario_alpha = _integer(kv["alpha"])
+                scenario_alpha = parse_integer(kv["alpha"])
             elif directive == "pattern":
                 pattern_lines.append((lineno, line))
             else:

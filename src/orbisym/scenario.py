@@ -6,17 +6,17 @@ orientability rule (always orientable, or the solvability of a Z2
 constraint system).  A dashed-arc scenario sweeps a conjugating element
 c over the whole group: whenever <fixed, c*arc*c^-1> is the full group,
 two loop patterns (always orientable) and two reflection patterns (Z2
-rule) are evaluated for that c: once per moved element c*arc*c^-1, on
-which they alone depend (20 for the order-120 orbifold's 120 conjugators).
+rule) are evaluated for that c.
 
-The edge and dashed-arc evaluators take one table as an argument: the
-regular coset table of the group (cosets of the trivial subgroup), which
-their caller enumerates once (``catalog.run_case`` does, once per case).
-Each subgroup index is an orbit size in that table
-(``coset.subgroup_index``), and the sweep's conjugators are its coset
-words (``coset.coset_words``), so a sweep is one pass over one table and
-neither evaluator enumerates.  ``evaluate_family``, which builds its own
-presentation, enumerates that presentation once itself.
+Both evaluators take the group's regular coset table (cosets of the
+trivial subgroup), which their caller enumerates once (``catalog.run_case``
+does, once per case).  Its cosets are the group's elements, and a subgroup
+index is an orbit size there (``coset.subgroup_index``), which depends only
+on the elements of the generators.  So the sweep runs on elements: per
+conjugator, |c| + |arc| + |c| column lookups and no Word give c*arc*c^-1;
+per distinct moved element (20 of the orbifold's 120), one probe and four
+orbit walks over shortlex words (``coset.coset_words``).
+``evaluate_family`` enumerates the presentation it builds itself.
 
 Genus always comes from the scenario's algebraic genus and the computed
 boundary count; a parity or genus failure aborts the whole scenario
@@ -49,7 +49,7 @@ from .surface import (
     remaining_family_surfaces,
     square_family_surface,
 )
-from .words import Word, conjugate, format_word
+from .words import Word, format_word, letter_columns
 from .z2hom import Z2Constraint, solve_hom_to_z2
 
 __all__ = [
@@ -147,76 +147,75 @@ class ScenarioResult:
     admissible: int = 0
 
 
-def _rule_orientable(pres: Presentation, rule: OrientabilityRule) -> bool:
-    if isinstance(rule, AlwaysOrientable):
-        return True
-    return solve_hom_to_z2(pres, rule.constraints).solvable
-
-
 def evaluate_edge_scenario(scenario: EdgeScenario, regular: CosetTable) -> ScenarioResult:
     """Evaluate every pattern on regular, the group's regular coset table;
     surfaces are deduped, the audit trail is not."""
-    pres = scenario.presentation
     outcomes = []
     surfaces = set()
     for pattern in scenario.patterns:
         boundary = subgroup_index(regular, pattern.subgroup_words)
-        orientable = _rule_orientable(pres, pattern.rule)
+        orientable = (isinstance(pattern.rule, AlwaysOrientable) or
+                      solve_hom_to_z2(scenario.presentation, pattern.rule.constraints).solvable)
         surface = classify_surface(scenario.alpha, boundary, orientable)
         outcomes.append(PatternOutcome(pattern.name, boundary, orientable, surface.genus))
         surfaces.add(surface)
     return ScenarioResult(frozenset(surfaces), tuple(outcomes))
 
 
-def _dashed_pattern_words(scenario: DashedArcScenario, c: Word) -> tuple[tuple[str, tuple[Word, ...]], ...]:
-    fixed, arc = scenario.fixed_word, scenario.arc_word
-    moved = conjugate(arc, c)
-    return (
-        ("loop", (fixed * moved,)),
-        ("loop_inv", (~fixed * moved,)),
-        ("reflection", (fixed, conjugate(fixed, moved))),
-        ("reflection_inv", (fixed, conjugate(fixed, conjugate(~arc, c)))),
-    )
-
-
 def evaluate_dashed_arc_scenario(scenario: DashedArcScenario, regular: CosetTable,
                                  early_stop: bool = False,
                                  conjugators: Sequence[Word] | None = None) -> ScenarioResult:
     """Sweep the conjugating element over the whole group, on regular, the
-    group's regular coset table.
+    group's regular coset table: by default each element's shortlex word
+    (coset_words of regular), or the explicit conjugators given.
 
-    By default every element's shortlex word (coset_words of regular) is
-    visited.  The patterns depend on c only through the moved element
-    c*arc*c^-1, so the probe and four indices run once per moved
-    element, at its first c, and are replayed with each later c's label;
-    early_stop keeps only the first c per moved element, which shortens
-    the audit trail, not the work.  An explicit conjugators sequence
-    replaces the element sweep, e.g. to probe a single element.
+    The patterns depend on c only through the moved element c*arc*c^-1,
+    so the probe and four indices run once per moved element, at its first
+    c, and are replayed with each later c's label; early_stop keeps only
+    the first c per moved element, which shortens the audit trail, not the
+    work.
     """
     pres = scenario.presentation
     reflections_orientable = solve_hom_to_z2(pres, scenario.hom_constraints).solvable
-    sweep = coset_words(regular) if conjugators is None else tuple(conjugators)
-    pairs = [(c, trace_word(regular, 0, conjugate(scenario.arc_word, c))) for c in sweep]
+    columns = regular.columns
+    words = coset_words(regular)
+
+    def times(element: int, cols: Sequence[int], inverse: bool = False) -> int:
+        for col in ([col ^ 1 for col in reversed(cols)] if inverse else cols):
+            element = columns[col][element]
+        return element
+
+    fixed, arc = (trace_word(regular, 0, w) for w in (scenario.fixed_word, scenario.arc_word))
+    fixed_cols, arc_cols = letter_columns(words[fixed]), letter_columns(words[arc])
+    sweep = (enumerate(words) if conjugators is None else
+             [(trace_word(regular, 0, c), c) for c in conjugators])
+    # (c, c*arc*c^-1): arc's columns from c's element k, then c's inverse columns
+    pairs = [(c, times(times(k, arc_cols), letter_columns(c), True)) for k, c in sweep]
     if early_stop:
         first = {}
         for c, moved in pairs:
             first.setdefault(moved, c)
         pairs = [(c, moved) for moved, c in first.items()]
 
-    outcomes = []
-    surfaces = set()
-    admissible = 0
+    outcomes, surfaces, admissible = [], set(), 0
     # moved element -> its four (name, boundary, orientable, surface); none
     # when <fixed, c*arc*c^-1> is not the whole group
     results: dict[int, list] = {}
     for index, (c, moved) in enumerate(pairs):
         if moved not in results:
             results[moved] = []
-            probe = (scenario.fixed_word, conjugate(scenario.arc_word, c))
-            if subgroup_index(regular, probe) == 1:
-                for name, words in _dashed_pattern_words(scenario, c):
-                    boundary = subgroup_index(regular, words)
-                    orientable = True if name.startswith("loop") else reflections_orientable
+            if subgroup_index(regular, (words[fixed], words[moved])) == 1:
+                m = letter_columns(words[moved])
+                # f*m and f^-1*m alone, m*f*m^-1 and m^-1*f*m next to f
+                for name, element in (("loop", times(fixed, m)),
+                                      ("loop_inv", times(times(0, fixed_cols, True), m)),
+                                      ("reflection", times(times(moved, fixed_cols), m, True)),
+                                      ("reflection_inv",
+                                       times(times(times(0, m, True), fixed_cols), m))):
+                    loop = name.startswith("loop")
+                    boundary = subgroup_index(regular, (words[element],) if loop else
+                                              (words[fixed], words[element]))
+                    orientable = loop or reflections_orientable
                     surface = classify_surface(scenario.alpha, boundary, orientable)
                     results[moved].append((name, boundary, orientable, surface))
         if not results[moved]:

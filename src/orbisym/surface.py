@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ClassificationError, InvalidParameter, NegativeGenus, ParityError
+from .words import parse_integer
 
 __all__ = [
     "SurfaceType",
@@ -66,7 +67,7 @@ def surface_from_str(text: str) -> SurfaceType:
     m = _LABEL.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"not a surface label: {text!r}")
-    return SurfaceType(m[1] == "S", int(m[2]), int(m[3]))
+    return SurfaceType(m[1] == "S", parse_integer(m[2]), parse_integer(m[3]))
 
 
 def algebraic_genus(surface: SurfaceType) -> int:

@@ -143,6 +143,17 @@ _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<int>-?[0-9]+)|(?
 _MAX_INTEGER_DIGITS = 18
 
 
+def parse_integer(text: str, where: str = "") -> int:
+    """text, stripped, as '-'? [0-9]+ in ASCII of at most 18 digits; where locates an error."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise WordSyntaxError(f"not an integer: {text.strip()!r}")
+    if len(digits) > _MAX_INTEGER_DIGITS:
+        raise WordSyntaxError(f"integer of {len(digits)} digits{where} is over the "
+                              f"{_MAX_INTEGER_DIGITS}-digit limit")
+    return int(text)
+
+
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens: list[tuple[str, object, int]] = []
     pos = 0
@@ -155,11 +166,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if m.group("name") is not None:
             tokens.append(("name", m.group("name"), m.start("name")))
         elif m.group("int") is not None:
-            digits = len(m.group("int").lstrip("-"))
-            if digits > _MAX_INTEGER_DIGITS:
-                raise WordSyntaxError(f"integer of {digits} digits at position {m.start('int')} "
-                                      f"is over the {MAX_WORD_LETTERS}-letter limit")
-            tokens.append(("int", int(m.group("int")), m.start("int")))
+            where = f" at position {m.start('int')}"
+            tokens.append(("int", parse_integer(m.group("int"), where), m.start("int")))
         else:
             tokens.append(("op", m.group("op"), m.start("op")))
         pos = m.end()

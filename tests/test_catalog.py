@@ -187,6 +187,35 @@ def test_an_integer_in_a_case_file_is_ascii_digits(text, message):
     assert str(exc.value) == message
 
 
+LONG = "7" * 5000
+
+
+@pytest.mark.parametrize("text,lineno", [
+    (ARITHMETIC_CASE.replace("alpha: 29", f"alpha: {LONG}"), 3),
+    (ARITHMETIC_CASE.replace("= 120", f"= -{LONG}"), 4),
+    (ARITHMETIC_CASE.replace("S_{9,12}", f"S_{{{LONG},12}}"), 5),
+    (ARITHMETIC_CASE.replace("S_{9,12}", f"N_{{9,{LONG}}}"), 5),
+    (EDGE_CASE.replace("alpha=2", f"alpha={LONG}"), 4),
+    (EDGE_CASE.replace("order=6", f"order={LONG}"), 6),
+    (EDGE_CASE.replace("S_{1,1}", f"S_{{1,{LONG}}}"), 6),
+], ids=["alpha", "m", "surfaces-genus", "surfaces-boundary", "scenario-alpha",
+        "expect-order", "expect-surface"])
+def test_an_integer_in_a_case_file_has_at_most_18_digits(text, lineno):
+    # the word parser's rule: int() refuses thousands of digits with a
+    # hint at sys.set_int_max_str_digits, so they are never converted
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_case_text(text)
+    assert str(exc.value) == f"line {lineno}: integer of 5000 digits is over the 18-digit limit"
+
+
+def test_an_integer_of_18_digits_is_read():
+    big = "9" * 18
+    entry = parse_case_text(ARITHMETIC_CASE.replace("= 120", f"= {big}"))
+    assert entry.m_value == int(big)
+    with pytest.raises(WordSyntaxError, match="^line 4: integer of 19 digits is over"):
+        parse_case_text(ARITHMETIC_CASE.replace("= 120", f"= 1{big}"))
+
+
 @pytest.mark.parametrize("text,lineno,line", [
     (ARITHMETIC_CASE + "bogus line\n", 6, "bogus line"),
     (ARITHMETIC_CASE.replace("alpha: 29", "alpha_: 30"), 3, "alpha_: 30"),

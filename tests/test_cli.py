@@ -140,7 +140,7 @@ def test_hom2_bad_map(capsys, orbifold_file, item):
     (["index", "--subgroup", "x**y"], "--subgroup item 'x**y': unexpected '*' at position 2"),
     (["index", "--subgroup", "x*y, q"], "--subgroup item 'q': unknown generator 'q'"),
     (["index", "--subgroup", "x^" + "7" * 5000], f"--subgroup item {'x^' + '7' * 5000!r}: "
-     "integer of 5000 digits at position 2 is over the 1000000-letter limit"),
+     "integer of 5000 digits at position 2 is over the 18-digit limit"),
     (["hom2", "--map", "a=0_1"], "--map item 'a=0_1': unknown generator 'a'"),
 ], ids=["map-generator", "map-syntax", "subgroup-syntax", "subgroup-generator",
         "subgroup-long-exponent", "map-generator-and-bad-bit"])
@@ -312,7 +312,7 @@ def test_case_text_layout_follows_entry_kind(capsys, tmp_path, monkeypatch,
     ("x^3 q^2", "unknown generator 'q'"),
     ("x^3 y*y^-1", "relator freely reduces to the empty word"),
     pytest.param("x^3 y^" + "7" * 5000,
-                 "integer of 5000 digits at position 2 is over the 1000000-letter limit",
+                 "integer of 5000 digits at position 2 is over the 18-digit limit",
                  id="long-exponent"),
 ])
 @pytest.mark.parametrize("kind", ["presentation", "case"])
@@ -330,6 +330,20 @@ def test_presentation_errors_name_the_line(capsys, tmp_path, monkeypatch,
         argv, where = ["case", "tiny-edge"], f"{path}: line 3"
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {where}: {message}\n"
+
+
+@pytest.mark.parametrize("old,new,lineno", [
+    ("alpha=2", "alpha=" + "7" * 5000, 4),
+    ("S_{1,1}", "S_{" + "7" * 5000 + ",1}", 6),
+], ids=["scenario-alpha", "surface-genus"])
+def test_a_long_case_file_integer_is_an_input_error(capsys, tmp_path, monkeypatch,
+                                                    old, new, lineno):
+    path = tmp_path / "long.case"
+    path.write_text(EDGE_CASE.replace(old, new))
+    monkeypatch.setenv("ORBISYM_CATALOG", str(tmp_path))
+    assert main(["case", "tiny-edge"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {path}: line {lineno}: integer of 5000 digits is over the 18-digit limit\n"
 
 
 @pytest.mark.parametrize("module", ["orbisym", "orbisym.cli"])

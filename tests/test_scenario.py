@@ -256,7 +256,7 @@ def per_subgroup_sweep(scenario, early_stop):
         if enumerate_cosets(pres, probe).n_cosets != 1:
             continue
         label = f"c{index}={format_word(c, pres.generator_names)}"
-        for name, words in scenario_module._dashed_pattern_words(scenario, c):
+        for name, words in dashed_pattern_words(scenario, c):
             boundary = enumerate_cosets(pres, words).n_cosets
             orientable = name.startswith("loop") or reflections
             genus = classify_surface(scenario.alpha, boundary, orientable).genus
@@ -278,7 +278,7 @@ def test_every_sweep_index_matches_enumeration(orbifold_28):
     regular = enumerate_cosets(orbifold_28)
     for c in coset_words(regular):
         probe = (scenario.fixed_word, conjugate(scenario.arc_word, c))
-        patterns = [words for _, words in scenario_module._dashed_pattern_words(scenario, c)]
+        patterns = [words for _, words in dashed_pattern_words(scenario, c)]
         for words in (probe, *patterns):
             assert subgroup_index(regular, words) == enumerate_cosets(orbifold_28, words).n_cosets
 
@@ -356,12 +356,26 @@ def test_an_evaluator_handed_the_table_enumerates_nothing(orbifold_28, enumerati
     assert len(enumerations) == 1
 
 
-# -- the sweep cached by moved element against the per-conjugator loop --
+# -- the sweep on group elements against the per-conjugator word loop --
+
+
+def dashed_pattern_words(scenario, c):
+    """The four dashed-arc patterns at conjugator c, as words of the free
+    group: f*m, f^-1*m, (f, m*f*m^-1) and (f, m^-1*f*m), m = c*arc*c^-1."""
+    fixed, arc = scenario.fixed_word, scenario.arc_word
+    moved = conjugate(arc, c)
+    return (
+        ("loop", (fixed * moved,)),
+        ("loop_inv", (~fixed * moved,)),
+        ("reflection", (fixed, conjugate(fixed, moved))),
+        ("reflection_inv", (fixed, conjugate(fixed, conjugate(~arc, c)))),
+    )
 
 
 def uncached_sweep(scenario, early_stop=False, conjugators=None):
     """The dashed-arc sweep with one probe and four indices per conjugator,
-    as it ran before its work was cached by moved element."""
+    each on conjugated words, as it ran before its work was cached by moved
+    element and moved onto the elements of the regular table."""
     pres = scenario.presentation
     reflections = solve_hom_to_z2(pres, scenario.hom_constraints).solvable
     regular = enumerate_cosets(pres)
@@ -380,7 +394,7 @@ def uncached_sweep(scenario, early_stop=False, conjugators=None):
             continue
         admissible += 1
         label = f"c{index}={format_word(c, pres.generator_names)}"
-        for name, words in scenario_module._dashed_pattern_words(scenario, c):
+        for name, words in dashed_pattern_words(scenario, c):
             boundary = subgroup_index(regular, words)
             orientable = name.startswith("loop") or reflections
             surface = classify_surface(scenario.alpha, boundary, orientable)
@@ -399,9 +413,17 @@ def s4_scenario():
                              (Z2Constraint(Word.generator(1), 1),))
 
 
+def s4_order_3_scenario():
+    # the fixed word y has order 3, so f*m and f^-1*m differ in index
+    # (2, 6 or 12) on every one of the 24 conjugators
+    return replace(s4_scenario(), alpha=23, fixed_word=Word.generator(1),
+                   arc_word=Word.generator(0) * Word.generator(1))
+
+
 def conjugator_lists(pres, seed):
     """Element words shuffled, some repeated, and some times a relator:
-    equal as elements to words already in the list, different as words."""
+    equal as elements to words already in the list, different as words;
+    then two lists of random words."""
     rng = random.Random(seed)
     words = list(coset_words(enumerate_cosets(pres)))
     rng.shuffle(words)
@@ -409,14 +431,34 @@ def conjugator_lists(pres, seed):
     rng.shuffle(repeated)
     shifted = [w * rng.choice(pres.relators) if rng.random() < 0.5 else
                rng.choice(pres.relators) * w for w in rng.sample(words, len(words) // 2)]
-    return [None, words, repeated, shifted + words[:5] + shifted[:3]]
+    return [None, words, repeated, shifted + words[:5] + shifted[:3],
+            random_words(pres, rng, len(words)), random_words(pres, rng, len(words))]
+
+
+def random_words(pres, rng, count):
+    """Random words of up to 12 letters with relators spliced in: mostly not
+    the shortlex word of their element, and built from letter sequences
+    with cancelling pairs that Word reduces."""
+    gens = len(pres.generator_names)
+    result = []
+    for _ in range(count):
+        letters = [rng.choice((1, -1)) * rng.randint(1, gens) for _ in range(rng.randint(0, 12))]
+        if letters and rng.random() < 0.5:
+            at = rng.randrange(len(letters))
+            letters[at:at] = [letters[at], -letters[at]]
+        if rng.random() < 0.5:
+            at = rng.randint(0, len(letters))
+            letters[at:at] = rng.choice(pres.relators).letters
+        result.append(Word(tuple(letters)))
+    return result
 
 
 @pytest.mark.parametrize("early_stop", [False, True])
-@pytest.mark.parametrize("which", ["orbifold-28", "family-19-n3", "s4"])
+@pytest.mark.parametrize("which", ["orbifold-28", "family-19-n3", "s4", "s4-order-3"])
 def test_cached_sweep_matches_uncached(orbifold_28, which, early_stop):
     scenario = {"orbifold-28": lambda: dashed_scenario(orbifold_28),
-                "family-19-n3": inadmissible_scenario, "s4": s4_scenario}[which]()
+                "family-19-n3": inadmissible_scenario, "s4": s4_scenario,
+                "s4-order-3": s4_order_3_scenario}[which]()
     for seed, conjugators in enumerate(conjugator_lists(scenario.presentation, 18)):
         result = evaluate_dashed_arc_scenario(scenario, regular_of(scenario),
                                               early_stop=early_stop, conjugators=conjugators)
@@ -429,10 +471,21 @@ def test_cached_sweep_matches_uncached(orbifold_28, which, early_stop):
         assert any(not o.orientable for o in expected.per_pattern)
 
 
+@pytest.mark.parametrize("field", ["conjugators", "fixed_word", "arc_word"])
+def test_a_word_outside_the_alphabet_is_refused(orbifold_28, field):
+    scenario, outside = dashed_scenario(orbifold_28), Word.generator(3)
+    conjugators = (Word.identity(), outside) if field == "conjugators" else None
+    if field != "conjugators":
+        scenario = replace(scenario, **{field: outside})
+    with pytest.raises(ValueError, match="outside the table's alphabet"):
+        evaluate_dashed_arc_scenario(scenario, regular_of(scenario), conjugators=conjugators)
+
+
 @pytest.mark.parametrize("early_stop", [False, True])
 def test_sweep_evaluates_each_moved_element_once(orbifold_28, monkeypatch, early_stop):
     # 20 distinct moved elements, 8 of them admissible: 20 probes and
-    # 4 x 8 pattern indices, where one evaluation per conjugator made 312
+    # 4 x 8 pattern indices, where one evaluation per conjugator made 312;
+    # each runs on elements' shortlex words, not on conjugated words
     calls = []
 
     def counting_index(regular, words):
@@ -444,3 +497,5 @@ def test_sweep_evaluates_each_moved_element_once(orbifold_28, monkeypatch, early
                                           early_stop=early_stop)
     assert result.admissible == (8 if early_stop else 48)
     assert len(calls) == 20 + 4 * 8
+    shortlex = set(coset_words(regular))
+    assert all(w in shortlex for words in calls for w in words)

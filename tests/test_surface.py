@@ -12,6 +12,7 @@ from orbisym import (
     NegativeGenus,
     ParityError,
     SurfaceType,
+    WordSyntaxError,
     algebraic_genus,
     classify_surface,
     m_alpha,
@@ -99,6 +100,10 @@ def test_display_and_parse():
     # well-formed text with an impossible surface fails validation instead
     with pytest.raises(ClassificationError):
         surface_from_str("S_{-1,2}")
+    # g and b have at most 18 digits, as every integer orbisym reads
+    with pytest.raises(WordSyntaxError, match="^integer of 5000 digits is over the 18-digit"):
+        surface_from_str("S_{" + "7" * 5000 + ",2}")
+    assert surface_from_str("S_{" + "1" * 18 + ",2}").genus == int("1" * 18)
 
 
 def test_ordering_is_total():

@@ -69,14 +69,16 @@ HALF = {"h": Word((1,) * (MAX_WORD_LETTERS // 2))}
     ("y*h*h", "word of 1000001 letters at position 3 is over"),
     # Counted before free reduction, which would leave y.
     ("y*h^-1*h", "word of 1000001 letters at position 6 is over"),
-    # An integer too long for int() is refused unconverted.
+    # An integer too long for int() is refused unconverted: 18 digits are
+    # over the letter budget as any letter's power.
     pytest.param("x^" + "7" * 5000, "integer of 5000 digits at position 2 is over",
                  id="5000-digits"),
     pytest.param("y*x^-" + "1" * 19, "integer of 19 digits at position 4 is over",
                  id="19-digits"),
 ])
 def test_a_word_over_the_letter_budget_is_rejected_before_it_is_built(text, message):
-    with pytest.raises(WordSyntaxError, match=f"^{message} the {MAX_WORD_LETTERS}-letter limit$"):
+    limit = "18-digit" if message.startswith("integer") else f"{MAX_WORD_LETTERS}-letter"
+    with pytest.raises(WordSyntaxError, match=f"^{message} the {limit} limit$"):
         parse_word(text, ABC, HALF)
 
 
