@@ -5,8 +5,8 @@ against their closed forms; the full table's arithmetic is recomputed
 row by row.
 """
 
-from orbisym import builtin_table, evaluate_family, m_alpha, verify_table
-from orbisym.scenario import FAMILY_15E, FAMILY_19
+from orbisym import builtin_table, m_alpha, verify_table
+from orbisym.scenario import FAMILY_15E, FAMILY_19, evaluate_family
 
 print("family 15E (order 2n), both embeddings:")
 for n in (5, 6, 9):

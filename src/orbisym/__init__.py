@@ -5,7 +5,7 @@ Subpackage-free library layout:
 - words:        freely reduced words, parsing, canonical printing
 - presentation: presentations, the file format, the two parametric families
 - coset:        Todd-Coxeter coset enumeration (HLT)
-- permgroup:    permutations, BFS element closure with shortlex words
+- permgroup:    permutations, BFS element closure (a test oracle)
 - z2hom:        homomorphisms onto Z2 via GF(2) elimination
 - surface:      surface invariants, classification, maximal orders
 - scenario:     boundary-pattern evaluation (edge, dashed-arc, families)
@@ -19,7 +19,6 @@ from .coset import (
     coset_words,
     enumerate_cosets,
     group_order,
-    permutation_rep,
     subgroup_index,
     table_to_tsv,
     trace_word,
@@ -50,14 +49,6 @@ from .errors import (
     UnknownGenerator,
     WordSyntaxError,
 )
-from .permgroup import (
-    ElementList,
-    PermGroup,
-    Permutation,
-    enumerate_elements,
-    evaluate_word,
-    group_order_perm,
-)
 from .presentation import (
     Presentation,
     dump_presentation,
@@ -76,7 +67,6 @@ from .scenario import (
     Z2HomRule,
     evaluate_dashed_arc_scenario,
     evaluate_edge_scenario,
-    evaluate_family,
 )
 from .surface import (
     MaxOrderClass,

@@ -16,8 +16,10 @@ families.  The orbifold cases are human-readable case files in data/,
 their only built-in copy; ``alpha-29`` is built from its table row.  An
 optional directory of ``*.case`` files overrides any case by id; it is
 ORBISYM_CATALOG, or ./catalog when that is unset or empty.  A file there
-that does not parse fails only the lookup of the id its ``case:`` line
-names; one that cannot be read declares no id.
+that does not parse fails only the lookup of the id its last ``case:``
+line names; one that cannot be read declares no id.  Case files follow
+the presentation file's line rule, and ``_key_values`` reads the key=value
+items of a scenario line and the clauses of a pattern line.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
     WordSyntaxError,
     at,
 )
-from .presentation import decode_utf8, load_presentation_with_aliases
+from .presentation import Directive, directives, presentation_from, read_file
 from .scenario import (
     AlwaysOrientable,
     BoundaryPattern,
@@ -262,15 +264,15 @@ _SURFACE_SEP_RE = re.compile(r"[\s,]+(?![^{]*\})")
 _EXPECT_RE = re.compile(r"expect\s+order=([0-9]+)\s+surfaces=(.+)$")
 _PATTERN_RE = re.compile(r"pattern\s+([A-Za-z0-9_]+)\s*:\s*(.+)$")
 _HOM_RE = re.compile(r"hom\((.*)\)\s*$")
-# A case file line that starts with none of these is a presentation line
-# (None).  Each kind reads only its own; only case: and pattern repeat.
-_DIRECTIVES = ("case:", "arithmetic_only:", "alpha:", "m:", "surfaces:", "expect",
-               "scenario", "pattern")
+# The directives each kind of case reads, None for a presentation line;
+# only case: and pattern may repeat.
 _KIND_READS = {
     "arithmetic": ("an arithmetic case", {"arithmetic_only:", "alpha:", "m:", "surfaces:"}),
     "edge": ("an edge case", {None, "arithmetic_only:", "scenario", "pattern", "expect"}),
     "dashed": ("a dashed case", {None, "arithmetic_only:", "scenario", "expect"}),
 }
+# A line whose keyword is none of these is a presentation line.
+_DIRECTIVES = {"case:"}.union(*(reads for _, reads in _KIND_READS.values())) - {None}
 
 
 def _parse_constraints(text: str, names: tuple[str, ...], aliases: dict[str, Word]) -> tuple[Z2Constraint, ...]:
@@ -279,16 +281,22 @@ def _parse_constraints(text: str, names: tuple[str, ...], aliases: dict[str, Wor
                  for item in text.split(","))
 
 
-def _scenario_fields(body: str, required: tuple[str, ...]) -> dict[str, str]:
-    fields = {}
-    for item in body.split():
-        key, sep, value = item.partition("=")
+def _key_values(items: list[str], keys: tuple[str, ...], what: str) -> dict[str, str]:
+    """The key=value items of what by key: each of keys once, and no other."""
+    fields: dict[str, str] = {}
+    for item in items:
+        key, sep, value = (part.strip() for part in item.partition("="))
         if not sep:
-            raise WordSyntaxError(f"scenario item {item!r} needs key=value")
+            raise WordSyntaxError(f"{what} item {item.strip()!r} needs key=value")
+        if key in fields:
+            raise WordSyntaxError(f"{what} gives {key}= twice")
         fields[key] = value
-    missing = [f"{key}=" for key in required if key not in fields]
+    missing = [f"{key}=" for key in keys if key not in fields]
     if missing:
-        raise WordSyntaxError(f"scenario line needs {' and '.join(missing)}")
+        raise WordSyntaxError(f"{what} needs {' and '.join(missing)}")
+    unknown = next((key for key in fields if key not in keys), None)
+    if unknown is not None:
+        raise WordSyntaxError(f"{what} takes no {unknown}=")
     return fields
 
 
@@ -296,14 +304,14 @@ def _parse_surfaces(text: str) -> tuple[SurfaceType, ...]:
     return tuple(map(surface_from_str, filter(None, _SURFACE_SEP_RE.split(text))))
 
 
-def _declared_id(text: str) -> str | None:
-    """The id a case file declares: that of its last 'case:' line."""
-    case_id = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line.startswith("case:"):
-            case_id = line[len("case:"):].strip()
-    return case_id
+def _declared_id(path: Path) -> str | None:
+    """The id of the last 'case:' line of the file at path, bad bytes
+    replaced; None when it cannot be read."""
+    try:
+        text = path.read_bytes().decode(errors="replace")
+    except OSError:
+        return None
+    return {keyword: rest for _, _, keyword, rest in directives(text)}.get("case:")
 
 
 def parse_case_text(text: str) -> CatalogEntry:
@@ -319,35 +327,32 @@ def parse_case_text(text: str) -> CatalogEntry:
     scenario_alpha: int | None = None
     dashed_spec: dict[str, str] | None = None
     pattern_lines: list[tuple[int, str]] = []
-    # Presentation lines in place, other lines blank, so that errors from
-    # the presentation parser carry case-file line numbers.
-    pres_lines: list[str] = []
+    pres_lines: list[Directive] = []
+    case_id: str | None = None
     # directive -> (lineno, line) of its first line
     seen: dict[str | None, tuple[int, str]] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        pres_lines.append("")
-        directive = next((d for d in _DIRECTIVES if line.startswith(d)), None)
-        if not line or directive == "case:":
+    for lineno, line, keyword, rest in directives(text):
+        directive = keyword if keyword in _DIRECTIVES else None
+        if directive == "case:":
+            case_id = rest
             continue
         try:
             if directive in seen and directive not in (None, "pattern"):
                 raise WordSyntaxError(f"a second {directive} line, after line {seen[directive][0]}")
             seen.setdefault(directive, (lineno, line))
             if directive == "arithmetic_only:":
-                value = line.split(":", 1)[1].strip().lower()
+                value = rest.lower()
                 if value not in ("true", "false"):
                     raise WordSyntaxError(f"arithmetic_only: must be true or false, got {value!r}")
                 arithmetic = value == "true"
             elif directive == "alpha:":
-                alpha = parse_integer(line.split(":", 1)[1])
+                alpha = parse_integer(rest)
             elif directive == "m:":
-                body = line.split(":", 1)[1]
-                label, _, value = body.rpartition("=")
+                label, _, value = rest.rpartition("=")
                 m_label, m_value = label.strip(), parse_integer(value)
             elif directive == "surfaces:":
-                surfaces = _parse_surfaces(line.split(":", 1)[1])
+                surfaces = _parse_surfaces(rest)
             elif directive == "expect":
                 m = _EXPECT_RE.match(line)
                 if not m:
@@ -360,12 +365,13 @@ def parse_case_text(text: str) -> CatalogEntry:
                     raise WordSyntaxError(f"bad scenario line: {line!r}")
                 scenario_kind, body = parts[1], parts[2]
                 if scenario_kind == "edge":
-                    kv = _scenario_fields(body, ("alpha",))
+                    kv = _key_values(body.split(), ("alpha",), "scenario line")
                 elif scenario_kind == "dashed":
                     hom = _HOM_RE.search(body)
                     if not hom:
                         raise WordSyntaxError("dashed scenario needs a hom(...) clause")
-                    kv = _scenario_fields(body[:hom.start()], ("alpha", "fixed", "arc"))
+                    kv = _key_values(body[:hom.start()].split(), ("alpha", "fixed", "arc"),
+                                     "scenario line")
                     kv["hom"] = hom.group(1)
                     dashed_spec = kv
                 else:
@@ -374,11 +380,10 @@ def parse_case_text(text: str) -> CatalogEntry:
             elif directive == "pattern":
                 pattern_lines.append((lineno, line))
             else:
-                pres_lines[-1] = line
+                pres_lines.append((lineno, line, keyword, rest))
         except (OrbisymError, ValueError) as exc:
             raise at(f"line {lineno}", exc) from None
 
-    case_id = _declared_id(text)
     if case_id is None:
         raise WordSyntaxError("case file needs a 'case:' line")
     kind = "arithmetic" if arithmetic else scenario_kind
@@ -396,7 +401,7 @@ def parse_case_text(text: str) -> CatalogEntry:
                             m_label=m_label, m_value=m_value,
                             expected_surfaces=surfaces)
 
-    pres, aliases = load_presentation_with_aliases("\n".join(pres_lines))
+    pres, aliases = presentation_from(pres_lines)
     names = pres.generator_names
     if scenario_kind == "edge":
         patterns = []
@@ -431,12 +436,7 @@ def _parse_pattern(line: str, names: tuple[str, ...],
     if not m:
         raise WordSyntaxError(f"bad pattern line: {line!r}")
     name, body = m.group(1), m.group(2)
-    clauses = dict()
-    for clause in body.split(";"):
-        key, _, value = clause.partition("=")
-        clauses[key.strip()] = value.strip()
-    if "subgroup" not in clauses or "orient" not in clauses:
-        raise WordSyntaxError(f"pattern {name!r} needs subgroup and orient clauses")
+    clauses = _key_values(body.split(";"), ("subgroup", "orient"), f"pattern {name!r}")
     words = tuple(parse_word(w.strip(), names, aliases)
                   for w in clauses["subgroup"].split(","))
     orient_text = clauses["orient"]
@@ -459,21 +459,15 @@ _reads: dict[Path, tuple[tuple[int, int], tuple[str | None, CatalogEntry | Orbis
 def _read_case(path: Path, mtime_ns: int,
                size: int) -> tuple[str | None, CatalogEntry | OrbisymError]:
     """A case file's declared id, and its entry or the error reading or
-    parsing it gave; read once while its mtime and size stay the same.
-    Bytes that are not UTF-8 fail the parse, and are replaced to find the id."""
+    parsing it gave; read once while its mtime and size stay the same."""
     cached = _reads.get(path)
     if cached is not None and cached[0] == (mtime_ns, size):
         return cached[1]
     try:
-        data = path.read_bytes()
-    except OSError as exc:
-        read = None, OrbisymError(f"cannot read {path}: {exc}")
-    else:
-        case_id = _declared_id(data.decode("utf-8", errors="replace"))
-        try:
-            read = case_id, parse_case_text(decode_utf8(data))
-        except (OrbisymError, ValueError) as exc:
-            read = case_id, at(str(path), exc)
+        entry = read_file(path, parse_case_text)
+        read = entry.id, entry
+    except OrbisymError as exc:
+        read = _declared_id(path), exc
     _reads[path] = (mtime_ns, size), read
     return read
 
@@ -522,7 +516,7 @@ def find_case(case_id: str) -> CatalogEntry:
     """File entries in catalog_search_dir() override compiled-in entries by
     id; UnknownCase otherwise.
 
-    A file that fails raises its error only when its 'case:' line names
+    A file that fails raises its error only when its last 'case:' line names
     case_id.
     """
     entries = dict(_builtin_entries())

@@ -24,7 +24,7 @@ from pathlib import Path
 from .catalog import CaseReport, builtin_cases, run_case, verify_table
 from .coset import EnumerationLimits, enumerate_cosets, group_order, table_to_tsv
 from .errors import LimitExceeded, OrbisymError, at
-from .presentation import decode_utf8, load_presentation_with_aliases
+from .presentation import load_presentation_with_aliases, read_file
 from .surface import SurfaceType
 from .words import parse_word
 from .z2hom import parse_constraint, solve_hom_to_z2
@@ -98,19 +98,6 @@ def _limits(args: argparse.Namespace) -> EnumerationLimits | None:
     return EnumerationLimits(max_cosets=max_cosets)
 
 
-def _load_presentation_file(path: str):
-    """The presentation and aliases in a file; its errors name the file
-    and, where they have one, the line."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise OrbisymError(f"cannot read {path}: {exc}") from exc
-    try:
-        return load_presentation_with_aliases(decode_utf8(data))
-    except (OrbisymError, ValueError) as exc:
-        raise at(path, exc) from None
-
-
 def _emit(args: argparse.Namespace, command: str, items: list[dict],
           status: str, started: float, text_lines: list[str]) -> None:
     if args.json:
@@ -180,7 +167,7 @@ def _case_text(report: CaseReport) -> list[str]:
 
 
 def _cmd_order(args: argparse.Namespace, started: float) -> int:
-    pres, _ = _load_presentation_file(args.file)
+    pres, _ = read_file(args.file, load_presentation_with_aliases)
     order = group_order(pres, _limits(args))
     items = [{"id": Path(args.file).stem, "order": order, "status": "match"}]
     _emit(args, "order", items, "match", started, [f"order: {order}"])
@@ -188,7 +175,7 @@ def _cmd_order(args: argparse.Namespace, started: float) -> int:
 
 
 def _cmd_index(args: argparse.Namespace, started: float) -> int:
-    pres, aliases = _load_presentation_file(args.file)
+    pres, aliases = read_file(args.file, load_presentation_with_aliases)
     words = []
     for item in filter(None, map(str.strip, args.subgroup.split(","))):
         try:
@@ -204,7 +191,7 @@ def _cmd_index(args: argparse.Namespace, started: float) -> int:
 
 
 def _cmd_hom2(args: argparse.Namespace, started: float) -> int:
-    pres, aliases = _load_presentation_file(args.file)
+    pres, aliases = read_file(args.file, load_presentation_with_aliases)
     constraints = [parse_constraint(item, pres.generator_names, aliases, "--map")
                    for item in args.map]
     result = solve_hom_to_z2(pres, constraints)

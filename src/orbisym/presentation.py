@@ -8,7 +8,9 @@ File format, one directive per line, '#' starts a comment:
 
 Aliases must be declared before use and expand inline; they are not
 stored on the Presentation.  Relators are kept freely reduced but not
-cyclically reduced.
+cyclically reduced.  Every input file, case files too, follows one line
+rule (``directives``): a line ends at \\n, \\r\\n or \\r only, '#' cuts
+it, and its keyword is a whole word ('aliasm' is not 'alias').
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import (
     DuplicateGenerator,
@@ -37,6 +41,14 @@ __all__ = [
 ]
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# str.splitlines would also end a line at \v, \f, \x1c-\x1e, U+0085,
+# U+2028 and U+2029, and so read the rest of a comment as input.
+_LINE_BREAK = re.compile(r"\r\n?|\n")
+# A line's keyword runs to its first blank, or through its first colon.
+_KEYWORD = re.compile(r"[^\s:]*:?")
+
+T = TypeVar("T")
+Directive = tuple[int, str, str, str]
 
 
 def _check_generator_names(names: tuple[str, ...]) -> None:
@@ -49,16 +61,31 @@ def _check_generator_names(names: tuple[str, ...]) -> None:
         seen.add(name)
 
 
-def decode_utf8(data: bytes) -> str:
-    """data as UTF-8 text; a byte that is not UTF-8 is a WordSyntaxError
-    naming its line."""
+def directives(text: str) -> Iterator[Directive]:
+    """(number from 1, line, keyword, rest of the line) for each line of
+    text that is not blank once '#' has cut it."""
+    for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            keyword = _KEYWORD.match(line).group()
+            yield lineno, line, keyword, line[len(keyword):].strip()
+
+
+def read_file(path: str | Path, parse: Callable[[str], T]) -> T:
+    """parse applied to the UTF-8 text of the file at path; every error
+    names the path, and a byte that is not UTF-8 its line too."""
     try:
-        return data.decode()
+        data = Path(path).read_bytes()
+        return parse(data.decode())
+    # parse neither reads a file nor decodes bytes
+    except OSError as exc:
+        raise OrbisymError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
-        # The bad byte is on the last line of what decodes before it.
-        lineno = len((data[:exc.start].decode() + "x").splitlines())
-        raise WordSyntaxError(f"line {lineno}: byte {data[exc.start]:#04x} "
+        lineno = len(_LINE_BREAK.findall(data[:exc.start].decode())) + 1
+        raise WordSyntaxError(f"{path}: line {lineno}: byte {data[exc.start]:#04x} "
                               f"is not UTF-8") from None
+    except (OrbisymError, ValueError) as exc:
+        raise at(str(path), exc) from None
 
 
 @dataclass(frozen=True)
@@ -88,43 +115,45 @@ class Presentation:
 
 def load_presentation_with_aliases(text: str) -> tuple[Presentation, dict[str, Word]]:
     """Parse the file format; returns the presentation and its alias map."""
+    return presentation_from(directives(text))
+
+
+def presentation_from(lines: Iterable[Directive]) -> tuple[Presentation, dict[str, Word]]:
+    """The presentation and alias map of the given lines of the file format;
+    an error names the line it is on."""
     names: tuple[str, ...] | None = None
     aliases: dict[str, Word] = {}
     relators: list[Word] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, _, keyword, rest in lines:
         try:
-            if line.startswith("generators:"):
+            if keyword == "generators:":
                 if names is not None:
                     raise WordSyntaxError("generators declared twice")
-                names = tuple(line[len("generators:"):].split())
+                names = tuple(rest.split())
                 if not names:
                     raise WordSyntaxError("empty generator list")
                 _check_generator_names(names)
-            elif line.startswith("alias"):
+            elif keyword == "alias":
                 if names is None:
                     raise WordSyntaxError("alias before generators line")
-                body = line[len("alias"):].strip()
-                if "=" not in body:
+                if "=" not in rest:
                     raise WordSyntaxError("alias needs 'alias name = word'")
-                name, expr = (part.strip() for part in body.split("=", 1))
+                name, expr = (part.strip() for part in rest.split("=", 1))
                 if not _NAME.match(name):
                     raise WordSyntaxError(f"invalid alias name {name!r}")
                 if name in names or name in aliases:
                     raise DuplicateGenerator(f"name {name!r} declared twice")
                 aliases[name] = parse_word(expr, names, aliases)
-            elif line.startswith("relators:"):
+            elif keyword == "relators:":
                 if names is None:
                     raise WordSyntaxError("relators before generators line")
-                for token in line[len("relators:"):].split():
+                for token in rest.split():
                     relator = parse_word(token, names, aliases)
                     if not relator:
                         raise EmptyRelator("relator freely reduces to the empty word")
                     relators.append(relator)
             else:
-                raise WordSyntaxError(f"unrecognized directive {line.split()[0]!r}")
+                raise WordSyntaxError(f"unrecognized directive {keyword!r}")
         except (OrbisymError, ValueError) as exc:
             raise at(f"line {lineno}", exc) from None
     if names is None:

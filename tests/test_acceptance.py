@@ -19,7 +19,6 @@ from orbisym import (
     enumerate_cosets,
     evaluate_dashed_arc_scenario,
     evaluate_edge_scenario,
-    evaluate_family,
     exponent_vector_mod2,
     group_order,
     load_presentation,
@@ -28,7 +27,7 @@ from orbisym import (
     verify_coset_table,
     verify_table,
 )
-from orbisym.scenario import FAMILY_15E, FAMILY_19
+from orbisym.scenario import FAMILY_15E, FAMILY_19, evaluate_family
 from conftest import (
     ORBIFOLD_28_TEXT,
     brute_force_hom2,

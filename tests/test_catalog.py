@@ -8,6 +8,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbisym import (
     CatalogEntry,
@@ -29,6 +31,7 @@ from orbisym import (
 )
 from orbisym import catalog
 from orbisym.catalog import is_remaining_alpha, parse_case_text
+from orbisym.presentation import load_presentation_with_aliases
 from orbisym.cli import main
 from orbisym.scenario import FAMILY_19, evaluate_family
 import orbisym.scenario as scenario_module
@@ -588,3 +591,75 @@ def test_builtin_entry_ids_match_case_ids():
     for entry in builtin_cases():
         assert isinstance(entry, CatalogEntry)
         assert find_case(entry.id).id == entry.id
+
+
+def test_a_comment_ends_only_at_a_newline(catalog_dir):
+    # U+0085 ends a line for str.splitlines, which read 'case: b' here.
+    text = EDGE_CASE.replace("case: tiny-edge", "case: tiny-edge # was \x85case: b")
+    assert parse_case_text(text) == parse_case_text(EDGE_CASE)
+    (catalog_dir / "edge.case").write_bytes(text.encode())
+    assert find_case("tiny-edge").id == "tiny-edge"
+    with pytest.raises(UnknownCase):
+        find_case("b")
+
+
+@pytest.mark.parametrize("text,message", [
+    (EDGE_CASE.replace("alpha=2", "alpha=2 beta=7"), "line 4: scenario line takes no beta="),
+    (DASHED_CASE.replace("arc=x", "arc=x fixd=x arc=y"), "line 4: scenario line gives arc= twice"),
+    # a missing key is named before an unknown one
+    (DASHED_CASE.replace("arc=x", "arcs=x"), "line 4: scenario line needs arc="),
+    (EDGE_CASE.replace("orient = always", "orient = always ; subgroup = x"),
+     "line 5: pattern 'P1' gives subgroup= twice"),
+    (EDGE_CASE.replace("orient = always", "orient = always ; colour = red"),
+     "line 5: pattern 'P1' takes no colour="),
+    (EDGE_CASE.replace("orient = always", "orient = always ; never"),
+     "line 5: pattern 'P1' item 'never' needs key=value"),
+    (EDGE_CASE.replace("subgroup = x, y ; orient = always", "subgroup = x, y"),
+     "line 5: pattern 'P1' needs orient="),
+], ids=["unknown-scenario-key", "repeated-scenario-key", "missing-before-unknown",
+        "repeated-clause", "unknown-clause", "clause-without-value", "missing-clause"])
+def test_each_key_value_item_is_given_once_and_known(text, message):
+    # Before, an unknown item was dropped and a repeated one overwrote the
+    # first, so the dashed case ran with arc y and the pattern with <x>.
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_case_text(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    (EDGE_CASE.replace("scenario edge", "scenarios edge"),
+     "line 4: unrecognized directive 'scenarios'"),
+    (EDGE_CASE.replace("pattern P1", "patterns P1"), "line 5: unrecognized directive 'patterns'"),
+    (EDGE_CASE.replace("expect order", "expected order"),
+     "line 6: unrecognized directive 'expected'"),
+], ids=["scenarios", "patterns", "expected"])
+def test_a_case_keyword_is_a_whole_word(text, message):
+    # Before, a prefix matched: each of these was read as its directive.
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_case_text(text)
+    assert str(exc.value) == message
+
+
+# Every break str.splitlines knows besides \n, \r\n and \r, and \n, \r
+# themselves left out of the comment text, since they do end a line.
+_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85  "
+_COMMENT_TEXT = st.text(st.sampled_from(_OTHER_BREAKS + "#:=;, case: relators: x")
+                        | st.characters(exclude_characters="\r\n"), max_size=30)
+_FILES = [*sorted((REPO_ROOT / "src/orbisym/data").glob("*.case")),
+          *sorted((REPO_ROOT / "tests/golden/inputs").glob("*.txt"))]
+
+
+def _parse_file_text(path: Path, text: str):
+    if path.suffix == ".case":
+        return parse_case_text(text)
+    return load_presentation_with_aliases(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_FILES), st.integers(min_value=0), _COMMENT_TEXT)
+def test_a_comment_changes_no_parse(path, index, comment):
+    text = path.read_text()
+    lines = text.split("\n")
+    index %= len(lines)
+    lines[index] += " # " + comment
+    assert _parse_file_text(path, "\n".join(lines)) == _parse_file_text(path, text)

@@ -377,7 +377,12 @@ def test_oversized_words_are_input_errors(capsys, tmp_path, relator, message):
     (b"generators: x y\nrelators: x^2\n\xff\xfe\n", "line 3: byte 0xff is not UTF-8"),
     (b"# two x\ngenerators: x x\nrelators: x^2\n", "line 2: generator 'x' declared twice"),
     (b"generators: x 1y\n", "line 1: invalid generator name '1y'"),
-], ids=["not-utf8", "duplicate-generator", "invalid-generator"])
+    # U+2028 and \f end no line, so the lines after them keep their numbers
+    (b"generators: x y\n# was \xe2\x80\xa8 x\nrelators: x^2 \xff\n",
+     "line 3: byte 0xff is not UTF-8"),
+    (b"generators: x y\n\x0crelators: x^2 q\n", "line 2: unknown generator 'q'"),
+], ids=["not-utf8", "duplicate-generator", "invalid-generator", "not-utf8-after-u2028",
+        "form-feed"])
 @pytest.mark.parametrize("command", [["order"], ["index", "--subgroup", "x"],
                                      ["hom2", "--map", "x=1"]])
 def test_presentation_file_errors_name_the_file_and_line(capsys, tmp_path, data, message,
@@ -484,3 +489,27 @@ def test_reproduce_all_ignores_a_case_file_without_a_case_line(capsys, tmp_path,
     code, payload = run_json(capsys, ["reproduce-all"])
     assert code == 0
     assert payload["status"] == "match" and len(payload["items"]) == 98
+
+
+@pytest.mark.parametrize("brk", ["\u2028", "\u2029", "\x85", "\f", "\v"])
+def test_a_comment_runs_to_the_newline(capsys, tmp_path, brk):
+    # str.splitlines would end the comment at brk and read 'relators: x'.
+    path = tmp_path / "icosahedral.txt"
+    path.write_bytes(f"generators: x y\nrelators: x^2 y^3 (x*y)^5\n"
+                     f"# was {brk}relators: x\n".encode())
+    assert main(["order", str(path)]) == 0
+    assert capsys.readouterr().out == "order: 60\n"
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("arc=x", "arc=x fixd=x arc=y", "line 4: scenario line gives arc= twice"),
+    ("arc=x", "arc=x beta=7", "line 4: scenario line takes no beta="),
+    ("scenario dashed", "scenarios dashed", "line 4: unrecognized directive 'scenarios'"),
+], ids=["repeated-arc", "unknown-key", "keyword-prefix"])
+def test_a_bad_scenario_line_is_a_located_input_error(capsys, tmp_path, monkeypatch,
+                                                      old, new, message):
+    path = tmp_path / "dashed.case"
+    path.write_text(DASHED_CASE.replace(old, new))
+    monkeypatch.setenv("ORBISYM_CATALOG", str(tmp_path))
+    assert main(["case", "tiny-dashed"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"

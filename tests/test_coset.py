@@ -22,18 +22,17 @@ from orbisym import (
     conjugate,
     coset_words,
     enumerate_cosets,
-    enumerate_elements,
     group_order,
     load_presentation,
     parse_word,
-    permutation_rep,
     subgroup_index,
     table_to_tsv,
     trace_word,
     verify_coset_table,
 )
 from orbisym import coset
-from orbisym.coset import _Enumerator, _NeedRoom
+from orbisym.coset import _Enumerator, _NeedRoom, permutation_rep
+from orbisym.permgroup import enumerate_elements
 from orbisym.presentation import Presentation, family_15e, family_19
 from orbisym.words import format_word, letter_columns
 from conftest import (ORBIFOLD_28_TEXT, dihedral_generators, mulclose,

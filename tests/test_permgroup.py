@@ -8,15 +8,17 @@ import pytest
 
 from orbisym import (
     LimitExceeded,
+    Word,
+    load_presentation,
+    enumerate_cosets,
+)
+from orbisym.coset import permutation_rep
+from orbisym.permgroup import (
     PermGroup,
     Permutation,
-    Word,
     enumerate_elements,
     evaluate_word,
     group_order_perm,
-    load_presentation,
-    enumerate_cosets,
-    permutation_rep,
 )
 from conftest import compose, dihedral_generators, mulclose
 

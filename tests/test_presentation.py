@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from orbisym import (
@@ -9,6 +11,7 @@ from orbisym import (
     EmptyRelator,
     InvalidParameter,
     Presentation,
+    UnknownGenerator,
     Word,
     WordSyntaxError,
     dump_presentation,
@@ -19,6 +22,9 @@ from orbisym import (
 )
 from orbisym.words import MAX_WORD_LETTERS
 from conftest import ORBIFOLD_28_TEXT
+
+# <x, y | x^2, y^3, (x*y)^5>, the icosahedral rotation group of order 60
+ICOSAHEDRAL_TEXT = "generators: x y\nrelators: x^2 y^3 (x*y)^5\n"
 
 
 def test_load_orbifold():
@@ -91,6 +97,9 @@ def test_error_messages_carry_line_numbers():
         load_presentation("# two x\ngenerators: x y x\n")
     with pytest.raises(WordSyntaxError, match="^line 1: invalid generator name '1y'$"):
         load_presentation("generators: x 1y\n")
+    for newline in ("\r\n", "\r"):
+        with pytest.raises(UnknownGenerator, match="^line 3: unknown generator 'q'$"):
+            load_presentation(newline.join(["generators: x y", "# c", "relators: q"]))
 
 
 def test_relators_kept_freely_reduced_only():
@@ -136,3 +145,35 @@ def test_family_validation():
             family_15e(bad)
         with pytest.raises(InvalidParameter):
             family_19(bad)
+
+
+# Every break str.splitlines knows besides \n, \r\n and \r.
+OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85  "
+
+
+@pytest.mark.parametrize("brk", OTHER_BREAKS)
+def test_only_newlines_end_a_line(brk):
+    # A comment runs to \n, \r\n or \r, so what follows another break in
+    # it is still comment.
+    text = f"generators: x y\nrelators: x^2 y^3 (x*y)^5\n# was {brk}relators: x\n"
+    assert load_presentation(text) == load_presentation(ICOSAHEDRAL_TEXT)
+    # Outside a comment such a break is blank inside the line, and the
+    # lines after it keep their numbers.
+    with pytest.raises(UnknownGenerator, match="^line 2: unknown generator 'q'$"):
+        load_presentation(f"generators: x y\n{brk}relators: x^2 y^3 q\n")
+
+
+@pytest.mark.parametrize("line,keyword", [
+    ("aliasm = x*y", "aliasm"),
+    ("alias_m = x*y", "alias_m"),
+    ("relatorsx: x^2", "relatorsx:"),
+    ("alias= m x*y", "alias="),
+])
+def test_a_keyword_is_a_whole_word(line, keyword):
+    with pytest.raises(WordSyntaxError,
+                       match=rf"^line 2: unrecognized directive {re.escape(repr(keyword))}$"):
+        load_presentation(f"generators: x y\n{line}\nrelators: x^2\n")
+    # without a blank after its colon a keyword is still whole
+    pres, aliases = load_presentation_with_aliases(
+        "generators:x y\nalias m=x*y\nrelators:m^2\n")
+    assert pres.generator_names == ("x", "y") and aliases == {"m": Word((1, 2))}

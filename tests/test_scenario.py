@@ -22,24 +22,22 @@ from orbisym import (
     conjugate,
     coset_words,
     enumerate_cosets,
-    enumerate_elements,
     evaluate_dashed_arc_scenario,
     evaluate_edge_scenario,
-    evaluate_family,
-    evaluate_word,
     family_19,
     format_word,
     load_presentation,
     parse_word,
-    permutation_rep,
     run_case,
     solve_hom_to_z2,
     subgroup_index,
     trace_word,
 )
+from orbisym.coset import permutation_rep
+from orbisym.permgroup import enumerate_elements, evaluate_word
 import orbisym.coset as coset_module
 import orbisym.scenario as scenario_module
-from orbisym.scenario import FAMILY_15E, FAMILY_19, family_scenario
+from orbisym.scenario import FAMILY_15E, FAMILY_19, evaluate_family, family_scenario
 
 
 def S(g, b):
