@@ -365,6 +365,8 @@ def parse_case_text(text: str) -> CatalogEntry:
                     raise WordSyntaxError(f"bad scenario line: {line!r}")
                 scenario_kind, body = parts[1], parts[2]
                 if scenario_kind == "edge":
+                    if "hom(" in body:
+                        raise WordSyntaxError("an edge scenario takes no hom(...) clause")
                     kv = _key_values(body.split(), ("alpha",), "scenario line")
                 elif scenario_kind == "dashed":
                     hom = _HOM_RE.search(body)

@@ -126,7 +126,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import LimitExceeded
 from .permgroup import PermGroup, Permutation
 from .presentation import Presentation
-from .words import Word, format_word, letter_columns
+from .words import Word, column_word, format_word, letter_columns
 
 __all__ = [
     "EnumerationLimits",
@@ -688,27 +688,44 @@ def trace_word(table: CosetTable, start: int, w: Word) -> int:
     return c
 
 
-def subgroup_index(regular: CosetTable, words: Iterable[Word]) -> int:
-    """Index of <words> in a finite group, read off its regular table.
+def _column_paths(table: CosetTable) -> list[tuple[int, ...]]:
+    """The shortlex-least column path from coset 0 to each coset, by coset:
+    the one breadth-first search, in column order as _standardize numbers
+    cosets, that coset_words and the dashed-arc sweep read."""
+    paths: list[tuple[int, ...]] = [()] * table.n_cosets
+    seen = bytearray(table.n_cosets)
+    seen[0] = 1
+    order = [0]
+    columns = table.columns
+    for c in order:
+        path = paths[c]
+        for col, column in enumerate(columns):
+            d = column[c]
+            if not seen[d]:
+                seen[d] = 1
+                paths[d] = path + (col,)
+                order.append(d)
+    return paths
+
+
+def _orbit_index(regular: CosetTable, paths: Iterable[Sequence[int]]) -> int:
+    """[G:H] for H generated by the elements the column paths reach.
 
     In the table of cosets of the trivial subgroup every coset is a group
-    element, so the orbit of coset 0 under the words is the subgroup H
-    itself and [G:H] = |G| / |H|, which is
-    enumerate_cosets(pres, words).n_cosets without a second enumeration.
+    element, so the orbit of coset 0 under the generators is H itself and
+    [G:H] = |G| / |H|.  The one orbit loop, which subgroup_index and the
+    dashed-arc sweep run on paths they have checked against the alphabet.
     """
     if regular.subgroup_generators:
         raise ValueError("subgroup_index needs the table of the trivial subgroup")
-    words = tuple(words)
-    if any(w.max_generator_index() >= len(regular.generator_names) for w in words):
-        raise ValueError("word uses a generator outside the table's alphabet")
     columns = regular.columns
-    # Each word's column lists, bound once, as _Enumerator._bind does.
-    word_cols = [[columns[col] for col in letter_columns(w)] for w in words]
+    # Each path's column lists, bound once, as _Enumerator._bind does.
+    path_cols = [[columns[col] for col in path] for path in paths]
     seen = bytearray(regular.n_cosets)
     seen[0] = 1
     orbit = [0]
     for c in orbit:
-        for cols in word_cols:
+        for cols in path_cols:
             d = c
             for column in cols:
                 d = column[d]
@@ -718,28 +735,22 @@ def subgroup_index(regular: CosetTable, words: Iterable[Word]) -> int:
     return regular.n_cosets // len(orbit)
 
 
-def coset_words(table: CosetTable) -> tuple[Word, ...]:
-    """The shortlex-least word reaching each coset from coset 0, by coset.
+def subgroup_index(regular: CosetTable, words: Iterable[Word]) -> int:
+    """Index of <words> in a finite group, read off its regular table:
+    enumerate_cosets(pres, words).n_cosets without a second enumeration,
+    by the orbit loop _orbit_index that the dashed-arc sweep runs too."""
+    words = tuple(words)
+    if any(w.max_generator_index() >= len(regular.generator_names) for w in words):
+        raise ValueError("word uses a generator outside the table's alphabet")
+    return _orbit_index(regular, map(letter_columns, words))
 
-    Breadth-first from coset 0 in column order, as _standardize numbers
-    cosets; on the regular table these are the words of
-    enumerate_elements(permutation_rep(table)), in the same order.
-    """
-    letters = [(col // 2 + 1) * (-1 if col & 1 else 1)
-               for col in range(2 * len(table.generator_names))]
-    order = [0]
-    words: list[tuple[int, ...]] = [()] * table.n_cosets
-    seen = bytearray(table.n_cosets)
-    seen[0] = 1
-    columns = table.columns
-    for c in order:
-        for letter, column in zip(letters, columns):
-            d = column[c]
-            if not seen[d]:
-                seen[d] = 1
-                words[d] = words[c] + (letter,)
-                order.append(d)
-    return tuple(Word(w) for w in words)
+
+def coset_words(table: CosetTable) -> tuple[Word, ...]:
+    """The shortlex-least word reaching each coset from coset 0, by coset:
+    the words of _column_paths, the breadth-first search the dashed-arc
+    sweep runs too.  On the regular table these are the words of
+    enumerate_elements(permutation_rep(table)), in the same order."""
+    return tuple(map(column_word, _column_paths(table)))
 
 
 def permutation_rep(table: CosetTable) -> PermGroup:

@@ -11,11 +11,13 @@ rule) are evaluated for that c.
 Both evaluators take the group's regular coset table (cosets of the
 trivial subgroup), which their caller enumerates once (``catalog.run_case``
 does, once per case).  Its cosets are the group's elements, and a subgroup
-index is an orbit size there (``coset.subgroup_index``), which depends only
-on the elements of the generators.  So the sweep runs on elements: per
-conjugator, |c| + |arc| + |c| column lookups and no Word give c*arc*c^-1;
-per distinct moved element (20 of the orbifold's 120), one probe and four
-orbit walks over shortlex words (``coset.coset_words``).
+index is an orbit size there, which depends only on the elements of the
+generators.  So the sweep runs on elements, each carried as its shortlex
+column path, and shares coset.py's one breadth-first search for the paths
+and one orbit loop with ``coset_words`` and ``subgroup_index``: per
+conjugator, |arc| + |c| column lookups give c*arc*c^-1; per distinct moved
+element (20 of the orbifold's 120), one probe and four orbit walks on
+column paths.  A Word is built only for an admissible conjugator's label.
 ``evaluate_family`` enumerates the presentation it builds itself.
 
 Genus always comes from the scenario's algebraic genus and the computed
@@ -36,7 +38,8 @@ from typing import Callable, Sequence
 
 from .coset import (
     CosetTable,
-    coset_words,
+    _column_paths,
+    _orbit_index,
     enumerate_cosets,
     subgroup_index,
     trace_word,
@@ -49,7 +52,7 @@ from .surface import (
     remaining_family_surfaces,
     square_family_surface,
 )
-from .words import Word, format_word, letter_columns
+from .words import Word, column_word, format_word
 from .z2hom import Z2Constraint, solve_hom_to_z2
 
 __all__ = [
@@ -166,8 +169,8 @@ def evaluate_dashed_arc_scenario(scenario: DashedArcScenario, regular: CosetTabl
                                  early_stop: bool = False,
                                  conjugators: Sequence[Word] | None = None) -> ScenarioResult:
     """Sweep the conjugating element over the whole group, on regular, the
-    group's regular coset table: by default each element's shortlex word
-    (coset_words of regular), or the explicit conjugators given.
+    group's regular coset table: by default each element, labelled with its
+    shortlex word, or the explicit conjugators given.
 
     The patterns depend on c only through the moved element c*arc*c^-1,
     so the probe and four indices run once per moved element, at its first
@@ -178,34 +181,42 @@ def evaluate_dashed_arc_scenario(scenario: DashedArcScenario, regular: CosetTabl
     pres = scenario.presentation
     reflections_orientable = solve_hom_to_z2(pres, scenario.hom_constraints).solvable
     columns = regular.columns
-    words = coset_words(regular)
+    paths = _column_paths(regular)
 
     def times(element: int, cols: Sequence[int], inverse: bool = False) -> int:
-        for col in ([col ^ 1 for col in reversed(cols)] if inverse else cols):
-            element = columns[col][element]
+        # element times cols' element, or its inverse (col ^ True is col's inverse)
+        for col in (reversed(cols) if inverse else cols):
+            element = columns[col ^ inverse][element]
         return element
 
+    # Every word the sweep reads is traced once here, which checks it
+    # against the alphabet; from here on it reads shortlex paths only.
     fixed, arc = (trace_word(regular, 0, w) for w in (scenario.fixed_word, scenario.arc_word))
-    fixed_cols, arc_cols = letter_columns(words[fixed]), letter_columns(words[arc])
-    sweep = (enumerate(words) if conjugators is None else
-             [(trace_word(regular, 0, c), c) for c in conjugators])
-    # (c, c*arc*c^-1): arc's columns from c's element k, then c's inverse columns
-    pairs = [(c, times(times(k, arc_cols), letter_columns(c), True)) for k, c in sweep]
+    fixed_cols, arc_cols = paths[fixed], paths[arc]
+    if conjugators is None:
+        elements: Sequence[int] = range(regular.n_cosets)
+    else:
+        conjugators = tuple(conjugators)
+        elements = [trace_word(regular, 0, c) for c in conjugators]
+    # (position of c, c*arc*c^-1): arc's columns from c's element k, then
+    # the inverse of k's path
+    pairs = [(i, times(times(k, arc_cols), paths[k], True)) for i, k in enumerate(elements)]
     if early_stop:
         first = {}
-        for c, moved in pairs:
-            first.setdefault(moved, c)
-        pairs = [(c, moved) for moved, c in first.items()]
+        for i, moved in pairs:
+            first.setdefault(moved, i)
+        pairs = [(i, moved) for moved, i in first.items()]
 
     outcomes, surfaces, admissible = [], set(), 0
-    # moved element -> its four (name, boundary, orientable, surface); none
+    # moved element -> its four (name, boundary, orientable, genus); none
     # when <fixed, c*arc*c^-1> is not the whole group
     results: dict[int, list] = {}
-    for index, (c, moved) in enumerate(pairs):
-        if moved not in results:
-            results[moved] = []
-            if subgroup_index(regular, (words[fixed], words[moved])) == 1:
-                m = letter_columns(words[moved])
+    for index, (i, moved) in enumerate(pairs):
+        found = results.get(moved)
+        if found is None:
+            found = results[moved] = []
+            m = paths[moved]
+            if _orbit_index(regular, (fixed_cols, m)) == 1:
                 # f*m and f^-1*m alone, m*f*m^-1 and m^-1*f*m next to f
                 for name, element in (("loop", times(fixed, m)),
                                       ("loop_inv", times(times(0, fixed_cols, True), m)),
@@ -213,19 +224,20 @@ def evaluate_dashed_arc_scenario(scenario: DashedArcScenario, regular: CosetTabl
                                       ("reflection_inv",
                                        times(times(times(0, m, True), fixed_cols), m))):
                     loop = name.startswith("loop")
-                    boundary = subgroup_index(regular, (words[element],) if loop else
-                                              (words[fixed], words[element]))
+                    boundary = _orbit_index(regular, (paths[element],) if loop else
+                                            (fixed_cols, paths[element]))
                     orientable = loop or reflections_orientable
                     surface = classify_surface(scenario.alpha, boundary, orientable)
-                    results[moved].append((name, boundary, orientable, surface))
-        if not results[moved]:
+                    found.append((name, boundary, orientable, surface.genus))
+                    surfaces.add(surface)
+        if not found:
             continue
         admissible += 1
+        c = column_word(paths[i]) if conjugators is None else conjugators[i]
         label = f"c{index}={format_word(c, pres.generator_names)}"
-        for name, boundary, orientable, surface in results[moved]:
-            outcomes.append(PatternOutcome(name, boundary, orientable, surface.genus,
+        for name, boundary, orientable, genus in found:
+            outcomes.append(PatternOutcome(name, boundary, orientable, genus,
                                            conjugator=label, sweep_index=index))
-            surfaces.add(surface)
     return ScenarioResult(frozenset(surfaces), tuple(outcomes),
                           visited=len(pairs), admissible=admissible)
 

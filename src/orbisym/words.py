@@ -122,6 +122,11 @@ def letter_columns(w: Word) -> tuple[int, ...]:
     return tuple(2 * (abs(l) - 1) + (0 if l > 0 else 1) for l in w.letters)
 
 
+def column_word(cols: Sequence[int]) -> Word:
+    """The word whose letter_columns are cols."""
+    return Word(tuple(-(col // 2 + 1) if col & 1 else col // 2 + 1 for col in cols))
+
+
 def conjugate(w: Word, c: Word) -> Word:
     """The conjugate c * w * c^-1."""
     return c * w * ~c

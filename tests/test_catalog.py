@@ -616,8 +616,11 @@ def test_a_comment_ends_only_at_a_newline(catalog_dir):
      "line 5: pattern 'P1' item 'never' needs key=value"),
     (EDGE_CASE.replace("subgroup = x, y ; orient = always", "subgroup = x, y"),
      "line 5: pattern 'P1' needs orient="),
+    (EDGE_CASE.replace("alpha=2", "alpha=2 hom(x=1)"),
+     "line 4: an edge scenario takes no hom(...) clause"),
 ], ids=["unknown-scenario-key", "repeated-scenario-key", "missing-before-unknown",
-        "repeated-clause", "unknown-clause", "clause-without-value", "missing-clause"])
+        "repeated-clause", "unknown-clause", "clause-without-value", "missing-clause",
+        "edge-hom-clause"])
 def test_each_key_value_item_is_given_once_and_known(text, message):
     # Before, an unknown item was dropped and a repeated one overwrote the
     # first, so the dashed case ran with arc y and the pattern with <x>.

@@ -1752,20 +1752,24 @@ def row_coset_words(table):
 
 
 def assert_the_column_readers_match_the_rows(table, words):
-    """trace_word from every coset, coset_words, permutation_rep and, on
-    a regular table, subgroup_index of each prefix of words, against the
-    same reads of the rows."""
+    """trace_word from every coset, coset_words and the column paths they
+    view, permutation_rep and, on a regular table, subgroup_index and the
+    orbit loop it views of each prefix of words, against the same reads of
+    the rows."""
     action = table_rows(table)
     for w in words:
         for c in range(table.n_cosets):
             assert trace_word(table, c, w) == row_trace_word(action, c, w)
     assert coset_words(table) == row_coset_words(table)
+    assert coset._column_paths(table) == list(map(letter_columns, row_coset_words(table)))
     images = [perm.images for _, perm in permutation_rep(table).generators]
     assert images == [tuple(row[2 * i] for row in action)
                       for i in range(len(table.generator_names))]
     if not table.subgroup_generators:
         for k in range(len(words) + 1):
-            assert subgroup_index(table, words[:k]) == row_subgroup_index(table, words[:k])
+            expected = row_subgroup_index(table, words[:k])
+            assert subgroup_index(table, words[:k]) == expected
+            assert coset._orbit_index(table, map(letter_columns, words[:k])) == expected
 
 
 def test_the_column_readers_match_the_row_readers_on_verified_cases():

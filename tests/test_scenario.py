@@ -35,6 +35,7 @@ from orbisym import (
 )
 from orbisym.coset import permutation_rep
 from orbisym.permgroup import enumerate_elements, evaluate_word
+from orbisym.words import letter_columns
 import orbisym.coset as coset_module
 import orbisym.scenario as scenario_module
 from orbisym.scenario import FAMILY_15E, FAMILY_19, evaluate_family, family_scenario
@@ -482,18 +483,19 @@ def test_a_word_outside_the_alphabet_is_refused(orbifold_28, field):
 @pytest.mark.parametrize("early_stop", [False, True])
 def test_sweep_evaluates_each_moved_element_once(orbifold_28, monkeypatch, early_stop):
     # 20 distinct moved elements, 8 of them admissible: 20 probes and
-    # 4 x 8 pattern indices, where one evaluation per conjugator made 312;
-    # each runs on elements' shortlex words, not on conjugated words
+    # 4 x 8 pattern walks of the one orbit loop, where one evaluation per
+    # conjugator made 312; each generator is an element's shortlex column
+    # path, not a conjugated word
     calls = []
 
-    def counting_index(regular, words):
-        calls.append(words)
-        return subgroup_index(regular, words)
-    monkeypatch.setattr(scenario_module, "subgroup_index", counting_index)
+    def counting_orbit(regular, paths):
+        calls.append(paths)
+        return coset_module._orbit_index(regular, paths)
+    monkeypatch.setattr(scenario_module, "_orbit_index", counting_orbit)
     regular = enumerate_cosets(orbifold_28)
     result = evaluate_dashed_arc_scenario(dashed_scenario(orbifold_28), regular,
                                           early_stop=early_stop)
     assert result.admissible == (8 if early_stop else 48)
     assert len(calls) == 20 + 4 * 8
-    shortlex = set(coset_words(regular))
-    assert all(w in shortlex for words in calls for w in words)
+    shortlex = {letter_columns(w) for w in coset_words(regular)}
+    assert all(path in shortlex for paths in calls for path in paths)
