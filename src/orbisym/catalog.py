@@ -264,6 +264,8 @@ _SURFACE_SEP_RE = re.compile(r"[\s,]+(?![^{]*\})")
 _EXPECT_RE = re.compile(r"expect\s+order=([0-9]+)\s+surfaces=(.+)$")
 _PATTERN_RE = re.compile(r"pattern\s+([A-Za-z0-9_]+)\s*:\s*(.+)$")
 _HOM_RE = re.compile(r"hom\((.*)\)\s*$")
+# A scenario line's hom(...) clause starts an item, anywhere on the line.
+_HOM_START_RE = re.compile(r"(?<!\S)hom\(")
 # The directives each kind of case reads, None for a presentation line;
 # only case: and pattern may repeat.
 _KIND_READS = {
@@ -279,6 +281,26 @@ def _parse_constraints(text: str, names: tuple[str, ...], aliases: dict[str, Wor
     """The comma-separated WORD=BIT items of a hom(...) clause."""
     return tuple(parse_constraint(item.strip(), names, aliases, "hom(...)")
                  for item in text.split(","))
+
+
+def _cut_hom_clause(body: str) -> tuple[str, str]:
+    """(items, rest): the text inside body's one hom(...) clause, and body
+    with the clause cut out.  The clause ends at the parenthesis that
+    closes it, since a word's parentheses nest."""
+    start = _HOM_START_RE.search(body)
+    if not start:
+        raise WordSyntaxError("dashed scenario needs a hom(...) clause")
+    depth = 0
+    for end in range(start.end() - 1, len(body)):
+        depth += (body[end] == "(") - (body[end] == ")")
+        if not depth:
+            break
+    else:
+        raise WordSyntaxError("hom(...) clause has no closing parenthesis")
+    rest = f"{body[:start.start()]} {body[end + 1:]}"
+    if _HOM_START_RE.search(rest):
+        raise WordSyntaxError("scenario line gives hom(...) twice")
+    return body[start.end():end], rest
 
 
 def _key_values(items: list[str], keys: tuple[str, ...], what: str) -> dict[str, str]:
@@ -369,12 +391,9 @@ def parse_case_text(text: str) -> CatalogEntry:
                         raise WordSyntaxError("an edge scenario takes no hom(...) clause")
                     kv = _key_values(body.split(), ("alpha",), "scenario line")
                 elif scenario_kind == "dashed":
-                    hom = _HOM_RE.search(body)
-                    if not hom:
-                        raise WordSyntaxError("dashed scenario needs a hom(...) clause")
-                    kv = _key_values(body[:hom.start()].split(), ("alpha", "fixed", "arc"),
-                                     "scenario line")
-                    kv["hom"] = hom.group(1)
+                    hom, rest = _cut_hom_clause(body)
+                    kv = _key_values(rest.split(), ("alpha", "fixed", "arc"), "scenario line")
+                    kv["hom"] = hom
                     dashed_spec = kv
                 else:
                     raise WordSyntaxError(f"unknown scenario kind {scenario_kind!r}")

@@ -16,6 +16,7 @@ by ascending n, and sweep audit items sort by pattern then conjugator.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -39,6 +40,7 @@ EXIT_LIMIT = 3
 FAMILY_SWEEP = range(3, 51)
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbisym",
@@ -95,7 +97,10 @@ def _limits(args: argparse.Namespace) -> EnumerationLimits | None:
     max_cosets = getattr(args, "max_cosets", None)
     if max_cosets is None:
         return None
-    return EnumerationLimits(max_cosets=max_cosets)
+    try:
+        return EnumerationLimits(max_cosets=max_cosets)
+    except ValueError as exc:
+        raise at(f"--max-cosets {max_cosets}", exc) from None
 
 
 def _emit(args: argparse.Namespace, command: str, items: list[dict],

@@ -24,15 +24,22 @@ this module reads the columns.
 
 The raw table the enumerator fills is stored by column: table[col] is
 one list, and table[col][c] is coset c's entry in that column, None
-while undefined.  A definition appends None to every column, and p, the
-union-find, has one entry per coset, so len(p) counts the cosets held.
+while undefined.  p, the union-find, has one entry per coset, so len(p)
+counts the cosets held.  The column lists and closed run ahead of p:
+past len(p) they hold unused None and 0 slots.  When len(p) reaches
+their length, _grow extends each of them by an eighth of it, at least
+64 slots, but never past the coset budget, so a run that overflows holds
+no unused slot.  A definition then costs one comparison and p.append.
+run drops the unused slots when it returns, and compaction, which runs
+only with the budget full, leaves every list as long as p.
+
 Each relator's columns are bound once, as two tuples of column lists:
 fwd[i] = table[cols[i]] for its letters read forward, and back[j] =
 table[cols[j] ^ 1] for reading it backward.  A scan step is then one
 subscript into a bound list, fwd[i][f], and a coset costs a slot in each
 column instead of a list object of its own.  The bound tuples hold the
 column lists themselves, so the enumerator never replaces a list:
-definitions append, and compaction moves entries down and truncates.
+growth extends, and compaction moves entries down and truncates.
 
 Coincidences are resolved by union-find with path compression, keeping
 the smallest label as representative; the merge queue transfers every
@@ -120,6 +127,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from operator import eq
 from typing import Iterable, Iterator, Sequence
 
@@ -211,9 +219,10 @@ class _Enumerator:
         self.sub_cols = tuple(letter_columns(w) for w in subgroup)
         self.limits = limits
         # table[col][c] is coset c's entry in column col; p has one entry
-        # per coset, so len(p) counts the cosets held.  These lists, like
-        # p and closed, are only ever changed in place, so the column
-        # lists can be bound once (module docstring).
+        # per coset, so len(p) counts the cosets held, and the columns and
+        # closed may run ahead of it (_grow).  These lists, like p and
+        # closed, are only ever changed in place, so the column lists can
+        # be bound once (module docstring).
         self.table: list[list[int | None]] = [[None] for _ in range(self.ncols)]
         # Each column with its inverse column, in column order.
         self.pairs = [(column, self.table[col ^ 1]) for col, column in enumerate(self.table)]
@@ -487,10 +496,26 @@ class _Enumerator:
 
     # -- HLT -----------------------------------------------------------
 
+    def _grow(self) -> int:
+        """Extend every column with None and closed with 0 by an eighth of
+        their length, at least 64 slots, but never past max_cosets, and
+        return the new length.  HLT calls this when len(p) reaches the
+        lists' length; raises _NeedRoom when that is the budget."""
+        n = len(self.p)
+        max_cosets = self.limits.max_cosets
+        if n >= max_cosets:
+            raise _NeedRoom
+        step = min(max(n >> 3, 64), max_cosets - n)
+        for column in self.table:
+            column.extend(repeat(None, step))
+        self.closed.extend(repeat(0, step))
+        return n + step
+
     def run(self) -> list[list[int | None]]:
         """HLT: at each live coset in turn, scan every relator not marked
         closed there, defining cosets to complete each scan, then define
-        the coset's undefined entries.  Returns the raw table.
+        the coset's undefined entries.  Returns the raw table, every list
+        as long as p.
 
         This is the enumerator's only filling scan, written out with its
         definitions and deductions on local names, since HLT's time is
@@ -498,17 +523,19 @@ class _Enumerator:
         column lists are only ever changed in place.
         """
         table, p, closed, pairs = self.table, self.p, self.closed, self.pairs
-        max_cosets = self.limits.max_cosets
-        appends = [column.append for column in table]
+        coincidence = self._coincidence
+        room = len(p)  # the length of the columns and closed (_grow)
         # Scans skipped through closed are no-ops (module docstring).
         scans = []
         for i, cols in enumerate(self.relator_cols):
             root = _power_root(cols)
-            scans.append((1 << i, *self._bind(cols), root and self._bind(root)[0]))
+            scans.append((1 << i, *self._bind(cols), len(cols) - 1,
+                          root and self._bind(root)[0]))
         # The subgroup words are coset 0's first scans.  Their bit 0 marks
         # and skips nothing, so after _make_room(0) a word that already
         # closed is scanned again, which changes nothing.
-        first_scans = [(0, *self._bind(cols), None) for cols in self.sub_cols] + scans
+        first_scans = [(0, *self._bind(cols), len(cols) - 1, None)
+                       for cols in self.sub_cols] + scans
         alpha = 0
         while alpha < len(p):
             label = p[alpha]
@@ -520,11 +547,11 @@ class _Enumerator:
             alpha = label
             skip = closed[alpha]
             try:
-                for bit, fwd, back, root in scans if alpha else first_scans:
+                for bit, fwd, back, last, root in scans if alpha else first_scans:
                     if skip & bit:
                         continue
                     f = b = alpha
-                    i, j = 0, len(fwd) - 1
+                    i, j = 0, last
                     while True:
                         while i <= j:
                             nxt = fwd[i][f]
@@ -534,7 +561,7 @@ class _Enumerator:
                             i += 1
                         if i > j:
                             if f != b:
-                                self._coincidence(f, b)
+                                coincidence(f, b)
                             break
                         while j >= i:
                             prv = back[j][b]
@@ -543,7 +570,7 @@ class _Enumerator:
                             b = prv
                             j -= 1
                         if j < i:
-                            self._coincidence(f, b)
+                            coincidence(f, b)
                             break
                         # One entry missing is a deduction; more, a new
                         # coset at the front of the gap.
@@ -552,12 +579,9 @@ class _Enumerator:
                             back[i][b] = f
                             break
                         new = len(p)
-                        if new >= max_cosets:
-                            raise _NeedRoom
-                        for append in appends:
-                            append(None)
+                        if new == room:
+                            room = self._grow()
                         p.append(new)
-                        closed.append(0)
                         fwd[i][f] = new
                         back[i][new] = f
                         f = new
@@ -571,18 +595,20 @@ class _Enumerator:
                         if fwd[alpha] is not None:
                             continue
                         new = len(p)
-                        if new >= max_cosets:
-                            raise _NeedRoom
-                        for append in appends:
-                            append(None)
+                        if new == room:
+                            room = self._grow()
                         p.append(new)
-                        closed.append(0)
                         fwd[alpha] = new
                         inv[new] = alpha
             except _NeedRoom:
                 alpha = self._make_room(alpha)
+                room = len(p)
                 continue
             alpha += 1
+        n = len(p)
+        for column in table:
+            del column[n:]
+        del closed[n:]
         return table
 
     def _mark_closed(self, alpha: int, root: Sequence[list[int | None]], k: int,

@@ -629,6 +629,36 @@ def test_each_key_value_item_is_given_once_and_known(text, message):
     assert str(exc.value) == message
 
 
+_DASHED_LINE = "scenario dashed alpha=2 fixed=y arc=x hom(y=1)"
+
+
+@pytest.mark.parametrize("line", [
+    "scenario dashed hom(y=1) alpha=2 fixed=y arc=x",
+    "scenario dashed alpha=2 hom(y=1) fixed=y arc=x",
+    "scenario dashed alpha=2 fixed=y arc=x hom(y=1)  ",
+], ids=["first", "middle", "last"])
+def test_a_dashed_hom_clause_stands_anywhere_on_its_line(line):
+    # Before, the clause was found only at the end of the line, so the
+    # first two ended as "dashed scenario needs a hom(...) clause".
+    assert parse_case_text(DASHED_CASE.replace(_DASHED_LINE, line)) == \
+        parse_case_text(DASHED_CASE)
+
+
+@pytest.mark.parametrize("line,message", [
+    (_DASHED_LINE + " hom(x=1)", "scenario line gives hom(...) twice"),
+    ("scenario dashed hom(x=1) alpha=2 hom(y=1) fixed=y arc=x",
+     "scenario line gives hom(...) twice"),
+    ("scenario dashed alpha=2 fixed=y arc=x hom(y=1", "hom(...) clause has no closing parenthesis"),
+    ("scenario dashed alpha=2 fixed=y arc=x", "dashed scenario needs a hom(...) clause"),
+], ids=["twice-last", "twice-apart", "unclosed", "missing"])
+def test_a_dashed_scenario_line_gives_one_closed_hom_clause(line, message):
+    # Before, a second clause at the end tore the first: "hom(...) item
+    # 'y=1) hom(x=1': unexpected character '=' at position 1".
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_case_text(DASHED_CASE.replace(_DASHED_LINE, line))
+    assert str(exc.value) == f"line 4: {message}"
+
+
 @pytest.mark.parametrize("text,message", [
     (EDGE_CASE.replace("scenario edge", "scenarios edge"),
      "line 4: unrecognized directive 'scenarios'"),

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 from orbisym import presentation
-from orbisym.cli import main
+from orbisym.cli import _build_parser, main
 from conftest import ARITHMETIC_CASE, DASHED_CASE, EDGE_CASE, ORBIFOLD_28_TEXT
 
 REPORT_SCHEMA = {
@@ -418,6 +418,30 @@ def test_limit_exit_code(capsys, free_group_file):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["order", "FILE"], ["index", "FILE", "--subgroup", "x"], ["case", "orbifold-28-edge"],
+    ["reproduce-all"],
+], ids=["order", "index", "case", "reproduce-all"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_a_max_cosets_below_1_names_the_flag_and_value(capsys, orbifold_file, argv, value):
+    # Before, the message named neither: "error: max_cosets must be at least 1".
+    argv = [orbifold_file if arg == "FILE" else arg for arg in argv]
+    assert main([*argv, "--max-cosets", value]) == 2
+    assert capsys.readouterr().err == \
+        f"error: --max-cosets {value}: max_cosets must be at least 1\n"
+
+
+def test_the_parser_is_built_once_and_keeps_no_state():
+    parser = _build_parser()
+    assert _build_parser() is parser
+    # Each parse starts from the defaults: --map's list is not the last
+    # parse's, and --max-cosets is unset again.
+    assert parser.parse_args(["hom2", "f", "--map", "x=1"]).map == ["x=1"]
+    assert parser.parse_args(["hom2", "f"]).map == []
+    assert parser.parse_args(["order", "f", "--max-cosets", "5"]).max_cosets == 5
+    assert parser.parse_args(["order", "f"]).max_cosets is None
+
+
 def test_limit_json_status(capsys, free_group_file):
     code = main(["order", free_group_file, "--max-cosets", "500", "--json"])
     assert code == 3
@@ -505,7 +529,8 @@ def test_a_comment_runs_to_the_newline(capsys, tmp_path, brk):
     ("arc=x", "arc=x fixd=x arc=y", "line 4: scenario line gives arc= twice"),
     ("arc=x", "arc=x beta=7", "line 4: scenario line takes no beta="),
     ("scenario dashed", "scenarios dashed", "line 4: unrecognized directive 'scenarios'"),
-], ids=["repeated-arc", "unknown-key", "keyword-prefix"])
+    ("hom(y=1)", "hom(y=1) hom(x=1)", "line 4: scenario line gives hom(...) twice"),
+], ids=["repeated-arc", "unknown-key", "keyword-prefix", "repeated-hom"])
 def test_a_bad_scenario_line_is_a_located_input_error(capsys, tmp_path, monkeypatch,
                                                       old, new, message):
     path = tmp_path / "dashed.case"

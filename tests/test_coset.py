@@ -1329,6 +1329,112 @@ def test_hlt_matches_the_reference_hlt_on_named_cases(pres, subgroup, limits, pa
     assert bool(hlt.returns) == passes
 
 
+# -- the raw table's growth -------------------------------------------------
+
+
+class CheckedGrowth(RecordsMakeRoom, _Enumerator):
+    """Checks the lengths of the column lists and closed wherever they
+    change: each _grow starts from lists as long as p and extends them all
+    by max(n // 8, 64) slots, capped at max_cosets; each _make_room starts
+    from full lists at the budget and leaves them as long as p.  Records
+    each length _grow returns."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.rooms = []
+
+    def lengths(self):
+        return {len(column) for column in self.table} | {len(self.closed)}
+
+    def _grow(self):
+        n, max_cosets = len(self.p), self.limits.max_cosets
+        assert self.lengths() == {n}
+        room = super()._grow()
+        assert room == min(n + max(n // 8, 64), max_cosets)
+        assert self.lengths() == {room}
+        self.rooms.append(room)
+        return room
+
+    def _make_room(self, alpha):
+        assert self.lengths() == {len(self.p)} == {self.limits.max_cosets}
+        start = super()._make_room(alpha)
+        assert self.lengths() == {len(self.p)}
+        return start
+
+
+def run_checked_growth(pres, subgroup, limits):
+    """The raw state of a CheckedGrowth run, checking that every list is
+    as long as p when run returns; and the run."""
+    enum = CheckedGrowth(pres, subgroup, limits)
+    state = raw_state(enum)
+    if not isinstance(state, str):
+        assert enum.lengths() == {len(enum.p)}
+    return state, enum
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(long_power_presentations(), triangle_groups(),
+                 short_relator_presentations()),
+       st.integers(5, 400))
+def test_no_list_grows_past_the_budget(case, max_cosets):
+    pres, subgroup = case
+    limits = EnumerationLimits(max_cosets)
+    state, enum = run_checked_growth(pres, subgroup, limits)
+    assert state == raw_state(ReferenceHLT(pres, subgroup, limits))
+    assert all(room <= max_cosets for room in enum.rooms)
+
+
+GROWTH_CASES = [
+    pytest.param(load_presentation(ORBIFOLD_28_TEXT), (), id="orbifold-28"),
+    pytest.param(load_presentation(ORBIFOLD_28_TEXT), (Word((1, 2)),), id="orbifold-28-xy"),
+    pytest.param(SMALL_FINITE[4], (), id="coxeter-s5"),
+    pytest.param(family_19(20), (), id="19-20"),
+    pytest.param(family_15e(20), (), id="15E-20"),
+    pytest.param(load_presentation(D7), (), id="dihedral-7"),
+]
+
+
+@pytest.mark.parametrize("pres,subgroup", GROWTH_CASES)
+def test_a_budget_at_the_raw_peak_needs_no_room(pres, subgroup):
+    # No compaction runs under the default budget, so p never shrinks and
+    # its final length is the raw peak.
+    state, enum = run_checked_growth(pres, subgroup, EnumerationLimits())
+    assert not enum.returns
+    peak = len(state[1])
+    state_at_peak, at_peak = run_checked_growth(pres, subgroup, EnumerationLimits(peak))
+    assert state_at_peak == state
+    assert not at_peak.returns
+    assert at_peak.rooms[-1] == peak
+
+
+class ReferenceHLTLookahead(ReferenceLookahead, ReferenceHLT):
+    """ReferenceHLT with ReferenceLookahead's full-rescan overflow path:
+    neither HLT's scan nor its lookahead nor its compaction is the
+    enumerator's."""
+
+
+@pytest.mark.parametrize("pres,subgroup", GROWTH_CASES)
+def test_a_budget_one_below_the_raw_peak_ends_as_the_references_do(pres, subgroup):
+    peak = len(raw_state(_Enumerator(pres, subgroup, EnumerationLimits()))[1])
+    limits = EnumerationLimits(peak - 1)
+    state, enum = run_checked_growth(pres, subgroup, limits)
+    assert enum.returns or isinstance(state, str)
+    assert full_state(_Enumerator(pres, subgroup, limits)) == \
+        full_state(ReferenceHLT(pres, subgroup, limits))
+    assert state == raw_state(ReferenceHLT(pres, subgroup, limits)) == \
+        raw_state(ReferenceHLTLookahead(pres, subgroup, limits))
+
+
+def test_the_growth_cases_reach_both_endings_one_below_the_peak():
+    endings = set()
+    for case in GROWTH_CASES:
+        pres, subgroup = case.values
+        peak = len(raw_state(_Enumerator(pres, subgroup, EnumerationLimits()))[1])
+        state = raw_state(_Enumerator(pres, subgroup, EnumerationLimits(peak - 1)))
+        endings.add(state if isinstance(state, str) else "completes")
+    assert endings == {"completes", "coset budget 13 exhausted", "coset budget 39 exhausted"}
+
+
 # -- the coincidence written out against the reference ---------------------
 
 
