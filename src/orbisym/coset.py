@@ -27,9 +27,11 @@ one list, and table[col][c] is coset c's entry in that column, None
 while undefined.  p, the union-find, has one entry per coset, so len(p)
 counts the cosets held.  The column lists and closed run ahead of p:
 past len(p) they hold unused None and 0 slots.  When len(p) reaches
-their length, _grow extends each of them by an eighth of it, at least
+their length, _grow extends each of them by a seventh of it, at least
 64 slots, but never past the coset budget, so a run that overflows holds
-no unused slot.  A definition then costs one comparison and p.append.
+no unused slot; and the step is large enough that CPython allocates the
+new length exactly, with no further eighth of its own (_next_room).  A
+definition then costs one comparison and p.append.
 run drops the unused slots when it returns, and compaction, which runs
 only with the budget full, leaves every list as long as p.
 
@@ -73,7 +75,28 @@ scanning everywhere.  Bits are set in two places:
   reaches the coset.
 
 The lookahead starts at HLT's pointer, since every live coset below it
-has had each relator scanned to closure.  Compaction then works in place
+has had each relator scanned to closure.  The first pass scans every
+live coset from there on.  A later pass scans only those within reach
+of a row changed since the pass before, where the reach r is the length
+of the longest relator or subgroup word less one; the raw state, and
+where LimitExceeded fires, are those of scanning them all.  A skipped
+scan is a no-op: a lookahead scan at c that stops at a gap of two or
+more writes nothing, and it reads only the rows of cosets within r
+steps of c, so until one of those rows changes a scan there stops at
+the same gap again.  A coincidence moves each entry into a coset it
+kills onto that coset's representative, which reads the same, so the
+rows it changes are the representatives'; and paths only shorten as
+cosets merge.
+
+So a pass flags, by breadth-first search (_Changes), the cosets within
+r of the rows changed since the pass before: those that pass changed,
+mapped through its compaction; those of the representatives of the
+cosets that died since; and those HLT wrote.  HLT writes and defines
+cosets only within r of the coset it scans, so the cosets within 2r of
+its pointer range cover those.  Each deduction and coincidence of the
+pass itself flags the cosets within r of it at once.
+
+Compaction then works in place
 from the first dead coset, whose label _coincidence records as it kills
 it.  It relies on three invariants the enumerator keeps:
 
@@ -126,9 +149,10 @@ every coset.
 from __future__ import annotations
 
 from collections import deque
+import re
 from dataclasses import dataclass
-from itertools import repeat
-from operator import eq
+from itertools import compress, count, islice, repeat
+from operator import eq, ne
 from typing import Iterable, Iterator, Sequence
 
 from .errors import LimitExceeded
@@ -184,6 +208,18 @@ class CosetTable:
 # rescanned: their marks cost more than the scans they save.
 MIN_MARKED_POWER = 16
 
+# A lookahead pass after the first scans only the cosets within reach of
+# the rows changed since the pass before (see the module docstring).  When
+# those rows number more than 1/FULL_PASS_SHARE of the cosets from HLT's
+# pointer on, it scans every coset from there instead, as the first pass
+# does.  The balls around that many rows hold much of the table: with a
+# quarter, the third pass of (2,3,7) under 10^5 cosets flagged 23 000 of
+# its 62 000 cosets and took about as long as a full one.
+FULL_PASS_SHARE = 16
+
+# A nonzero byte: a coset that a lookahead pass flagged (_Changes).
+_NONZERO = re.compile(rb"[^\x00]")
+
 
 def _primitive_root(cols: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """(w, k) with cols = w^k and w primitive; k = 1 when cols is not a
@@ -235,6 +271,15 @@ class _Enumerator:
         # below it is live.  No label reaches max_cosets (run), so
         # max_cosets means none has died.
         self.first_dead = limits.max_cosets
+        # A scan at coset c reads only the rows of cosets within reach of
+        # c, and HLT's scans at c write only there (module docstring).
+        self.reach = max(map(len, (*self.relator_cols, *self.sub_cols)), default=1) - 1
+        # The labels of the rows the last lookahead pass changed, mapped
+        # through its compaction; None before the first pass, and when
+        # there were too many to note, so that the next pass is full.
+        self.changed: list[int] | None = None
+        # Where HLT resumed after the last compaction.
+        self.resumed = 0
 
     def _bind(self, cols: Sequence[int]) -> tuple[tuple[list[int | None], ...],
                                                   tuple[list[int | None], ...]]:
@@ -259,7 +304,8 @@ class _Enumerator:
         A merge keeps the smaller label, records the first dead label and
         hands the dead coset's closed bits to the representative.  An
         edge that forces no merge is a deduction.  self.first_dead is
-        written back before returning.
+        written back before returning.  Returns the cosets killed, in the
+        order killed; HLT ignores them, the lookahead notes them.
         """
         p, closed = self.p, self.closed
         first_dead = self.first_dead
@@ -280,7 +326,7 @@ class _Enumerator:
                 p[b], b = root, p[b]
         b = root
         if a == b:
-            return
+            return ()
         if a > b:
             a, b = b, a
         p[b] = a
@@ -346,6 +392,7 @@ class _Enumerator:
                 if bits:
                     closed[a] |= bits
         self.first_dead = first_dead
+        return queue
 
     # -- space management ----------------------------------------------
 
@@ -353,15 +400,19 @@ class _Enumerator:
         """Lookahead collapse from alpha, then compaction (_compact).
 
         The lookahead scans every relator at each live coset from alpha
-        on, skips the pairs marked in self.closed, and marks each scan
-        that gets all the way round.  Cosets below alpha need no scan:
-        HLT has scanned every relator there to closure (module
-        docstring).  Its scan is HLT's without the fill, written out on
-        local names: it stops at a gap of two or more, but still applies
-        the one forced deduction and every coincidence.  The marks are
-        read once per coset: a bit that a coincidence adds to the mask
-        meanwhile only lets a relator that already closes be scanned
-        again, which changes nothing.
+        on that _Changes lists, skips the pairs marked in self.closed,
+        and marks each scan that gets all the way round.  Cosets below
+        alpha need no scan: HLT has scanned every relator there to
+        closure.  The first pass lists every coset; a later one lists
+        only those within reach of a row changed since the pass before,
+        since a scan anywhere else stops at the gap it stopped at then
+        and writes nothing (module docstring).  Its scan is HLT's without
+        the fill, written out on local names: it stops at a gap of two or
+        more, but still applies the one forced deduction and every
+        coincidence, and notes the rows each of those changes.  The
+        marks are read once per coset: a bit that a coincidence adds to
+        the mask meanwhile only lets a relator that already closes be
+        scanned again, which changes nothing.
 
         Returns the new index of the first live coset at or after alpha;
         alpha itself may have died in the lookahead.
@@ -370,9 +421,11 @@ class _Enumerator:
         coincidence = self._coincidence
         relators = [(1 << i, *self._bind(cols), len(cols) - 1)
                     for i, cols in enumerate(self.relator_cols)]
+        changes = _Changes(self, alpha)
+        deduced, merged = changes.deduced, changes.merged
         # A scan can store c in the table, so c is p's int for the label,
         # not a second one made by the range.
-        for c, label in enumerate(_tail(p, alpha), alpha):
+        for c, label in changes.cosets(alpha):
             if label != c:
                 continue
             c = label
@@ -390,7 +443,7 @@ class _Enumerator:
                     i += 1
                 if i > j:
                     if f != b:
-                        coincidence(f, b)
+                        merged(coincidence(f, b))
                         if p[c] != c:
                             break
                 else:
@@ -401,17 +454,21 @@ class _Enumerator:
                         b = prv
                         j -= 1
                     if j < i:
-                        coincidence(f, b)
+                        merged(coincidence(f, b))
                         if p[c] != c:
                             break
                     elif j == i:
                         fwd[i][f] = b
                         back[i][b] = f
+                        deduced(f, b)
                     else:
                         # A gap: the relator does not close here yet.
                         continue
                 closed[c] |= bit
-        return self._compact(alpha)
+        self.changed = changes.noted
+        del changes, deduced, merged  # its bytes, before compaction's peak
+        self.resumed = self._compact(alpha)
+        return self.resumed
 
     def _compact(self, alpha: int) -> int:
         """Drop the dead cosets in place, or raise LimitExceeded when every
@@ -461,6 +518,10 @@ class _Enumerator:
             new += 1
         n = new
         del pending  # before the column passes, where the peak is
+        # p is now the map from old labels to new ones, the one time it is.
+        changed = self.changed
+        if changed:
+            changed[:] = map(p.__getitem__, changed)
         for fwd, inv in self.pairs[::2]:
             new = first
             for label, e, f in zip(_tail(p, first), _tail(fwd, first), _tail(inv, first)):
@@ -497,19 +558,23 @@ class _Enumerator:
     # -- HLT -----------------------------------------------------------
 
     def _grow(self) -> int:
-        """Extend every column with None and closed with 0 by an eighth of
-        their length, at least 64 slots, but never past max_cosets, and
-        return the new length.  HLT calls this when len(p) reaches the
-        lists' length; raises _NeedRoom when that is the budget."""
+        """Extend every column with None and closed with 0 to the length
+        _next_room gives, or to max_cosets when the step after that would
+        pass it, and return the new length.  HLT calls this when len(p)
+        reaches the lists' length; raises _NeedRoom when that is the
+        budget."""
         n = len(self.p)
         max_cosets = self.limits.max_cosets
         if n >= max_cosets:
             raise _NeedRoom
-        step = min(max(n >> 3, 64), max_cosets - n)
+        room = _next_room(n)
+        if _next_room(room) > max_cosets:
+            room = max_cosets
+        step = room - n
         for column in self.table:
             column.extend(repeat(None, step))
         self.closed.extend(repeat(0, step))
-        return n + step
+        return room
 
     def run(self) -> list[list[int | None]]:
         """HLT: at each live coset in turn, scan every relator not marked
@@ -624,6 +689,124 @@ class _Enumerator:
                 break
             if c > alpha:
                 closed[c] |= bit
+
+
+class _Changes:
+    """One lookahead pass's account of changed rows (module docstring).
+
+    cosets(alpha) lists the cosets the pass scans: every live one from
+    alpha on in a full pass, else the flagged ones.  A pass after the
+    first is flagged unless its seeds number more than 1/FULL_PASS_SHARE
+    of the cosets from alpha on, or twice the reach does not fit in a
+    byte.  The seeds are the labels from where HLT resumed to alpha,
+    flagged within twice the reach, and, flagged within the reach, the
+    labels the last pass noted and those that died since it.  A label is
+    read as its representative.
+
+    deduced and merged note the labels whose rows a deduction or a
+    coincidence of the pass changes: both ends of the deduction, and the
+    cosets the coincidence killed.  A flagged pass flags the cosets
+    within reach of them at once.  Every pass keeps them in noted for
+    the next one, until they number more than the share; noted is then
+    None, and the next pass is full.
+
+    rem holds a byte per coset: rem[c] is one more than the largest
+    radius a search has spread from c with, and 0 when none has reached
+    c.  The cosets flagged are those with a nonzero byte.  A search
+    spreads on from a coset only with a larger radius than rem records,
+    since the ball it would flag is flagged already; but always from a
+    seed, whose row has just changed, so that an earlier ball around it
+    need not hold what its new entries reach.  The finds walk to the
+    root without compressing a path, so p stays as a full pass leaves
+    it.
+    """
+
+    def __init__(self, enum: _Enumerator, alpha: int):
+        p, reach = enum.p, enum.reach
+        self.p, self.table, self.reach = p, enum.table, reach
+        self.cap = (len(p) - alpha) // FULL_PASS_SHARE
+        self.noted: list[int] | None = []
+        self.rem = None
+        if enum.changed is None or 2 * reach + 1 > 255:
+            return
+        near = range(enum.resumed, alpha + 1)
+        room = self.cap - len(near) - len(enum.changed)
+        if room < 0:
+            return
+        first = enum.first_dead
+        dead = compress(count(first), map(ne, _tail(p, first), count(first)))
+        far = enum.changed + list(islice(dead, room + 1))
+        if len(near) + len(far) > self.cap:
+            return
+        self.rem = bytearray(len(p))
+        self._spread(near, 2 * reach)
+        self._spread(far, reach)
+
+    def cosets(self, alpha: int) -> Iterator[tuple[int, int]]:
+        """(c, p[c]) for each coset c from alpha on that the pass scans,
+        in ascending order."""
+        if self.rem is None:
+            return enumerate(_tail(self.p, alpha), alpha)
+        return self._flagged(alpha)
+
+    def _flagged(self, c: int) -> Iterator[tuple[int, int]]:
+        # Finds the next flag when the pass asks for it, so a flag that
+        # the pass sets meanwhile is seen.
+        p, rem, search = self.p, self.rem, _NONZERO.search
+        found = search(rem, c)
+        while found:
+            c = found.start()
+            yield c, p[c]
+            found = search(rem, c + 1)
+
+    def deduced(self, f: int, b: int) -> None:
+        self._note((f, b))
+
+    def merged(self, killed: Sequence[int]) -> None:
+        if killed:
+            self._note(killed)
+
+    def _note(self, labels: Sequence[int]) -> None:
+        noted = self.noted
+        if noted is not None:
+            noted += labels
+            if len(noted) > self.cap:
+                self.noted = None
+        if self.rem is not None:
+            self._spread(labels, self.reach)
+
+    def _spread(self, seeds: Iterable[int], radius: int) -> None:
+        """Flag every coset within radius of a seed's representative: one
+        breadth-first search from all of them, a level at a time."""
+        p, table, rem = self.p, self.table, self.rem
+        roots = []
+        for c in seeds:
+            while p[c] != c:
+                c = p[c]
+            roots.append(c)
+        frontier = list(dict.fromkeys(roots))
+        for c in frontier:
+            if rem[c] <= radius:
+                rem[c] = radius + 1
+        for level in range(radius, 0, -1):
+            reached = []
+            for c in frontier:
+                for column in table:
+                    d = column[c]
+                    if d is not None and rem[d] < level:
+                        rem[d] = level
+                        reached.append(d)
+            frontier = reached
+
+
+def _next_room(n: int) -> int:
+    """The length _grow extends lists of length n to: a step of at least
+    a seventh of n plus 8, and 64, up to a multiple of 4.  CPython's
+    list_resize over-allocates by an eighth of the new length plus 6,
+    rounded down to a multiple of 4, unless the step is larger than that;
+    then it allocates the new length, rounded up to a multiple of 4.  A
+    step of n // 7 + 8 is larger, so the lists hold no unused capacity."""
+    return (n + max(n // 7 + 8, 64) + 3) & ~3
 
 
 def _tail(items: list, start: int) -> Iterator:

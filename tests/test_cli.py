@@ -8,7 +8,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import jsonschema
 import pytest
 
 from orbisym import presentation
@@ -44,6 +43,45 @@ REPORT_SCHEMA = {
 }
 
 
+# The JSON Schema keywords REPORT_SCHEMA uses, and its types other than
+# "integer", which takes no bool.
+SCHEMA_KEYWORDS = {"type", "enum", "minimum", "required", "properties", "items"}
+SCHEMA_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
+
+
+def schema_errors(instance, schema, where="report"):
+    """The ways instance breaks schema, as JSON Schema reads the keywords
+    REPORT_SCHEMA uses; empty when it conforms.  Keys a schema does not
+    name are allowed, as there."""
+    assert set(schema) <= SCHEMA_KEYWORDS, f"unchecked keywords {set(schema) - SCHEMA_KEYWORDS}"
+    kind = schema.get("type")
+    if kind == "integer":
+        conforms = type(instance) is int
+    else:
+        conforms = kind is None or isinstance(instance, SCHEMA_TYPES[kind])
+    if not conforms:
+        return [f"{where} is not of type {kind}"]
+    errors = []
+    if "enum" in schema and not any(type(value) is type(instance) and value == instance
+                                    for value in schema["enum"]):
+        errors.append(f"{where} is not one of {schema['enum']}")
+    if "minimum" in schema and instance < schema["minimum"]:
+        errors.append(f"{where} is below {schema['minimum']}")
+    errors += [f"{where} has no {key}" for key in schema.get("required", ()) if key not in instance]
+    for key, subschema in schema.get("properties", {}).items():
+        if key in instance:
+            errors += schema_errors(instance[key], subschema, f"{where}.{key}")
+    if "items" in schema:
+        for i, item in enumerate(instance):
+            errors += schema_errors(item, schema["items"], f"{where}[{i}]")
+    return errors
+
+
+def validate_report(payload):
+    errors = schema_errors(payload, REPORT_SCHEMA)
+    assert not errors, "; ".join(errors)
+
+
 @pytest.fixture()
 def orbifold_file(tmp_path):
     path = tmp_path / "orbifold.txt"
@@ -61,7 +99,7 @@ def free_group_file(tmp_path):
 def run_json(capsys, argv):
     code = main(argv + ["--json"])
     payload = json.loads(capsys.readouterr().out)
-    jsonschema.validate(payload, REPORT_SCHEMA)
+    validate_report(payload)
     return code, payload
 
 
@@ -447,7 +485,7 @@ def test_limit_json_status(capsys, free_group_file):
     assert code == 3
     captured = capsys.readouterr()
     payload = json.loads(captured.out)
-    jsonschema.validate(payload, REPORT_SCHEMA)
+    validate_report(payload)
     assert payload["status"] == "error"
     assert payload["items"] == []
 
@@ -538,3 +576,72 @@ def test_a_bad_scenario_line_is_a_located_input_error(capsys, tmp_path, monkeypa
     monkeypatch.setenv("ORBISYM_CATALOG", str(tmp_path))
     assert main(["case", "tiny-dashed"]) == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+VALID_REPORT = {
+    "command": "case", "status": "match", "elapsed_ms": 0,
+    "items": [{"id": "P1", "status": "match", "order": 120, "index": 4, "pattern": "P1",
+               "orientable": False, "genus": 0, "boundary": 1, "surface": "S_{0,1}",
+               "visited": 3}],
+}
+
+
+DROP = object()
+
+
+def _with(path, value):
+    """VALID_REPORT with the key at path (item keys under "items") set to
+    value, or removed when value is DROP."""
+    report = json.loads(json.dumps(VALID_REPORT))
+    target = report["items"][0] if path[0] == "items" and len(path) > 1 else report
+    key = path[-1]
+    if value is DROP:
+        del target[key]
+    else:
+        target[key] = value
+    return report
+
+
+VIOLATIONS = {
+    "elapsed-bool": (("elapsed_ms",), True),
+    "elapsed-negative": (("elapsed_ms",), -1),
+    "elapsed-float": (("elapsed_ms",), 1.5),
+    "elapsed-string": (("elapsed_ms",), "3"),
+    "status-unknown": (("status",), "ok"),
+    "command-number": (("command",), 5),
+    "no-command": (("command",), DROP),
+    "no-items": (("items",), DROP),
+    "no-status": (("status",), DROP),
+    "no-elapsed": (("elapsed_ms",), DROP),
+    "items-object": (("items",), {}),
+    "item-number": (("items",), [5]),
+    "item-no-id": (("items", "id"), DROP),
+    "item-no-status": (("items", "status"), DROP),
+    "item-status-unknown": (("items", "status"), "fine"),
+    "item-id-number": (("items", "id"), 3),
+    "order-0": (("items", "order"), 0),
+    "order-bool": (("items", "order"), True),
+    "index-0": (("items", "index"), 0),
+    "genus-negative": (("items", "genus"), -1),
+    "genus-bool": (("items", "genus"), False),
+    "boundary-0": (("items", "boundary"), 0),
+    "orientable-int": (("items", "orientable"), 1),
+    "surface-number": (("items", "surface"), 5),
+    "pattern-null": (("items", "pattern"), None),
+}
+
+
+@pytest.mark.parametrize("violation", sorted(VIOLATIONS))
+def test_the_schema_check_rejects_a_violating_report(violation):
+    assert not schema_errors(VALID_REPORT, REPORT_SCHEMA)
+    assert schema_errors(_with(*VIOLATIONS[violation]), REPORT_SCHEMA)
+
+
+def test_the_schema_check_rejects_what_jsonschema_rejects():
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.validate(VALID_REPORT, REPORT_SCHEMA)
+    for violation, (path, value) in VIOLATIONS.items():
+        report = _with(path, value)
+        assert schema_errors(report, REPORT_SCHEMA), violation
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, REPORT_SCHEMA)

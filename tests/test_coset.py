@@ -6,6 +6,8 @@ import collections
 import functools
 import math
 import random
+import struct
+import sys
 import tracemalloc
 import weakref
 from bisect import bisect_left
@@ -228,8 +230,8 @@ class ReferenceCoincidence(ReferenceAssign):
 
     It also counts, per edge of a dead coset, which way it went
     ("existing": a merge with the representative's entry, "inverse": a
-    merge with the inverse entry, "deduction"), and records the number
-    of cosets each call kills."""
+    merge with the inverse entry, "deduction"), and records the cosets
+    each call kills, which it returns, as _coincidence does."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -281,6 +283,7 @@ class ReferenceCoincidence(ReferenceAssign):
                 else:
                     self.outcomes["deduction"] += 1
                     assign(mu, col, nu)
+        return queue
 
 
 # -- Felsch: the reference enumerator HLT is compared against -------------
@@ -1139,6 +1142,351 @@ def test_lookahead_starts_at_the_pointer_and_skips_closed_pairs(pres, max_cosets
     assert sum(incremental.passes) < sum(reference.passes)
 
 
+# -- lookahead passes that skip the cosets out of reach of a change -------
+
+
+class FullPassLookahead(_Enumerator):
+    """_make_room as it was before a pass skipped the cosets out of reach
+    of every changed row: each pass scans every live coset from HLT's
+    pointer on, written out on local names.  Compaction is the
+    enumerator's.  The enumerator's passes must leave the same raw state,
+    since the scans they skip stop at a gap and write nothing."""
+
+    def _make_room(self, alpha):
+        p, closed = self.p, self.closed
+        coincidence = self._coincidence
+        relators = [(1 << i, *self._bind(cols), len(cols) - 1)
+                    for i, cols in enumerate(self.relator_cols)]
+        for c, label in enumerate(coset._tail(p, alpha), alpha):
+            if label != c:
+                continue
+            c = label
+            skip = closed[c]
+            for bit, fwd, back, last in relators:
+                if skip & bit:
+                    continue
+                f = b = c
+                i, j = 0, last
+                while i <= j:
+                    nxt = fwd[i][f]
+                    if nxt is None:
+                        break
+                    f = nxt
+                    i += 1
+                if i > j:
+                    if f != b:
+                        coincidence(f, b)
+                        if p[c] != c:
+                            break
+                else:
+                    while j >= i:
+                        prv = back[j][b]
+                        if prv is None:
+                            break
+                        b = prv
+                        j -= 1
+                    if j < i:
+                        coincidence(f, b)
+                        if p[c] != c:
+                            break
+                    elif j == i:
+                        fwd[i][f] = b
+                        back[i][b] = f
+                    else:
+                        continue
+                closed[c] |= bit
+        return self._compact(alpha)
+
+
+XYZ = load_presentation("generators: x y z\nrelators: y*x^-1*z^-2 x^-40 "
+                        "y*z*y*z^-3*y^-1 x^-25\n")
+
+# Budgets under which some pass skips cosets: (2,3,7) flags its later
+# passes at 2000 and 20 000 cosets, and at 100 000 as `runaway` does.
+FLAGGED_PASS_CASES = [
+    pytest.param(triangle_23k(7), 2000, id="237-cap-2000"),
+    pytest.param(triangle_23k(7), 20_000, id="237-cap-20000"),
+    pytest.param(triangle_23k(7), 100_000, id="237-cap-100000"),
+    pytest.param(triangle_23k(8), 10_000, id="238-cap-10000"),
+    pytest.param(triangle_23k(9), 10_000, id="239-cap-10000"),
+    pytest.param(XYZ, 300, id="xyz-cap-300"),
+    pytest.param(XYZ, 3000, id="xyz-cap-3000"),
+]
+
+
+@pytest.mark.parametrize("pres,max_cosets", FLAGGED_PASS_CASES)
+def test_skipping_passes_match_the_full_passes_on_named_cases(pres, max_cosets):
+    limits = EnumerationLimits(max_cosets)
+    assert full_state(_Enumerator(pres, (), limits)) == \
+        full_state(FullPassLookahead(pres, (), limits))
+
+
+@st.composite
+def triangle_presentations(draw):
+    """<x, y | x^l, y^m, (x*y)^n>: finite or infinite, with budgets that
+    run many passes on the infinite ones."""
+    l, m, n = draw(st.integers(2, 4)), draw(st.integers(3, 5)), draw(st.integers(3, 12))
+    return load_presentation(f"generators: x y\nrelators: x^{l} y^{m} (x*y)^{n}\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(triangle_presentations(), st.integers(1000, 5000))
+def test_skipping_passes_match_the_full_passes_on_triangle_groups(pres, max_cosets):
+    limits = EnumerationLimits(max_cosets)
+    assert full_state(_Enumerator(pres, (), limits)) == \
+        full_state(FullPassLookahead(pres, (), limits))
+
+
+class CountsPassCosets:
+    """Mixin that counts, per _make_room pass, the cosets its loop visits
+    (every live coset from the pointer on for FullPassLookahead, only the
+    flagged ones for the enumerator) and whether the pass was flagged."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.visits = []
+        self.flagged = []
+
+    def _make_room(self, alpha):
+        self.visits.append(sum(1 for c in range(alpha, len(self.p)) if self.p[c] == c))
+        self.flagged.append(False)
+        return super()._make_room(alpha)
+
+
+class CountingChanges(coset._Changes):
+    """_Changes that counts, on its enumerator, the cosets a flagged pass
+    visits."""
+
+    def __init__(self, enum, alpha):
+        super().__init__(enum, alpha)
+        self.enum = enum
+
+    def _flagged(self, c):
+        enum = self.enum
+        enum.flagged[-1] = True
+        enum.visits[-1] = 0
+        for c, label in super()._flagged(c):
+            enum.visits[-1] += label == c
+            yield c, label
+
+
+class CountingPasses(CountsPassCosets, _Enumerator):
+    pass
+
+
+class CountingFullPasses(CountsPassCosets, FullPassLookahead):
+    pass
+
+
+@pytest.mark.parametrize("pres,max_cosets", [
+    pytest.param(triangle_23k(7), 20_000, id="237-cap-20000"),
+    pytest.param(triangle_23k(7), 100_000, id="237-cap-100000"),
+])
+def test_later_passes_scan_fewer_cosets_than_the_full_passes(monkeypatch, pres, max_cosets):
+    monkeypatch.setattr(coset, "_Changes", CountingChanges)
+    limits = EnumerationLimits(max_cosets)
+    skipping, full = CountingPasses(pres, (), limits), CountingFullPasses(pres, (), limits)
+    assert full_state(skipping) == full_state(full)
+    assert len(skipping.visits) == len(full.visits) > 1
+    assert not skipping.flagged[0] and any(skipping.flagged)
+    assert skipping.visits[0] == full.visits[0]
+    assert sum(skipping.visits[1:]) < sum(full.visits[1:])
+    for visits, full_visits, flagged in zip(skipping.visits, full.visits, skipping.flagged):
+        assert visits < full_visits if flagged else visits == full_visits
+
+
+def rows_changed(snapshot, p, table):
+    """The live cosets whose rows differ from snapshot, the raw table when
+    the last pass ended, read through the union-find: one that absorbed
+    a dead coset, one defined since, and one with an entry that is not
+    the representative of its old entry."""
+    changed = set()
+    for c in range(len(p)):
+        if p[c] != c:
+            changed.add(find(p, c))
+        elif c >= len(snapshot[0]) or any(
+                (None if old[c] is None else find(p, old[c])) != column[c]
+                for old, column in zip(snapshot, table)):
+            changed.add(c)
+    return changed
+
+
+def ball(table, sources, radius):
+    """The cosets within radius steps of a source, by breadth-first search."""
+    seen = set(sources)
+    frontier = list(seen)
+    for _ in range(radius):
+        frontier = [d for c in frontier for column in table
+                    if (d := column[c]) is not None and d not in seen and not seen.add(d)]
+    return seen
+
+
+class ReachCheckedChanges(coset._Changes):
+    """_Changes that checks, each time a flagged pass moves on to its next
+    coset, that none of the live cosets it steps over lies within reach
+    of a row changed since the last pass ended (rows_changed, ball): a
+    scan of each of those reads only unchanged rows, so it stops at the
+    gap it stopped at before.  Counts on its enumerator the cosets
+    stepped over."""
+
+    def __init__(self, enum, alpha):
+        super().__init__(enum, alpha)
+        self.enum = enum
+        self.needed = None
+
+    def _note(self, labels):
+        self.needed = None
+        super()._note(labels)
+
+    def _flagged(self, c):
+        start = c
+        for c, label in super()._flagged(c):
+            self._check(start, c)
+            start = c + 1
+            yield c, label
+        self._check(start, len(self.p))
+
+    def _check(self, start, stop):
+        enum, p, table = self.enum, self.p, self.table
+        if self.needed is None:
+            self.needed = ball(table, rows_changed(enum.snapshot, p, table), self.reach)
+        skipped = [c for c in range(start, stop) if p[c] == c]
+        enum.skipped += len(skipped)
+        assert not self.needed.intersection(skipped)
+
+
+class ReachChecked(_Enumerator):
+    """Keeps a copy of the raw table as each pass leaves it, for
+    ReachCheckedChanges, and counts the cosets it checked."""
+
+    snapshot = None
+    skipped = 0
+
+    def _make_room(self, alpha):
+        start = super()._make_room(alpha)
+        self.snapshot = copy_table(self.table)
+        return start
+
+
+def two_generators(relators):
+    return load_presentation(f"generators: x y\nrelators: {relators}\n")
+
+
+@pytest.mark.parametrize("pres,subgroup,max_cosets", [
+    pytest.param(triangle_23k(7), (), 2000, id="237-cap-2000"),
+    pytest.param(triangle_23k(7), (), 20_000, id="237-cap-20000"),
+    pytest.param(triangle_23k(8), (), 10_000, id="238-cap-10000"),
+    # A row HLT writes lies within reach of a coset that lies beyond
+    # reach of every coset HLT scanned, but within twice the reach.
+    pytest.param(two_generators("x^4 y^2*x*y^2*x^-1"), (), 484, id="x4-cap-484"),
+    # A deduction of a flagged pass changes a row within reach of a
+    # later coset that nothing else flags.
+    pytest.param(two_generators("y*x^-1*y^-2*x^-1*y^-1*x"), (), 1865, id="yx6-cap-1865"),
+    # A coincidence of a flagged pass gives the representative entries
+    # that reach past the ball an earlier search flagged around it.
+    pytest.param(two_generators("y*x^-1*y*x*y^3"), (), 1915, id="yx7-cap-1915"),
+])
+def test_a_pass_skips_no_coset_within_reach_of_a_changed_row(monkeypatch, pres, subgroup,
+                                                             max_cosets):
+    monkeypatch.setattr(coset, "_Changes", ReachCheckedChanges)
+    limits = EnumerationLimits(max_cosets)
+    enum = ReachChecked(pres, subgroup, limits)
+    assert full_state(enum) == full_state(FullPassLookahead(pres, subgroup, limits))
+    assert enum.skipped > 0
+
+
+def path_enumerator(n, reach):
+    """An enumerator over <x, y | x^(reach + 1)> whose raw table is the
+    path 0 - 1 - ... - n-1 along x, with y undefined, at a budget of n,
+    as a pass after the first finds it."""
+    pres = load_presentation(f"generators: x y\nrelators: x^{reach + 1}\n")
+    enum = _Enumerator(pres, (), EnumerationLimits(n))
+    enum.p[:] = range(n)
+    enum.closed[:] = [0] * n
+    x, x_inv, y, y_inv = enum.table
+    x[:] = [*range(1, n), None]
+    x_inv[:] = [None, *range(n - 1)]
+    y[:] = y_inv[:] = [None] * n
+    enum.changed = []
+    return enum
+
+
+def flagged(changes):
+    return {c for c, radius in enumerate(changes.rem) if radius}
+
+
+def interval(a, b):
+    return set(range(a, b + 1))
+
+
+def test_a_pass_flags_the_cosets_within_reach_of_each_seed():
+    # Reach 3 on a path of 200 cosets, HLT's pointer at 40 after resuming
+    # at 38: the pointer range is flagged within 6, and within 3 the
+    # coset the last pass noted (140) and the representative (100) of a
+    # coset that died since (199, whose row still lists 198).
+    enum = path_enumerator(200, 3)
+    enum.resumed = 38
+    enum.changed = [140]
+    enum.table[0][198] = None
+    enum.p[199] = 100
+    enum.first_dead = 199
+    changes = coset._Changes(enum, 40)
+    assert flagged(changes) == interval(32, 46) | interval(97, 103) | interval(137, 143)
+    assert list(changes.cosets(40)) == [(c, c) for c in sorted(flagged(changes)) if c >= 40]
+    # A deduction of the pass flags within 3 of both its ends at once,
+    # and is noted for the next pass.
+    changes.deduced(60, 170)
+    assert flagged(changes) - interval(32, 46) - interval(97, 103) - interval(137, 143) == \
+        interval(57, 63) | interval(167, 173)
+    assert changes.noted == [60, 170]
+
+
+def test_a_coincidence_of_the_pass_flags_around_its_representative_anew():
+    # Coset 44 lies within 2 of the pointer range, so the first search
+    # left it with a radius of 4, more than the reach.  A coincidence
+    # then kills 150 into 44, and 44 takes over 150's y edge to 120: the
+    # search from 44 must flag around 120 too, past the ball it had.
+    enum = path_enumerator(200, 3)
+    enum.resumed = 42
+    changes = coset._Changes(enum, 42)
+    assert flagged(changes) == interval(36, 48)
+    enum.p[150] = 44
+    y, y_inv = enum.table[2:]
+    y[44], y_inv[120] = 120, 44
+    changes.merged([150])
+    assert flagged(changes) == interval(36, 48) | interval(118, 122)
+    assert changes.noted == [150]
+
+
+def test_a_pass_with_too_many_seeds_or_too_long_a_reach_is_full():
+    # A sixteenth of the 160 cosets from HLT's pointer on is 10 seeds:
+    # here 3 in the pointer range, and 8, then 7, noted.
+    enum = path_enumerator(200, 3)
+    enum.resumed = 38
+    enum.changed = list(range(100, 108))
+    assert coset._Changes(enum, 40).rem is None
+    enum.changed.pop()
+    changes = coset._Changes(enum, 40)
+    assert changes.rem is not None
+    # A pass that notes more labels than that leaves the next one full.
+    changes.merged(list(range(150, 160)))
+    assert len(changes.noted) == 10
+    changes.deduced(60, 61)
+    assert changes.noted is None
+    # The cosets that died since the last pass count as seeds too.
+    enum.p[199] = 100
+    enum.first_dead = 199
+    assert coset._Changes(enum, 40).rem is None
+    # With no pass before, or with noted labels past the share, the pass
+    # is full; and so it is when a byte cannot hold twice the reach.
+    enum.changed = None
+    assert coset._Changes(enum, 40).rem is None
+    for reach, full in ((127, False), (128, True)):
+        enum = path_enumerator(200, reach)
+        enum.resumed = 40
+        assert (coset._Changes(enum, 40).rem is None) == full
+
+
 def test_renumber_maps_every_label_to_its_representative():
     # Parents are smaller labels, and chains can be longer than one step
     # where path compression has not reached them.
@@ -1332,11 +1680,25 @@ def test_hlt_matches_the_reference_hlt_on_named_cases(pres, subgroup, limits, pa
 # -- the raw table's growth -------------------------------------------------
 
 
+def next_room(n):
+    """n plus a step of max(n // 7 + 8, 64) slots, up to a multiple of 4."""
+    return (n + max(n // 7 + 8, 64) + 3) // 4 * 4
+
+
+def capacity(items):
+    """The slots CPython has allocated for a list."""
+    return (sys.getsizeof(items) - sys.getsizeof([])) // struct.calcsize("P")
+
+
 class CheckedGrowth(RecordsMakeRoom, _Enumerator):
     """Checks the lengths of the column lists and closed wherever they
     change: each _grow starts from lists as long as p and extends them all
-    by max(n // 8, 64) slots, capped at max_cosets; each _make_room starts
-    from full lists at the budget and leaves them as long as p.  Records
+    to next_room(n), or to max_cosets when the step after that would pass
+    it; each _make_room starts from full lists at the budget and leaves
+    them as long as p.  On CPython, each step of 64 slots or more (every
+    step but a first one to a budget under 68) leaves each list with no
+    unused capacity beyond rounding up to a multiple of 4, until the
+    first compaction, which keeps the capacity the budget gave.  Records
     each length _grow returns."""
 
     def __init__(self, *args):
@@ -1350,8 +1712,12 @@ class CheckedGrowth(RecordsMakeRoom, _Enumerator):
         n, max_cosets = len(self.p), self.limits.max_cosets
         assert self.lengths() == {n}
         room = super()._grow()
-        assert room == min(n + max(n // 8, 64), max_cosets)
+        expected = next_room(n)
+        assert room == (expected if next_room(expected) <= max_cosets else max_cosets)
         assert self.lengths() == {room}
+        if sys.implementation.name == "cpython" and not self.returns and room - n >= 64:
+            assert {capacity(items) for items in (*self.table, self.closed)} == \
+                {(room + 3) // 4 * 4}
         self.rooms.append(room)
         return room
 
