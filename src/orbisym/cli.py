@@ -189,7 +189,10 @@ def _cmd_index(args: argparse.Namespace, started: float) -> int:
             raise at(f"--subgroup item {item!r}", exc) from None
     table = enumerate_cosets(pres, words, _limits(args))
     if args.dump_table:
-        Path(args.dump_table).write_text(table_to_tsv(table))
+        try:
+            Path(args.dump_table).write_text(table_to_tsv(table))
+        except OSError as exc:
+            raise OrbisymError(f"--dump-table {args.dump_table}: cannot write: {exc}") from None
     items = [{"id": Path(args.file).stem, "index": table.n_cosets, "status": "match"}]
     _emit(args, "index", items, "match", started, [f"index: {table.n_cosets}"])
     return EXIT_OK

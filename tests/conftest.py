@@ -1,4 +1,4 @@
-"""Shared fixtures and independent oracles.
+"""Shared fixtures, independent oracles and a CLI child-process runner.
 
 The oracles below work on raw image tuples and plain loops on purpose:
 they must not share code with the library they check.
@@ -7,6 +7,12 @@ they must not share code with the library they check.
 from __future__ import annotations
 
 import itertools
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -110,3 +116,53 @@ def brute_force_hom2(relator_vectors: list[tuple[int, ...]],
         if ok:
             return bits
     return None
+
+
+# -- the CLI in a child process, as a user runs it ------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+CHILD_TIMEOUT_S = 60
+
+
+def run_orbisym(tmp_path, *argv, module="orbisym", env=None, address_cap_kib=None):
+    """Run `python -m module argv` in a child process that imports this
+    checkout's orbisym; return its exit code, its output (stdout and
+    stderr in one) and its peak resident memory in MB.
+
+    The child is waited for with os.wait4, which reports that child's own
+    resource use; RUSAGE_CHILDREN would give the maximum over every child
+    reaped so far.  env adds variables to the child's environment.  With
+    address_cap_kib the child's address space is capped at that many KiB,
+    as `ulimit -v` caps it, in the child only.  A child still running
+    after CHILD_TIMEOUT_S is killed and fails the test, and every child is
+    reaped before this returns or raises."""
+    out = tmp_path / "out.txt"
+    child_env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+    def cap_address_space():
+        limit = address_cap_kib * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    with open(out, "w") as sink:
+        proc = subprocess.Popen([sys.executable, "-m", module, *argv], stdout=sink,
+                                stderr=subprocess.STDOUT, env=child_env,
+                                preexec_fn=cap_address_space if address_cap_kib else None)
+    deadline = time.monotonic() + CHILD_TIMEOUT_S
+    pid = 0
+    try:
+        while True:
+            pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+            if pid:
+                break
+            if time.monotonic() > deadline:
+                pytest.fail(f"{' '.join(argv)} still running after {CHILD_TIMEOUT_S} s")
+            time.sleep(0.02)
+    finally:
+        if not pid:  # a timeout or an interrupt
+            proc.kill()
+            pid, status, usage = os.wait4(proc.pid, 0)
+        # Reaped here, so Popen must not wait for it again.
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    # ru_maxrss is in KiB on Linux.
+    return proc.returncode, out.read_text(), usage.ru_maxrss / 1024

@@ -1,27 +1,30 @@
-"""Runs on the overflow path that must give up within their time and memory.
+"""Runs of the CLI that must stay within a time, memory or address bound.
 
-Each test runs `python -m orbisym order` in a child process, as a user
-does, and waits for it with os.wait4, which reports that child's own
-resource use: its peak resident memory is ru_maxrss.  A child still
-running after 60 s is killed and fails its test.
+Each test runs `python -m orbisym` in a child process, as a user does,
+through conftest.run_orbisym, which reads the child's own peak resident
+memory and kills a child still running after 60 s.  The runs on the
+overflow path must give up in time, and at the default budget under
+130 MB; the largest completed table must stay under 150 MB; and input
+too large to parse must end as an input error under a 1.5 GB address
+cap, which acts on the child only.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-import time
-from pathlib import Path
-
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-TIMEOUT_S = 60
+from conftest import run_orbisym
 
 # The (2,3,7) triangle group is infinite, so every budget fills.
 TRIANGLE_237 = "generators: x y\nrelators: x^2 y^3 (x*y)^7\n"
 XYZ = "generators: x y z\nrelators: y*x^-1*z^-2 x^-40 y*z*y*z^-3*y^-1 x^-25\n"
+# Family 19 at n=700: 490 000 cosets, for which HLT defines about two raw
+# rows each.
+FAMILY_19_700 = "generators: x y\nrelators: x^700 y^700 x*y*x^-1*y^-1\n"
+
+# `ulimit -v 1500000`: 1.5 GB of address space.
+ADDRESS_CAP_KIB = 1_500_000
+LONG = "7" * 5000
 
 
 def run_order(tmp_path, text, *args):
@@ -29,26 +32,7 @@ def run_order(tmp_path, text, *args):
     code, its output and its peak resident memory in MB."""
     path = tmp_path / "presentation.txt"
     path.write_text(text)
-    out = tmp_path / "out.txt"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    with open(out, "w") as sink:
-        proc = subprocess.Popen([sys.executable, "-m", "orbisym", "order", str(path), *args],
-                                stdout=sink, stderr=subprocess.STDOUT, env=env)
-    deadline = time.monotonic() + TIMEOUT_S
-    while True:
-        pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
-        if pid:
-            break
-        if time.monotonic() > deadline:
-            proc.kill()
-            proc.returncode = os.waitstatus_to_exitcode(os.wait4(proc.pid, 0)[1])
-            pytest.fail(f"order {' '.join(args)} still running after {TIMEOUT_S} s")
-        time.sleep(0.02)
-    # Reaped here, so Popen must not wait for it again.
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    # ru_maxrss is in KiB on Linux.
-    return proc.returncode, out.read_text(), usage.ru_maxrss / 1024
+    return run_orbisym(tmp_path, "order", str(path), *args)
 
 
 def test_the_overflow_path_gives_up_in_time(tmp_path):
@@ -74,3 +58,41 @@ def test_many_compactions_give_up_in_time(tmp_path):
     # and compaction passes before it gives up with exit 3.
     status, out, _ = run_order(tmp_path, XYZ, "--max-cosets", "3000")
     assert (status, out) == (3, "error: coset budget 3000 exhausted\n")
+
+
+def test_a_completed_table_stays_under_150_mb(tmp_path):
+    # It peaks at about 122 MB on CPython 3.11, at 155 MB when the raw
+    # table stayed alive next to the standardized columns, and at 200 MB
+    # when the standardized table was a tuple of rows.
+    status, out, peak_mb = run_order(tmp_path, FAMILY_19_700)
+    assert (status, out) == (0, "order: 490000\n")
+    assert peak_mb < 150
+
+
+@pytest.mark.parametrize("name,text,argv,message", [
+    ("big.txt", "generators: x y\nrelators: x^2000000000 y^2\n", ["order"],
+     "line 2: word of 2000000000 letters at position 2 is over the 1000000-letter limit"),
+    ("deep.txt", "generators: x y\nrelators: " + "(" * 3000 + "x" + ")" * 3000 + "\n",
+     ["order"], "line 2: parentheses nested deeper than 100 at position 100"),
+    ("digits.txt", f"generators: x y\nrelators: y^2 x^{LONG}\n", ["order"],
+     "line 2: integer of 5000 digits at position 2 is over the 18-digit limit"),
+    ("alpha.case", f"case: long\narithmetic_only: true\nalpha: {LONG}\n"
+     "m: 4(a+1) = 120\nsurfaces: S_{0,30}\n", ["case", "long"],
+     "line 3: integer of 5000 digits is over the 18-digit limit"),
+    ("genus.case", "case: long\narithmetic_only: true\nalpha: 29\nm: 4(a+1) = 120\n"
+     f"surfaces: S_{{{LONG},30}}\n", ["case", "long"],
+     "line 5: integer of 5000 digits is over the 18-digit limit"),
+], ids=["power-2e9", "nested-3000", "exponent-5000-digits", "alpha-5000-digits",
+        "genus-5000-digits"])
+def test_input_too_large_is_an_input_error_under_an_address_cap(tmp_path, name, text, argv,
+                                                                 message):
+    # Each is refused, named with its file and line, before any word is
+    # built or any integer converted, so it ends with exit 2 under the
+    # cap, where building the word would end in a MemoryError traceback.
+    path = tmp_path / name
+    path.write_text(text)
+    if argv == ["order"]:
+        argv = ["order", str(path)]
+    status, out, _ = run_orbisym(tmp_path, *argv, env={"ORBISYM_CATALOG": str(tmp_path)},
+                                 address_cap_kib=ADDRESS_CAP_KIB)
+    assert (status, out) == (2, f"error: {path}: {message}\n")

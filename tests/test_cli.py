@@ -3,16 +3,13 @@
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from orbisym import presentation
 from orbisym.cli import _build_parser, main
-from conftest import ARITHMETIC_CASE, DASHED_CASE, EDGE_CASE, ORBIFOLD_28_TEXT
+from conftest import ARITHMETIC_CASE, DASHED_CASE, EDGE_CASE, ORBIFOLD_28_TEXT, run_orbisym
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -180,8 +177,11 @@ def test_hom2_bad_map(capsys, orbifold_file, item):
     (["index", "--subgroup", "x^" + "7" * 5000], f"--subgroup item {'x^' + '7' * 5000!r}: "
      "integer of 5000 digits at position 2 is over the 18-digit limit"),
     (["hom2", "--map", "a=0_1"], "--map item 'a=0_1': unknown generator 'a'"),
+    (["index", "--subgroup", "x", "--dump-table", "/nonexistent/t.tsv"],
+     "--dump-table /nonexistent/t.tsv: cannot write: "
+     "[Errno 2] No such file or directory: '/nonexistent/t.tsv'"),
 ], ids=["map-generator", "map-syntax", "subgroup-syntax", "subgroup-generator",
-        "subgroup-long-exponent", "map-generator-and-bad-bit"])
+        "subgroup-long-exponent", "map-generator-and-bad-bit", "dump-table-unwritable"])
 def test_a_bad_word_in_a_flag_names_the_flag_and_item(capsys, orbifold_file, argv, message):
     assert main([argv[0], orbifold_file, *argv[1:]]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -386,15 +386,11 @@ def test_a_long_case_file_integer_is_an_input_error(capsys, tmp_path, monkeypatc
 
 @pytest.mark.parametrize("module", ["orbisym", "orbisym.cli"])
 def test_python_dash_m_runs_the_cli(tmp_path, module):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     path = tmp_path / "z7.txt"
     path.write_text("generators: x\nrelators: x^7\n")
-    done = subprocess.run([sys.executable, "-m", module, "order", str(path), "--json"],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)["items"][0]["order"] == 7
+    status, out, _ = run_orbisym(tmp_path, "order", str(path), "--json", module=module)
+    assert status == 0, out
+    assert json.loads(out)["items"][0]["order"] == 7
 
 
 @pytest.mark.parametrize("relator,message", [
@@ -525,10 +521,12 @@ def test_reproduce_all(capsys):
 def test_an_unreadable_case_path_blocks_no_command(capsys, tmp_path, monkeypatch):
     # ./catalog holds a dangling link and a directory named *.case: they
     # declare no id, so reproduce-all and every case run; a file that is
-    # not UTF-8 still fails the id it declares.
+    # not UTF-8 fails only the id it declares, which reproduce-all never
+    # looks up.
     (tmp_path / "catalog").mkdir()
     (tmp_path / "catalog" / "dangling.case").symlink_to(tmp_path / "missing.case")
     (tmp_path / "catalog" / "dir.case").mkdir()
+    (tmp_path / "catalog" / "bad.case").write_bytes(b"case: x\n\xff\xfe\n")
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("ORBISYM_CATALOG", raising=False)
     code, payload = run_json(capsys, ["reproduce-all"])
@@ -536,7 +534,6 @@ def test_an_unreadable_case_path_blocks_no_command(capsys, tmp_path, monkeypatch
     assert payload["status"] == "match" and len(payload["items"]) == 98
     assert main(["case", "orbifold-28-edge"]) == 0
     capsys.readouterr()
-    (tmp_path / "catalog" / "bad.case").write_bytes(b"case: x\n\xff\xfe\n")
     assert main(["case", "x"]) == 2
     assert capsys.readouterr().err == (
         f"error: {Path('catalog/bad.case')}: line 2: byte 0xff is not UTF-8\n")
@@ -568,7 +565,9 @@ def test_a_comment_runs_to_the_newline(capsys, tmp_path, brk):
     ("arc=x", "arc=x beta=7", "line 4: scenario line takes no beta="),
     ("scenario dashed", "scenarios dashed", "line 4: unrecognized directive 'scenarios'"),
     ("hom(y=1)", "hom(y=1) hom(x=1)", "line 4: scenario line gives hom(...) twice"),
-], ids=["repeated-arc", "unknown-key", "keyword-prefix", "repeated-hom"])
+    ("dashed alpha=2 fixed=y arc=x hom(y=1)", "edge alpha=2 hom(x=1)",
+     "line 4: an edge scenario takes no hom(...) clause"),
+], ids=["repeated-arc", "unknown-key", "keyword-prefix", "repeated-hom", "edge-hom"])
 def test_a_bad_scenario_line_is_a_located_input_error(capsys, tmp_path, monkeypatch,
                                                       old, new, message):
     path = tmp_path / "dashed.case"

@@ -6,6 +6,7 @@ import collections
 import functools
 import math
 import random
+import signal
 import struct
 import sys
 import tracemalloc
@@ -381,6 +382,40 @@ def test_dihedral_subgroup_index():
     pres = load_presentation(D7)
     table = enumerate_cosets(pres, subgroup=(Word((1,)),))
     assert table.n_cosets == 2
+
+
+COXETER_S7 = load_presentation(
+    "generators: a b c d e f\n"
+    "relators: a^2 b^2 c^2 d^2 e^2 f^2 (a*b)^3 (b*c)^3 (c*d)^3 (d*e)^3 (e*f)^3 "
+    "(a*c)^2 (a*d)^2 (a*e)^2 (a*f)^2 (b*d)^2 (b*e)^2 (b*f)^2 (c*e)^2 (c*f)^2 (d*f)^2\n")
+
+
+@pytest.mark.parametrize("pres,subgroup,index", [
+    (COXETER_S7, (), 5040),
+    (COXETER_S7, (Word((1,)),), 2520),
+    # 10^4 cosets after 9604 coincidences, each of which kills one coset
+    (family_19(100), (), 10_000),
+    # one 2000-letter relator
+    (family_15e(2000), (), 4000),
+], ids=["s7", "s7-a", "19-100", "15E-2000"])
+def test_large_tables_are_exact(pres, subgroup, index):
+    # Each must finish within 60 s, as it had to when it ran in a child
+    # process: a run that goes on past that fails, where it would stall
+    # the suite.
+    def out_of_time(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    # and again each second after, should a finalizer swallow the first
+    signal.setitimer(signal.ITIMER_REAL, 60, 1)
+    try:
+        n_cosets = enumerate_cosets(pres, subgroup).n_cosets
+    except TimeoutError:
+        n_cosets = "still running after 60 s"
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert n_cosets == index
 
 
 def test_identity_subgroup_word_is_noop():

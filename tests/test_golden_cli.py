@@ -99,6 +99,13 @@ def test_cli_output_is_unchanged(name, empty_cwd):
         assert [code, err] == exits[name][mode], (name, mode)
 
 
+def test_threads_change_no_report(empty_cwd):
+    # --threads is accepted and has no effect.
+    name = "case-orbifold-28-dashed-early-stop"
+    code, out, err = run([*COMMANDS[name], "--threads", "2", "--json"])
+    assert (code, strip_elapsed(out), err) == (0, (GOLDEN / f"{name}.json").read_text(), "")
+
+
 def test_dump_table_is_unchanged(empty_cwd, tmp_path):
     out = tmp_path / "table.tsv"
     assert run([*DUMP_TABLE, str(out)]) == (0, "index: 60\n", "")
