@@ -263,8 +263,7 @@ class CatalogEntry:
 _SURFACE_SEP_RE = re.compile(r"[\s,]+(?![^{]*\})")
 _EXPECT_RE = re.compile(r"expect\s+order=([0-9]+)\s+surfaces=(.+)$")
 _PATTERN_RE = re.compile(r"pattern\s+([A-Za-z0-9_]+)\s*:\s*(.+)$")
-_HOM_RE = re.compile(r"hom\((.*)\)\s*$")
-# A scenario line's hom(...) clause starts an item, anywhere on the line.
+# A hom(...) clause starts an item, anywhere on a scenario line.
 _HOM_START_RE = re.compile(r"(?<!\S)hom\(")
 # The directives each kind of case reads, None for a presentation line;
 # only case: and pattern may repeat.
@@ -283,10 +282,11 @@ def _parse_constraints(text: str, names: tuple[str, ...], aliases: dict[str, Wor
                  for item in text.split(","))
 
 
-def _cut_hom_clause(body: str) -> tuple[str, str]:
+def _cut_hom_clause(body: str, what: str) -> tuple[str, str]:
     """(items, rest): the text inside body's one hom(...) clause, and body
-    with the clause cut out.  The clause ends at the parenthesis that
-    closes it, since a word's parentheses nest."""
+    with the clause cut out; what names body in the error for a second
+    clause.  The clause ends at the parenthesis that closes it, since a
+    word's parentheses nest."""
     start = _HOM_START_RE.search(body)
     if not start:
         raise WordSyntaxError("dashed scenario needs a hom(...) clause")
@@ -299,7 +299,7 @@ def _cut_hom_clause(body: str) -> tuple[str, str]:
         raise WordSyntaxError("hom(...) clause has no closing parenthesis")
     rest = f"{body[:start.start()]} {body[end + 1:]}"
     if _HOM_START_RE.search(rest):
-        raise WordSyntaxError("scenario line gives hom(...) twice")
+        raise WordSyntaxError(f"{what} gives hom(...) twice")
     return body[start.end():end], rest
 
 
@@ -391,7 +391,7 @@ def parse_case_text(text: str) -> CatalogEntry:
                         raise WordSyntaxError("an edge scenario takes no hom(...) clause")
                     kv = _key_values(body.split(), ("alpha",), "scenario line")
                 elif scenario_kind == "dashed":
-                    hom, rest = _cut_hom_clause(body)
+                    hom, rest = _cut_hom_clause(body, "scenario line")
                     kv = _key_values(rest.split(), ("alpha", "fixed", "arc"), "scenario line")
                     kv["hom"] = hom
                     dashed_spec = kv
@@ -465,10 +465,12 @@ def _parse_pattern(line: str, names: tuple[str, ...],
     if orient_text == "always":
         rule = AlwaysOrientable()
     else:
-        hom = _HOM_RE.match(orient_text)
-        if not hom:
+        if not orient_text.startswith("hom("):
             raise WordSyntaxError(f"bad orient clause {orient_text!r}")
-        rule = Z2HomRule(_parse_constraints(hom.group(1), names, aliases))
+        items, rest = _cut_hom_clause(orient_text, f"pattern {name!r}")
+        if rest.strip():
+            raise WordSyntaxError(f"bad orient clause {orient_text!r}")
+        rule = Z2HomRule(_parse_constraints(items, names, aliases))
     return BoundaryPattern(name, words, rule)
 
 

@@ -281,16 +281,11 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         return _HANDLERS[args.command](args, started)
-    except LimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if getattr(args, "json", False):
-            _emit(args, args.command, [], "error", started, [])
-        return EXIT_LIMIT
     except (OrbisymError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if getattr(args, "json", False):
+        if args.json:
             _emit(args, args.command, [], "error", started, [])
-        return EXIT_INPUT
+        return EXIT_LIMIT if isinstance(exc, LimitExceeded) else EXIT_INPUT
 
 
 def entry() -> None:

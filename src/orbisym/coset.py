@@ -830,6 +830,9 @@ def _standardize(table: list[list[int | None]], p: list[int]) -> tuple[tuple[int
 
     Each raw column is emptied in place as soon as its standardized
     column is built, so the raw table is gone when this returns.
+
+    _column_paths relies on this numbering: it reads each coset's
+    shortlex path off the labels, with no search of its own.
     """
     # pos[d] is raw label d's new label, -1 until the traversal reaches d.
     pos = [-1] * len(p)
@@ -898,22 +901,23 @@ def trace_word(table: CosetTable, start: int, w: Word) -> int:
 
 
 def _column_paths(table: CosetTable) -> list[tuple[int, ...]]:
-    """The shortlex-least column path from coset 0 to each coset, by coset:
-    the one breadth-first search, in column order as _standardize numbers
-    cosets, that coset_words and the dashed-arc sweep read."""
-    paths: list[tuple[int, ...]] = [()] * table.n_cosets
-    seen = bytearray(table.n_cosets)
-    seen[0] = 1
-    order = [0]
+    """The shortlex-least column path from coset 0 to each coset, by coset.
+    _standardize numbers cosets as a breadth-first search in column order
+    meets them, so, reading the entries in label order and then column
+    order, coset d is first met as the entry equal to the number of paths
+    found so far.  A larger entry, or a row never reached, means the table
+    is not standardized: ValueError, since coset_words takes any table."""
+    paths: list[tuple[int, ...]] = [()]
     columns = table.columns
-    for c in order:
-        path = paths[c]
+    for c, path in enumerate(paths):
         for col, column in enumerate(columns):
             d = column[c]
-            if not seen[d]:
-                seen[d] = 1
-                paths[d] = path + (col,)
-                order.append(d)
+            if d >= len(paths):
+                if d > len(paths):
+                    raise ValueError("table is not standardized")
+                paths.append(path + (col,))
+    if len(paths) != table.n_cosets:
+        raise ValueError("table is not standardized")
     return paths
 
 
@@ -956,9 +960,10 @@ def subgroup_index(regular: CosetTable, words: Iterable[Word]) -> int:
 
 def coset_words(table: CosetTable) -> tuple[Word, ...]:
     """The shortlex-least word reaching each coset from coset 0, by coset:
-    the words of _column_paths, the breadth-first search the dashed-arc
+    the words of _column_paths, the pass over the labels the dashed-arc
     sweep runs too.  On the regular table these are the words of
-    enumerate_elements(permutation_rep(table)), in the same order."""
+    enumerate_elements(permutation_rep(table)), in the same order.
+    ValueError when table is not standardized."""
     return tuple(map(column_word, _column_paths(table)))
 
 

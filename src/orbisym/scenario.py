@@ -13,8 +13,8 @@ trivial subgroup), which their caller enumerates once (``catalog.run_case``
 does, once per case).  Its cosets are the group's elements, and a subgroup
 index is an orbit size there, which depends only on the elements of the
 generators.  So the sweep runs on elements, each carried as its shortlex
-column path, and shares coset.py's one breadth-first search for the paths
-and one orbit loop with ``coset_words`` and ``subgroup_index``: per
+column path read off the standardized labels, as ``coset_words`` reads
+it, and shares one orbit loop with ``subgroup_index``: per
 conjugator, |arc| + |c| column lookups give c*arc*c^-1; per distinct moved
 element (20 of the orbifold's 120), one probe and four orbit walks on
 column paths.  A Word is built only for an admissible conjugator's label.
@@ -166,11 +166,10 @@ def evaluate_edge_scenario(scenario: EdgeScenario, regular: CosetTable) -> Scena
 
 
 def evaluate_dashed_arc_scenario(scenario: DashedArcScenario, regular: CosetTable,
-                                 early_stop: bool = False,
-                                 conjugators: Sequence[Word] | None = None) -> ScenarioResult:
+                                 early_stop: bool = False) -> ScenarioResult:
     """Sweep the conjugating element over the whole group, on regular, the
-    group's regular coset table: by default each element, labelled with its
-    shortlex word, or the explicit conjugators given.
+    group's regular coset table: each element, labelled with its shortlex
+    word.
 
     The patterns depend on c only through the moved element c*arc*c^-1,
     so the probe and four indices run once per moved element, at its first
@@ -193,14 +192,8 @@ def evaluate_dashed_arc_scenario(scenario: DashedArcScenario, regular: CosetTabl
     # against the alphabet; from here on it reads shortlex paths only.
     fixed, arc = (trace_word(regular, 0, w) for w in (scenario.fixed_word, scenario.arc_word))
     fixed_cols, arc_cols = paths[fixed], paths[arc]
-    if conjugators is None:
-        elements: Sequence[int] = range(regular.n_cosets)
-    else:
-        conjugators = tuple(conjugators)
-        elements = [trace_word(regular, 0, c) for c in conjugators]
-    # (position of c, c*arc*c^-1): arc's columns from c's element k, then
-    # the inverse of k's path
-    pairs = [(i, times(times(k, arc_cols), paths[k], True)) for i, k in enumerate(elements)]
+    # (c, c*arc*c^-1): arc's columns from c, then the inverse of c's path
+    pairs = [(c, times(times(c, arc_cols), path, True)) for c, path in enumerate(paths)]
     if early_stop:
         first = {}
         for i, moved in pairs:
@@ -233,8 +226,7 @@ def evaluate_dashed_arc_scenario(scenario: DashedArcScenario, regular: CosetTabl
         if not found:
             continue
         admissible += 1
-        c = column_word(paths[i]) if conjugators is None else conjugators[i]
-        label = f"c{index}={format_word(c, pres.generator_names)}"
+        label = f"c{index}={format_word(column_word(paths[i]), pres.generator_names)}"
         for name, boundary, orientable, genus in found:
             outcomes.append(PatternOutcome(name, boundary, orientable, genus,
                                            conjugator=label, sweep_index=index))

@@ -618,9 +618,16 @@ def test_a_comment_ends_only_at_a_newline(catalog_dir):
      "line 5: pattern 'P1' needs orient="),
     (EDGE_CASE.replace("alpha=2", "alpha=2 hom(x=1)"),
      "line 4: an edge scenario takes no hom(...) clause"),
+    (EDGE_CASE.replace("orient = always", "orient = hom(x=1) hom(y=1)"),
+     "line 5: pattern 'P1' gives hom(...) twice"),
+    (EDGE_CASE.replace("orient = always", "orient = hom(x=1))"),
+     "line 5: bad orient clause 'hom(x=1))'"),
+    (EDGE_CASE.replace("orient = always", "orient = hom(x=1"),
+     "line 5: hom(...) clause has no closing parenthesis"),
 ], ids=["unknown-scenario-key", "repeated-scenario-key", "missing-before-unknown",
         "repeated-clause", "unknown-clause", "clause-without-value", "missing-clause",
-        "edge-hom-clause"])
+        "edge-hom-clause", "repeated-pattern-hom", "pattern-hom-extra-parenthesis",
+        "unclosed-pattern-hom"])
 def test_each_key_value_item_is_given_once_and_known(text, message):
     # Before, an unknown item was dropped and a repeated one overwrote the
     # first, so the dashed case ran with arc y and the pattern with <x>.

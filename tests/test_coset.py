@@ -2198,6 +2198,27 @@ def test_coset_words_are_the_element_words(index):
     assert list(coset_words(regular)) == [w for _, w in elements.entries]
 
 
+def _with_labels_swapped(table, a, b):
+    """table with cosets a and b renamed to each other."""
+    swap = list(range(table.n_cosets))
+    swap[a], swap[b] = b, a
+    return _with_columns(table, [[swap[column[d]] for d in swap] for column in table.columns])
+
+
+def test_coset_words_refuses_a_table_that_is_not_standardized():
+    # Each is still a valid coset table; only the numbering is off.
+    for _, table in verified_cases().values():
+        last = table.n_cosets - 1
+        for a, b in ((1, 2), (1, last), (last - 1, last)):
+            if 0 < a < b <= last:
+                with pytest.raises(ValueError, match="^table is not standardized$"):
+                    coset_words(_with_labels_swapped(table, a, b))
+    # Coset 1 is reached from no coset.
+    unreached = _with_rows(regular_table(0), [(0, 0, 0, 0), (1, 1, 1, 1)])
+    with pytest.raises(ValueError, match="^table is not standardized$"):
+        coset_words(unreached)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_subgroup_index_matches_enumeration(data):
@@ -2262,12 +2283,13 @@ def assert_the_column_readers_match_the_rows(table, words):
     """trace_word from every coset, coset_words and the column paths they
     view, permutation_rep and, on a regular table, subgroup_index and the
     orbit loop it views of each prefix of words, against the same reads of
-    the rows."""
+    the rows; and each coset word traces from coset 0 to its own coset."""
     action = table_rows(table)
     for w in words:
         for c in range(table.n_cosets):
             assert trace_word(table, c, w) == row_trace_word(action, c, w)
     assert coset_words(table) == row_coset_words(table)
+    assert [trace_word(table, 0, w) for w in coset_words(table)] == list(range(table.n_cosets))
     assert coset._column_paths(table) == list(map(letter_columns, row_coset_words(table)))
     images = [perm.images for _, perm in permutation_rep(table).generators]
     assert images == [tuple(row[2 * i] for row in action)

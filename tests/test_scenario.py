@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import replace
 
 import pytest
@@ -120,14 +119,15 @@ def dashed_scenario(pres):
 
 
 def test_dashed_identity_conjugator_only(orbifold_28):
+    # element 0 of the sweep is the identity, and it is admissible
     scenario = dashed_scenario(orbifold_28)
-    result = evaluate_dashed_arc_scenario(scenario, regular_of(scenario),
-                                          conjugators=(Word.identity(),))
+    result = evaluate_dashed_arc_scenario(scenario, regular_of(scenario))
+    identity = [o for o in result.per_pattern if o.sweep_index == 0]
     assert result.surfaces == frozenset({S(5, 12)})
-    assert len(result.per_pattern) == 4
-    assert {o.pattern for o in result.per_pattern} == {
+    assert len(identity) == 4
+    assert {o.pattern for o in identity} == {
         "loop", "loop_inv", "reflection", "reflection_inv"}
-    for o in result.per_pattern:
+    for o in identity:
         assert o.boundary == 12
         assert o.orientable
         assert o.genus == 5
@@ -172,20 +172,6 @@ def test_dashed_early_stop_same_surfaces(orbifold_28):
     stopped = evaluate_dashed_arc_scenario(scenario, regular_of(scenario), early_stop=True)
     assert stopped.surfaces == full.surfaces
     assert len(stopped.per_pattern) < len(full.per_pattern)
-
-
-def test_dashed_sweep_words_can_be_replaced(orbifold_28):
-    # multiplying each conjugator by a relator changes the words but not
-    # the group elements, so the outcome surfaces must not move
-    scenario = dashed_scenario(orbifold_28)
-    regular = regular_of(scenario)
-    base = evaluate_dashed_arc_scenario(scenario, regular, conjugators=(
-        Word.identity(), parse_word("x", orbifold_28.generator_names)))
-    relator = orbifold_28.relators[0]
-    shifted = evaluate_dashed_arc_scenario(scenario, regular, conjugators=(
-        relator, parse_word("x", orbifold_28.generator_names) * relator))
-    assert shifted.surfaces == base.surfaces
-    assert [o.boundary for o in shifted.per_pattern] == [o.boundary for o in base.per_pattern]
 
 
 def test_family_15e_embeddings():
@@ -308,8 +294,6 @@ def test_sweep_accounting(orbifold_28):
     stopped = evaluate_dashed_arc_scenario(scenario, regular, early_stop=True)
     assert (stopped.visited, stopped.admissible) == (20, 8)
     assert len(stopped.per_pattern) == 4 * stopped.admissible
-    probe = evaluate_dashed_arc_scenario(scenario, regular, conjugators=(Word.identity(),))
-    assert (probe.visited, probe.admissible) == (1, 1)
     edge = evaluate_edge_scenario(orbifold_edge_scenario(orbifold_28), regular)
     assert (edge.visited, edge.admissible) == (0, 0)
 
@@ -348,7 +332,6 @@ def test_an_evaluator_handed_the_table_enumerates_nothing(orbifold_28, enumerati
     evaluate_edge_scenario(edge, regular)
     for early_stop in (False, True):
         evaluate_dashed_arc_scenario(dashed, regular, early_stop=early_stop)
-    evaluate_dashed_arc_scenario(dashed, regular, conjugators=(Word.identity(),))
     assert enumerations == []
     # evaluate_family builds its presentation, so it enumerates it once
     evaluate_family(FAMILY_19, 5)
@@ -371,14 +354,14 @@ def dashed_pattern_words(scenario, c):
     )
 
 
-def uncached_sweep(scenario, early_stop=False, conjugators=None):
+def uncached_sweep(scenario, early_stop=False):
     """The dashed-arc sweep with one probe and four indices per conjugator,
     each on conjugated words, as it ran before its work was cached by moved
     element and moved onto the elements of the regular table."""
     pres = scenario.presentation
     reflections = solve_hom_to_z2(pres, scenario.hom_constraints).solvable
     regular = enumerate_cosets(pres)
-    sweep = coset_words(regular) if conjugators is None else tuple(conjugators)
+    sweep = coset_words(regular)
     if early_stop:
         picked, seen = [], set()
         for c in sweep:
@@ -419,65 +402,27 @@ def s4_order_3_scenario():
                    arc_word=Word.generator(0) * Word.generator(1))
 
 
-def conjugator_lists(pres, seed):
-    """Element words shuffled, some repeated, and some times a relator:
-    equal as elements to words already in the list, different as words;
-    then two lists of random words."""
-    rng = random.Random(seed)
-    words = list(coset_words(enumerate_cosets(pres)))
-    rng.shuffle(words)
-    repeated = words + rng.sample(words, len(words) // 3)
-    rng.shuffle(repeated)
-    shifted = [w * rng.choice(pres.relators) if rng.random() < 0.5 else
-               rng.choice(pres.relators) * w for w in rng.sample(words, len(words) // 2)]
-    return [None, words, repeated, shifted + words[:5] + shifted[:3],
-            random_words(pres, rng, len(words)), random_words(pres, rng, len(words))]
-
-
-def random_words(pres, rng, count):
-    """Random words of up to 12 letters with relators spliced in: mostly not
-    the shortlex word of their element, and built from letter sequences
-    with cancelling pairs that Word reduces."""
-    gens = len(pres.generator_names)
-    result = []
-    for _ in range(count):
-        letters = [rng.choice((1, -1)) * rng.randint(1, gens) for _ in range(rng.randint(0, 12))]
-        if letters and rng.random() < 0.5:
-            at = rng.randrange(len(letters))
-            letters[at:at] = [letters[at], -letters[at]]
-        if rng.random() < 0.5:
-            at = rng.randint(0, len(letters))
-            letters[at:at] = rng.choice(pres.relators).letters
-        result.append(Word(tuple(letters)))
-    return result
-
-
 @pytest.mark.parametrize("early_stop", [False, True])
 @pytest.mark.parametrize("which", ["orbifold-28", "family-19-n3", "s4", "s4-order-3"])
 def test_cached_sweep_matches_uncached(orbifold_28, which, early_stop):
     scenario = {"orbifold-28": lambda: dashed_scenario(orbifold_28),
                 "family-19-n3": inadmissible_scenario, "s4": s4_scenario,
                 "s4-order-3": s4_order_3_scenario}[which]()
-    for seed, conjugators in enumerate(conjugator_lists(scenario.presentation, 18)):
-        result = evaluate_dashed_arc_scenario(scenario, regular_of(scenario),
-                                              early_stop=early_stop, conjugators=conjugators)
-        expected = uncached_sweep(scenario, early_stop, conjugators)
-        assert result.per_pattern == expected.per_pattern, seed
-        assert result.surfaces == expected.surfaces
-        assert (result.visited, result.admissible) == (expected.visited, expected.admissible)
+    result = evaluate_dashed_arc_scenario(scenario, regular_of(scenario), early_stop=early_stop)
+    expected = uncached_sweep(scenario, early_stop)
+    assert result.per_pattern == expected.per_pattern
+    assert result.surfaces == expected.surfaces
+    assert (result.visited, result.admissible) == (expected.visited, expected.admissible)
     if which == "s4":
         assert (expected.visited, expected.admissible) != (0, 0)
         assert any(not o.orientable for o in expected.per_pattern)
 
 
-@pytest.mark.parametrize("field", ["conjugators", "fixed_word", "arc_word"])
+@pytest.mark.parametrize("field", ["fixed_word", "arc_word"])
 def test_a_word_outside_the_alphabet_is_refused(orbifold_28, field):
-    scenario, outside = dashed_scenario(orbifold_28), Word.generator(3)
-    conjugators = (Word.identity(), outside) if field == "conjugators" else None
-    if field != "conjugators":
-        scenario = replace(scenario, **{field: outside})
+    scenario = replace(dashed_scenario(orbifold_28), **{field: Word.generator(3)})
     with pytest.raises(ValueError, match="outside the table's alphabet"):
-        evaluate_dashed_arc_scenario(scenario, regular_of(scenario), conjugators=conjugators)
+        evaluate_dashed_arc_scenario(scenario, regular_of(scenario))
 
 
 @pytest.mark.parametrize("early_stop", [False, True])
