@@ -1,22 +1,29 @@
 """Parametric families and the classification table.
 
-Two infinite families are evaluated by coset enumeration and checked
-against their closed forms; the full table's arithmetic is recomputed
-row by row.
+Two infinite families are run as catalog cases, the path reproduce-all
+takes: each member is enumerated once and every embedding's surface is
+checked against its closed form.  The full table's arithmetic is
+recomputed row by row.
 """
 
-from orbisym import builtin_table, m_alpha, verify_table
-from orbisym.scenario import FAMILY_15E, FAMILY_19, evaluate_family
+from orbisym import SurfaceType, builtin_table, m_alpha, run_case, verify_table
+
+
+def embeddings(case_id: str, n: int) -> str:
+    report = run_case(case_id, n=n)
+    surfaces = ", ".join(
+        f"{o.pattern.removeprefix('embedding ')} -> "
+        f"{SurfaceType(o.orientable, o.genus, o.boundary)}" for o in report.outcomes)
+    return f"n={n}: {surfaces} ({report.status})"
+
 
 print("family 15E (order 2n), both embeddings:")
 for n in (5, 6, 9):
-    a = evaluate_family(FAMILY_15E, n, "A")
-    b = evaluate_family(FAMILY_15E, n, "B")
-    print(f"  n={n}: A -> {a}, B -> {b}")
+    print(f"  {embeddings('15E', n)}")
 
 print("family 19 (order n^2):")
 for n in (3, 5, 10):
-    print(f"  n={n}: {evaluate_family(FAMILY_19, n)}")
+    print(f"  {embeddings('19', n)}")
 
 print()
 print("maximal order by algebraic genus:")

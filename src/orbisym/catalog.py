@@ -250,7 +250,6 @@ class CatalogEntry:
     id: str
     kind: str  # "edge" | "dashed" | "family" | "arithmetic"
     scenario: EdgeScenario | DashedArcScenario | None = None
-    family: str | None = None
     expected_order: int | None = None
     expected_surfaces: tuple[SurfaceType, ...] = ()
     alpha: int | None = None
@@ -519,7 +518,7 @@ def _builtin_entries() -> dict[str, CatalogEntry]:
     by_id["alpha-29"] = CatalogEntry("alpha-29", "arithmetic", alpha=29, m_label=m_label,
                                      m_value=m_value, expected_surfaces=surfaces)
     for family in (FAMILY_15E, FAMILY_19):
-        by_id[family] = CatalogEntry(id=family, kind="family", family=family)
+        by_id[family] = CatalogEntry(id=family, kind="family")
     return by_id
 
 
@@ -565,7 +564,6 @@ class CaseReport:
 
     case_id: str
     kind: str  # CatalogEntry.kind
-    status: str  # "match" | "mismatch"
     expected_order: int | None
     computed_order: int | None
     expected_surfaces: tuple[SurfaceType, ...]
@@ -575,8 +573,13 @@ class CaseReport:
     admissible: int = 0  # ScenarioResult.admissible of a dashed-arc sweep
 
     @property
+    def status(self) -> str:
+        """The verdict: mismatch exactly when a detail was recorded."""
+        return "mismatch" if self.detail else "match"
+
+    @property
     def matched(self) -> bool:
-        return self.status == "match"
+        return not self.detail
 
 
 def _sorted_surfaces(surfaces) -> tuple[SurfaceType, ...]:
@@ -586,9 +589,9 @@ def _sorted_surfaces(surfaces) -> tuple[SurfaceType, ...]:
 def run_case(case_id: str, n: int | None = None,
              limits: EnumerationLimits | None = None,
              threads: int = 1, early_stop: bool = False) -> CaseReport:
-    """Run a catalog case and compare against its expectations; the
-    status is "mismatch" exactly when a detail was recorded.  threads has
-    no effect."""
+    """Run a catalog case and compare against its expectations; each
+    mismatch is one line of the report's detail.  threads has no effect:
+    it is accepted only for existing callers."""
     entry = find_case(case_id)
 
     if entry.kind == "arithmetic":
@@ -597,17 +600,15 @@ def run_case(case_id: str, n: int | None = None,
                                                 entry.m_label, entry.m_value)
                   if not c.passed]
         return CaseReport(case_id=entry.id, kind=entry.kind,
-                          status="mismatch" if detail else "match",
                           expected_order=None, computed_order=None,
                           expected_surfaces=_sorted_surfaces(entry.expected_surfaces),
                           computed_surfaces=(), outcomes=(), detail=tuple(detail))
 
     if entry.kind == "family":
-        assert entry.family is not None
         if n is None:
             raise InvalidParameter(f"case {entry.id!r} needs a family parameter n")
-        scenario = family_scenario(entry.family, n)
-        family = FAMILIES[entry.family]
+        scenario = family_scenario(entry.id, n)
+        family = FAMILIES[entry.id]
         expected_order, expected_surfaces = family.order(n), family.surfaces(n)
     else:
         assert entry.scenario is not None
@@ -621,7 +622,7 @@ def run_case(case_id: str, n: int | None = None,
         result = evaluate_dashed_arc_scenario(scenario, regular, early_stop)
     else:
         result = evaluate_edge_scenario(scenario, regular)
-    detail = (closed_form_mismatches(entry.family, n, result.per_pattern)
+    detail = (closed_form_mismatches(entry.id, n, result.per_pattern)
               if entry.kind == "family" else [])
     computed, computed_order = result.surfaces, regular.n_cosets
 
@@ -631,7 +632,6 @@ def run_case(case_id: str, n: int | None = None,
         detail.append(f"surfaces {sorted(map(str, computed))}, "
                       f"expected {sorted(map(str, expected_surfaces))}")
     return CaseReport(case_id=entry.id, kind=entry.kind,
-                      status="mismatch" if detail else "match",
                       expected_order=expected_order, computed_order=computed_order,
                       expected_surfaces=_sorted_surfaces(expected_surfaces),
                       computed_surfaces=_sorted_surfaces(computed),

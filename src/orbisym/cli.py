@@ -7,6 +7,7 @@ limit.  Every subcommand takes --json, which emits
     { "command": str, "items": [ {"id": str, "status": str, ...} ],
       "status": "match" | "mismatch" | "error", "elapsed_ms": int }
 
+whose status follows the exit code: 0 match, 1 mismatch, 2 and 3 error,
 with per-item fields order, index, pattern, orientable, genus,
 boundary, surface filled in where they apply.  Output ordering is
 deterministic: reproduce-all lists the orbifold cases then the families
@@ -103,13 +104,15 @@ def _limits(args: argparse.Namespace) -> EnumerationLimits | None:
         raise at(f"--max-cosets {max_cosets}", exc) from None
 
 
-def _emit(args: argparse.Namespace, command: str, items: list[dict],
-          status: str, started: float, text_lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, code: int, items: list[dict],
+          text_lines: list[str], started: float) -> None:
+    """Print the run's report: the one place a JSON status is decided."""
     if args.json:
         report = {
-            "command": command,
+            "command": args.command,
             "items": items,
-            "status": status,
+            "status": ("match" if code == EXIT_OK else
+                       "mismatch" if code == EXIT_MISMATCH else "error"),
             "elapsed_ms": int((time.perf_counter() - started) * 1000),
         }
         print(json.dumps(report, indent=2))
@@ -171,15 +174,18 @@ def _case_text(report: CaseReport) -> list[str]:
     return lines
 
 
-def _cmd_order(args: argparse.Namespace, started: float) -> int:
+# A handler's result: exit code, JSON items and text lines, which main emits.
+_Result = tuple[int, list[dict], list[str]]
+
+
+def _cmd_order(args: argparse.Namespace) -> _Result:
     pres, _ = read_file(args.file, load_presentation_with_aliases)
     order = group_order(pres, _limits(args))
     items = [{"id": Path(args.file).stem, "order": order, "status": "match"}]
-    _emit(args, "order", items, "match", started, [f"order: {order}"])
-    return EXIT_OK
+    return EXIT_OK, items, [f"order: {order}"]
 
 
-def _cmd_index(args: argparse.Namespace, started: float) -> int:
+def _cmd_index(args: argparse.Namespace) -> _Result:
     pres, aliases = read_file(args.file, load_presentation_with_aliases)
     words = []
     for item in filter(None, map(str.strip, args.subgroup.split(","))):
@@ -194,11 +200,10 @@ def _cmd_index(args: argparse.Namespace, started: float) -> int:
         except OSError as exc:
             raise OrbisymError(f"--dump-table {args.dump_table}: cannot write: {exc}") from None
     items = [{"id": Path(args.file).stem, "index": table.n_cosets, "status": "match"}]
-    _emit(args, "index", items, "match", started, [f"index: {table.n_cosets}"])
-    return EXIT_OK
+    return EXIT_OK, items, [f"index: {table.n_cosets}"]
 
 
-def _cmd_hom2(args: argparse.Namespace, started: float) -> int:
+def _cmd_hom2(args: argparse.Namespace) -> _Result:
     pres, aliases = read_file(args.file, load_presentation_with_aliases)
     constraints = [parse_constraint(item, pres.generator_names, aliases, "--map")
                    for item in args.map]
@@ -214,30 +219,25 @@ def _cmd_hom2(args: argparse.Namespace, started: float) -> int:
               "status": "match"}]
     if result.assignment is not None:
         items[0]["witness"] = list(result.assignment)
-    _emit(args, "hom2", items, "match", started, text)
-    return EXIT_OK
+    return EXIT_OK, items, text
 
 
-def _cmd_case(args: argparse.Namespace, started: float) -> int:
-    report = run_case(args.id, n=args.n, limits=_limits(args),
-                      threads=args.threads, early_stop=args.early_stop)
-    _emit(args, "case", _case_items(report), report.status, started,
-          _case_text(report))
-    return EXIT_OK if report.matched else EXIT_MISMATCH
+def _cmd_case(args: argparse.Namespace) -> _Result:
+    report = run_case(args.id, n=args.n, limits=_limits(args), early_stop=args.early_stop)
+    return (EXIT_OK if report.matched else EXIT_MISMATCH,
+            _case_items(report), _case_text(report))
 
 
-def _cmd_verify_table(args: argparse.Namespace, started: float) -> int:
+def _cmd_verify_table(args: argparse.Namespace) -> _Result:
     results = verify_table()
     failures = [r for r in results if not r.passed]
     items = [{"id": r.name, "status": "match" if r.passed else "mismatch"}
              for r in results]
-    status = "match" if not failures else "mismatch"
     text = [f"check {r.name}: FAILED {r.detail}" for r in failures]
     text.append(f"verify-table: {len(results)} checks, "
                 f"{len(failures)} failed" if failures else
                 f"verify-table: {len(results)} checks, all passed")
-    _emit(args, "verify-table", items, status, started, text)
-    return EXIT_OK if not failures else EXIT_MISMATCH
+    return EXIT_MISMATCH if failures else EXIT_OK, items, text
 
 
 def _reproduce_case_ids() -> list[tuple[str, int | None]]:
@@ -246,12 +246,12 @@ def _reproduce_case_ids() -> list[tuple[str, int | None]]:
             for n in (FAMILY_SWEEP if entry.kind == "family" else (None,))]
 
 
-def _cmd_reproduce_all(args: argparse.Namespace, started: float) -> int:
+def _cmd_reproduce_all(args: argparse.Namespace) -> _Result:
     items = []
     text = []
     all_match = True
     for case_id, n in _reproduce_case_ids():
-        report = run_case(case_id, n=n, limits=_limits(args), threads=args.threads)
+        report = run_case(case_id, n=n, limits=_limits(args))
         label = case_id if n is None else f"{case_id} n={n}"
         all_match = all_match and report.matched
         items.append(_summary_item(label, report))
@@ -259,10 +259,8 @@ def _cmd_reproduce_all(args: argparse.Namespace, started: float) -> int:
                     f"surfaces {_surface_names(report.computed_surfaces)})")
         for note in report.detail:
             text.append(f"  note: {note}")
-    status = "match" if all_match else "mismatch"
-    text.append(f"overall: {status} ({len(items)} cases)")
-    _emit(args, "reproduce-all", items, status, started, text)
-    return EXIT_OK if all_match else EXIT_MISMATCH
+    text.append(f"overall: {'match' if all_match else 'mismatch'} ({len(items)} cases)")
+    return EXIT_OK if all_match else EXIT_MISMATCH, items, text
 
 
 _HANDLERS = {
@@ -280,12 +278,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        return _HANDLERS[args.command](args, started)
+        code, items, text_lines = _HANDLERS[args.command](args)
     except (OrbisymError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if args.json:
-            _emit(args, args.command, [], "error", started, [])
-        return EXIT_LIMIT if isinstance(exc, LimitExceeded) else EXIT_INPUT
+        code = EXIT_LIMIT if isinstance(exc, LimitExceeded) else EXIT_INPUT
+        items, text_lines = [], []
+    _emit(args, code, items, text_lines, started)
+    return code
 
 
 def entry() -> None:

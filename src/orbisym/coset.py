@@ -921,16 +921,21 @@ def _column_paths(table: CosetTable) -> list[tuple[int, ...]]:
     return paths
 
 
+def _require_regular(table: CosetTable, caller: str) -> None:
+    """Refuse a table of cosets of a non-trivial subgroup, naming caller."""
+    if table.subgroup_generators:
+        raise ValueError(f"{caller} needs the table of the trivial subgroup")
+
+
 def _orbit_index(regular: CosetTable, paths: Iterable[Sequence[int]]) -> int:
     """[G:H] for H generated by the elements the column paths reach.
 
     In the table of cosets of the trivial subgroup every coset is a group
     element, so the orbit of coset 0 under the generators is H itself and
     [G:H] = |G| / |H|.  The one orbit loop, which subgroup_index and the
-    dashed-arc sweep run on paths they have checked against the alphabet.
+    dashed-arc sweep run on a table they have checked with
+    _require_regular and on paths they have checked against the alphabet.
     """
-    if regular.subgroup_generators:
-        raise ValueError("subgroup_index needs the table of the trivial subgroup")
     columns = regular.columns
     # Each path's column lists, bound once, as _Enumerator._bind does.
     path_cols = [[columns[col] for col in path] for path in paths]
@@ -952,6 +957,7 @@ def subgroup_index(regular: CosetTable, words: Iterable[Word]) -> int:
     """Index of <words> in a finite group, read off its regular table:
     enumerate_cosets(pres, words).n_cosets without a second enumeration,
     by the orbit loop _orbit_index that the dashed-arc sweep runs too."""
+    _require_regular(regular, "subgroup_index")
     words = tuple(words)
     if any(w.max_generator_index() >= len(regular.generator_names) for w in words):
         raise ValueError("word uses a generator outside the table's alphabet")

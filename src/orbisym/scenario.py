@@ -40,6 +40,7 @@ from .coset import (
     CosetTable,
     _column_paths,
     _orbit_index,
+    _require_regular,
     enumerate_cosets,
     subgroup_index,
     trace_word,
@@ -153,6 +154,7 @@ class ScenarioResult:
 def evaluate_edge_scenario(scenario: EdgeScenario, regular: CosetTable) -> ScenarioResult:
     """Evaluate every pattern on regular, the group's regular coset table;
     surfaces are deduped, the audit trail is not."""
+    _require_regular(regular, "evaluate_edge_scenario")
     outcomes = []
     surfaces = set()
     for pattern in scenario.patterns:
@@ -177,6 +179,7 @@ def evaluate_dashed_arc_scenario(scenario: DashedArcScenario, regular: CosetTabl
     the first c per moved element, which shortens the audit trail, not the
     work.
     """
+    _require_regular(regular, "evaluate_dashed_arc_scenario")
     pres = scenario.presentation
     reflections_orientable = solve_hom_to_z2(pres, scenario.hom_constraints).solvable
     columns = regular.columns

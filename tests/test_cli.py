@@ -249,6 +249,12 @@ def test_case_mismatch_exit_code(capsys, tmp_path, monkeypatch):
     out = capsys.readouterr().out
     assert "mismatch" in out
     assert "119" in out
+    code, payload = run_json(capsys, ["case", "orbifold-28-edge"])
+    assert code == 1
+    assert payload["status"] == "mismatch"
+    summary = payload["items"][-1]
+    assert summary == {"id": "orbifold-28-edge", "surface": "S_{0,12} N_{6,6}",
+                       "status": "mismatch", "order": 120}
 
 
 def test_bad_case_file_is_an_input_error(capsys, tmp_path, monkeypatch):

@@ -299,10 +299,13 @@ def test_sweep_accounting(orbifold_28):
 
 
 def test_regular_table_is_required(orbifold_28):
-    # a non-trivial subgroup's table is refused
+    # a non-trivial subgroup's table is refused, by the function called
     table = enumerate_cosets(orbifold_28, (Word.generator(0),))
-    with pytest.raises(ValueError):
-        evaluate_dashed_arc_scenario(dashed_scenario(orbifold_28), table)
+    for evaluate, scenario in ((evaluate_dashed_arc_scenario, dashed_scenario(orbifold_28)),
+                               (evaluate_edge_scenario, orbifold_edge_scenario(orbifold_28))):
+        with pytest.raises(ValueError, match=f"^{evaluate.__name__} needs the table "
+                                             "of the trivial subgroup$"):
+            evaluate(scenario, table)
 
 
 @pytest.fixture
