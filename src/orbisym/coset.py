@@ -16,6 +16,8 @@ which changes nothing.
 
 Tables index cosets from 0 (the subgroup itself) and act on the right:
 column 2*i is the action of generator i, column 2*i+1 of its inverse.
+For an involution, a generator with a relator g^2 or g^-2, the two are
+one map, and columns[2*i+1] is columns[2*i], the same tuple.
 Completed tables are renumbered by breadth-first traversal from coset 0
 in column order, so equal inputs give byte-for-byte equal tables.  The
 table is CosetTable.columns, one tuple per column, columns[col][c] being
@@ -24,12 +26,13 @@ this module reads the columns.
 
 The raw table the enumerator fills is stored by column: table[col] is
 one list, and table[col][c] is coset c's entry in that column, None
-while undefined.  p, the union-find, has one entry per coset, so len(p)
-counts the cosets held.  The column lists and closed run ahead of p:
-past len(p) they hold unused None and 0 slots.  When len(p) reaches
-their length, _grow extends each of them by a seventh of it, at least
-64 slots, but never past the coset budget, so a run that overflows holds
-no unused slot; and the step is large enough that CPython allocates the
+while undefined; an involution's two columns are one list (below).  p,
+the union-find, has one entry per coset, so len(p) counts the cosets
+held.  The column lists and closed run ahead of p: past len(p) they
+hold unused None and 0 slots.  When len(p) reaches their length, _grow
+extends each distinct list once by a seventh of it, at least 64 slots,
+but never past the coset budget, so a run that overflows holds no
+unused slot; and the step is large enough that CPython allocates the
 new length exactly, with no further eighth of its own (_next_room).  A
 definition then costs one comparison and p.append.
 run drops the unused slots when it returns, and compaction, which runs
@@ -42,6 +45,23 @@ subscript into a bound list, fwd[i][f], and a coset costs a slot in each
 column instead of a list object of its own.  The bound tuples hold the
 column lists themselves, so the enumerator never replaces a list:
 growth extends, and compaction moves entries down and truncates.
+
+A generator g with a relator g^2 or g^-2 (_involutions) is its own
+inverse, so table[2*i+1] is the very list table[2*i]: one entry per
+coset says where both g and g^-1 send it.  A definition or deduction
+writes its two entries into that one list, a row fill defines one coset
+for g where it defined one for g and another for g^-1, and g^2 closes at
+every coset by construction, so it is left out of the scanned relators
+(verify_coset_table, which reads the presentation's relators, still
+checks it).  With a list each, HLT would learn that g and g^-1 agree
+only when it scans g^2, and meanwhile define cosets that a coincidence
+then kills: S7's Coxeter presentation takes 12 145 raw rows for 5040
+cosets that way, and 6411 this way.  Whatever walks every list (_grow, run's
+trim, _Changes, the coincidence's pairs) walks each distinct list once.
+The coincidence must: a second visit of a shared list would clear the
+entry the first one wrote.  _compact goes a generator at a time, and
+for an involution reads and writes its one list twice, with equal
+values.
 
 Coincidences are resolved by union-find with path compression, keeping
 the smallest label as representative; the merge queue transfers every
@@ -78,11 +98,12 @@ The lookahead starts at HLT's pointer, since every live coset below it
 has had each relator scanned to closure.  The first pass scans every
 live coset from there on.  A later pass scans only those within reach
 of a row changed since the pass before, where the reach r is the length
-of the longest relator or subgroup word less one; the raw state, and
-where LimitExceeded fires, are those of scanning them all.  A skipped
-scan is a no-op: a lookahead scan at c that stops at a gap of two or
-more writes nothing, and it reads only the rows of cosets within r
-steps of c, so until one of those rows changes a scan there stops at
+of the longest relator or subgroup word less one (an unscanned g^2
+counts, which keeps r at least 1 where a row fill writes); the raw
+state, and where LimitExceeded fires, are those of scanning them all.
+A skipped scan is a no-op: a lookahead scan at c that stops at a gap of
+two or more writes nothing, and it reads only the rows of cosets within
+r steps of c, so until one of those rows changes a scan there stops at
 the same gap again.  A coincidence moves each entry into a coset it
 kills onto that coset's representative, which reads the same, so the
 rows it changes are the representatives'; and paths only shorten as
@@ -193,7 +214,9 @@ class CosetTable:
 
     columns is the table: 2 * n_generators tuples, each n_cosets long.
     columns[2*i][c] is coset c times generator i, and columns[2*i+1][c]
-    is coset c times its inverse.  Coset 0 is the subgroup.
+    is coset c times its inverse.  For an involution (a relator g^2 or
+    g^-2), columns[2*i+1] is columns[2*i]: one tuple.  Coset 0 is the
+    subgroup.
     """
 
     generator_names: tuple[str, ...]
@@ -251,17 +274,29 @@ class _Enumerator:
             if w.max_generator_index() >= pres.n_generators:
                 raise ValueError("subgroup word uses a generator outside the alphabet")
         self.ncols = 2 * pres.n_generators
-        self.relator_cols = pres.relator_columns
+        involutions = _involutions(pres.relator_columns)
+        # An involution's g^2 and g^-2 close everywhere once g and g^-1
+        # share a column, so they are not scanned.
+        squares = {(col, col) for g in involutions for col in (2 * g, 2 * g + 1)}
+        self.relator_cols = tuple(cols for cols in pres.relator_columns if cols not in squares)
         self.sub_cols = tuple(letter_columns(w) for w in subgroup)
         self.limits = limits
         # table[col][c] is coset c's entry in column col; p has one entry
         # per coset, so len(p) counts the cosets held, and the columns and
         # closed may run ahead of it (_grow).  These lists, like p and
         # closed, are only ever changed in place, so the column lists can
-        # be bound once (module docstring).
-        self.table: list[list[int | None]] = [[None] for _ in range(self.ncols)]
-        # Each column with its inverse column, in column order.
-        self.pairs = [(column, self.table[col ^ 1]) for col, column in enumerate(self.table)]
+        # be bound once (module docstring).  An involution's two columns
+        # are one list.
+        table: list[list[int | None]] = []
+        for col in range(self.ncols):
+            table.append(table[-1] if col & 1 and col >> 1 in involutions else [None])
+        self.table = table
+        # Each distinct column list with its inverse, in column order: an
+        # involution's list comes once, as (column, column).
+        self.pairs = [(column, table[col ^ 1]) for col, column in enumerate(table)
+                      if not col & 1 or column is not table[col - 1]]
+        # The distinct column lists, each once, for whatever walks them all.
+        self.lists = [column for column, _ in self.pairs]
         self.p: list[int] = [0]
         # closed[c] is the bitmask of relators (bit i for relator i) known
         # to close at coset c, so their scans there can be skipped; one
@@ -273,7 +308,7 @@ class _Enumerator:
         self.first_dead = limits.max_cosets
         # A scan at coset c reads only the rows of cosets within reach of
         # c, and HLT's scans at c write only there (module docstring).
-        self.reach = max(map(len, (*self.relator_cols, *self.sub_cols)), default=1) - 1
+        self.reach = max(map(len, (*pres.relator_columns, *self.sub_cols)), default=1) - 1
         # The labels of the rows the last lookahead pass changed, mapped
         # through its compaction; None before the first pass, and when
         # there were too many to note, so that the next pass is full.
@@ -522,7 +557,10 @@ class _Enumerator:
         changed = self.changed
         if changed:
             changed[:] = map(p.__getitem__, changed)
-        for fwd, inv in self.pairs[::2]:
+        table = self.table
+        # An involution's list is fwd and inv at once; each moved entry
+        # then reads and writes the same slots twice, with the same value.
+        for fwd, inv in zip(table[::2], table[1::2]):
             new = first
             for label, e, f in zip(_tail(p, first), _tail(fwd, first), _tail(inv, first)):
                 if label != new:
@@ -571,7 +609,7 @@ class _Enumerator:
         if _next_room(room) > max_cosets:
             room = max_cosets
         step = room - n
-        for column in self.table:
+        for column in self.lists:
             column.extend(repeat(None, step))
         self.closed.extend(repeat(0, step))
         return room
@@ -671,7 +709,7 @@ class _Enumerator:
                 continue
             alpha += 1
         n = len(p)
-        for column in table:
+        for column in self.lists:
             del column[n:]
         del closed[n:]
         return table
@@ -723,7 +761,7 @@ class _Changes:
 
     def __init__(self, enum: _Enumerator, alpha: int):
         p, reach = enum.p, enum.reach
-        self.p, self.table, self.reach = p, enum.table, reach
+        self.p, self.lists, self.reach = p, enum.lists, reach
         self.cap = (len(p) - alpha) // FULL_PASS_SHARE
         self.noted: list[int] | None = []
         self.rem = None
@@ -778,7 +816,7 @@ class _Changes:
     def _spread(self, seeds: Iterable[int], radius: int) -> None:
         """Flag every coset within radius of a seed's representative: one
         breadth-first search from all of them, a level at a time."""
-        p, table, rem = self.p, self.table, self.rem
+        p, lists, rem = self.p, self.lists, self.rem
         roots = []
         for c in seeds:
             while p[c] != c:
@@ -791,12 +829,19 @@ class _Changes:
         for level in range(radius, 0, -1):
             reached = []
             for c in frontier:
-                for column in table:
+                for column in lists:
                     d = column[c]
                     if d is not None and rem[d] < level:
                         rem[d] = level
                         reached.append(d)
             frontier = reached
+
+
+def _involutions(relator_cols: Iterable[tuple[int, ...]]) -> frozenset[int]:
+    """The generators g with a relator g^2 or g^-2, whose g and g^-1 then
+    share one column list (module docstring)."""
+    return frozenset(cols[0] >> 1 for cols in relator_cols
+                     if len(cols) == 2 and cols[0] == cols[1])
 
 
 def _next_room(n: int) -> int:
@@ -829,7 +874,9 @@ def _standardize(table: list[list[int | None]], p: list[int]) -> tuple[tuple[int
     an undefined entry or when it does not reach every live coset.
 
     Each raw column is emptied in place as soon as its standardized
-    column is built, so the raw table is gone when this returns.
+    column is built, so the raw table is gone when this returns.  An
+    involution's one list gives one tuple, which stands for both its
+    columns; it is emptied only after that tuple is built.
 
     _column_paths relies on this numbering: it reads each coset's
     shortlex path off the labels, with no search of its own.
@@ -849,7 +896,11 @@ def _standardize(table: list[list[int | None]], p: list[int]) -> tuple[tuple[int
     if len(order) != sum(map(eq, p, range(len(p)))):
         raise AssertionError("completed table is not transitive")
     columns = []
-    for column in table:
+    for col, column in enumerate(table):
+        if col & 1 and column is table[col - 1]:
+            # An involution's one list, emptied already: its column again.
+            columns.append(columns[-1])
+            continue
         standard = [pos[d] for d in map(column.__getitem__, order)]
         # Emptied before the tuple copy, so the list, the tuple and the
         # whole raw column are never held at once.

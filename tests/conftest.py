@@ -51,6 +51,12 @@ expect order=6 surfaces=S_{1,1}
 """
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "separate_columns: run the enumerator with a column list for g and one "
+        "for g^-1 even where g^2 is a relator (test_coset.py's layout fixture)")
+
+
 @pytest.fixture(scope="session")
 def orbifold_28():
     return load_presentation(ORBIFOLD_28_TEXT)

@@ -7,6 +7,10 @@ column layout must leave the same raw state as this one (the transposed
 table, p, closed and first_dead), give up at the same point, and
 standardize to the same table; test_coset.py checks that.
 
+An involution's g and g^-1 share one column list there, so here every
+write of one entry of an involution's pair in a row writes the other
+too (_link), and the coincidence visits only the first of the two.
+
 Its compaction renumbers through renumber, which builds the map from old
 labels to new ones as a list of its own, next to p.
 """
@@ -47,7 +51,24 @@ def renumber(p, start=0):
 class RowLayoutEnumerator(_Enumerator):
     def __init__(self, *args):
         super().__init__(*args)
+        # The involutions, read off the column table before the rows
+        # replace it: those whose two columns are one list.
+        table = self.table
+        involutions = {col >> 1 for col in range(1, self.ncols, 2)
+                       if table[col] is table[col - 1]}
+        self.mirrored = [col >> 1 in involutions for col in range(self.ncols)]
         self.table = [[None] * self.ncols]
+
+    def _link(self, a, col, b):
+        """a times col is b, and b times col's inverse is a; for an
+        involution's column both entries of each row, as its one list
+        holds them."""
+        table = self.table
+        table[a][col] = b
+        table[b][col ^ 1] = a
+        if self.mirrored[col]:
+            table[a][col ^ 1] = b
+            table[b][col] = a
 
     def _coincidence(self, a, b):
         table, p, closed = self.table, self.p, self.closed
@@ -79,12 +100,15 @@ class RowLayoutEnumerator(_Enumerator):
         bits = closed[b]
         if bits:
             closed[a] |= bits
+        mirrored = self.mirrored
         for gamma in queue:
             for col, delta in enumerate(table[gamma]):
-                if delta is None:
+                if delta is None or col & 1 and mirrored[col]:
                     continue
                 inv = col ^ 1
                 table[delta][inv] = None
+                if mirrored[col]:
+                    table[delta][col] = None
                 k = gamma
                 mu = p[k]
                 if p[mu] != mu:
@@ -107,8 +131,7 @@ class RowLayoutEnumerator(_Enumerator):
                 else:
                     b = table[nu][inv]
                     if b is None:
-                        table[mu][col] = nu
-                        table[nu][inv] = mu
+                        self._link(mu, col, nu)
                         continue
                     a = mu
                 k = b
@@ -156,7 +179,7 @@ class RowLayoutEnumerator(_Enumerator):
             self._coincidence(f, b)
             return True
         if j == i:
-            table[f][cols[i]], table[b][cols[i] ^ 1] = b, f
+            self._link(f, cols[i], b)
             return True
         return False
 
@@ -250,8 +273,7 @@ class RowLayoutEnumerator(_Enumerator):
                             table.append([None] * ncols)
                             p.append(new)
                             closed.append(0)
-                        table[f][col] = new
-                        table[new][col ^ 1] = f
+                        self._link(f, col, new)
                         if j == i:
                             break
                         f = new
@@ -271,8 +293,7 @@ class RowLayoutEnumerator(_Enumerator):
                         table.append([None] * ncols)
                         p.append(new)
                         closed.append(0)
-                        row[col] = new
-                        table[new][col ^ 1] = alpha
+                        self._link(alpha, col, new)
             except _NeedRoom:
                 alpha = self._make_room(alpha)
                 table, p, closed = self.table, self.p, self.closed

@@ -36,18 +36,21 @@ def run_order(tmp_path, text, *args):
 
 
 def test_the_overflow_path_gives_up_in_time(tmp_path):
-    # Under a budget of 10^5 cosets the run fills it, runs the lookahead
-    # and compaction, and gives up with exit 3, well inside the timeout.
+    # Under a budget of 10^5 cosets the run fills it, runs one lookahead
+    # pass, which frees no coset, and gives up with exit 3, well inside
+    # the timeout.  Before x and x^-1 shared one column list it ran six
+    # passes and compactions first.
     status, out, _ = run_order(tmp_path, TRIANGLE_237, "--max-cosets", "100000")
     assert (status, out) == (3, "error: coset budget 100000 exhausted\n")
 
 
 def test_the_default_budget_gives_up_under_130_mb(tmp_path):
     # Under the default budget of 10^6 cosets the run gives up with exit
-    # 3.  It peaks at about 94 MB on CPython 3.11: the lists grow in steps
-    # capped at the budget, so they hold no unused slot when it fills.  It
-    # peaked at 153 MB when compaction kept lists of its own and a second
-    # set of label ints.
+    # 3.  It peaks at about 86 MB on CPython 3.11: the lists grow in steps
+    # capped at the budget, so they hold no unused slot when it fills, and
+    # x and x^-1 share one of them.  It peaked at about 95 MB with a list
+    # each, and at 153 MB when compaction kept lists of its own and a
+    # second set of label ints.
     status, out, peak_mb = run_order(tmp_path, TRIANGLE_237)
     assert (status, out) == (3, "error: coset budget 1000000 exhausted\n")
     assert peak_mb < 130

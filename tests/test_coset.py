@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import math
 import random
@@ -73,6 +74,40 @@ SMALL_ORDERS = (6, 8, 14, 24, 120, 6, 8, 12, 9, 16, 25)
 # -- the reference HLT, with its filling scan as a method -----------------
 
 
+def distinct_lists(table):
+    """The raw table's column lists, each once: an involution's two
+    columns are one list."""
+    return list({id(column): column for column in table}.values())
+
+
+def shares_previous(table, col):
+    """Whether column col is the second of an involution's pair, the list
+    of the column before it."""
+    return col & 1 and table[col] is table[col - 1]
+
+
+def separate_columns():
+    """A context in which the enumerator gives g and g^-1 a column list
+    each even where g^2 is a relator: the layout before involutions
+    shared one list, which must give the same standardized tables."""
+    return mock.patch.object(coset, "_involutions", lambda relator_cols: frozenset())
+
+
+# Where a test or its parameter is marked separate_columns, the layout
+# fixture runs it in that context.  With the shared list, (2,3,k) gives up
+# at its first lookahead pass, which frees nothing, and orbifold-28 fits
+# under 121 cosets with no pass; so the tests of later passes, of what they
+# free and of the paths compaction takes run those inputs this way.
+SEPARATE_COLUMNS = pytest.mark.separate_columns
+
+
+@pytest.fixture
+def layout(request):
+    marked = request.node.get_closest_marker("separate_columns")
+    with separate_columns() if marked else contextlib.nullcontext():
+        yield
+
+
 class ReferenceAssign:
     """Mixin: the deduction as a method, the hook that the reference
     enumerators route their table writes through."""
@@ -94,7 +129,7 @@ class ReferenceHLT(ReferenceAssign, _Enumerator):
         if len(self.p) >= self.limits.max_cosets:
             raise _NeedRoom
         beta = len(self.p)
-        for column in self.table:
+        for column in distinct_lists(self.table):
             column.append(None)
         self.p.append(beta)
         self.closed.append(0)
@@ -269,7 +304,7 @@ class ReferenceCoincidence(ReferenceAssign):
         for gamma in queue:
             for col in range(self.ncols):
                 delta = table[col][gamma]
-                if delta is None:
+                if delta is None or shares_previous(table, col):
                     continue
                 table[col ^ 1][delta] = None
                 mu = rep(gamma)
@@ -1006,7 +1041,7 @@ class ReferenceLookahead(ReferenceScan, _Enumerator):
         if len(live) >= self.limits.max_cosets:
             raise LimitExceeded(f"coset budget {self.limits.max_cosets} exhausted")
         renum = {old: new for new, old in enumerate(live)}
-        for column in self.table:
+        for column in distinct_lists(self.table):
             column[:] = [None if column[old] is None else renum[find(self.p, column[old])]
                          for old in live]
         self.closed[:] = [self.closed[c] if c >= alpha else 0 for c in live]
@@ -1140,9 +1175,10 @@ class CountingIncremental(CountingLookahead, ReferenceScanLookahead):
 
 
 LOOKAHEAD_CASES = [
-    pytest.param(triangle_23k(7), 2000, id="237-cap-2000"),
-    pytest.param(triangle_23k(5), 40, id="235-cap-40"),
-    pytest.param(load_presentation(ORBIFOLD_28_TEXT), 121, id="orbifold-28-cap-121"),
+    pytest.param(triangle_23k(7), 2000, id="237-cap-2000", marks=SEPARATE_COLUMNS),
+    pytest.param(triangle_23k(5), 40, id="235-cap-40", marks=SEPARATE_COLUMNS),
+    pytest.param(load_presentation(ORBIFOLD_28_TEXT), 121, id="orbifold-28-cap-121",
+                 marks=SEPARATE_COLUMNS),
     # 197 compactions under this cap, and 858 under a cap of 3000.
     pytest.param(load_presentation("generators: x y z\nrelators: y*x^-1*z^-2 x^-40 "
                                    "y*z*y*z^-3*y^-1 x^-25\n"), 300, id="xyz-cap-300"),
@@ -1159,14 +1195,14 @@ LOOKAHEAD_CASES = [
     pytest.param(load_presentation("generators: x y z\nrelators: y^-1*x^2*z*y^-1 x*y\n"),
                  23, id="xyz-cap-23"),
 ])
-def test_inline_lookahead_matches_the_scan_calls_on_named_cases(pres, max_cosets):
+def test_inline_lookahead_matches_the_scan_calls_on_named_cases(layout, pres, max_cosets):
     limits = EnumerationLimits(max_cosets)
     assert full_state(_Enumerator(pres, (), limits)) == \
         full_state(ReferenceScanLookahead(pres, (), limits))
 
 
 @pytest.mark.parametrize("pres,max_cosets", LOOKAHEAD_CASES)
-def test_lookahead_starts_at_the_pointer_and_skips_closed_pairs(pres, max_cosets):
+def test_lookahead_starts_at_the_pointer_and_skips_closed_pairs(layout, pres, max_cosets):
     limits = EnumerationLimits(max_cosets)
     reference = CountingReference(pres, (), limits)
     incremental = CountingIncremental(pres, (), limits)
@@ -1236,21 +1272,22 @@ class FullPassLookahead(_Enumerator):
 XYZ = load_presentation("generators: x y z\nrelators: y*x^-1*z^-2 x^-40 "
                         "y*z*y*z^-3*y^-1 x^-25\n")
 
-# Budgets under which some pass skips cosets: (2,3,7) flags its later
-# passes at 2000 and 20 000 cosets, and at 100 000 as `runaway` does.
+# Budgets under which some pass skips cosets: (2,3,7) with separate columns
+# flags its later passes at 2000 and 20 000 cosets, and at 100 000 as
+# `runaway` did before x shared one list.
 FLAGGED_PASS_CASES = [
-    pytest.param(triangle_23k(7), 2000, id="237-cap-2000"),
-    pytest.param(triangle_23k(7), 20_000, id="237-cap-20000"),
-    pytest.param(triangle_23k(7), 100_000, id="237-cap-100000"),
-    pytest.param(triangle_23k(8), 10_000, id="238-cap-10000"),
-    pytest.param(triangle_23k(9), 10_000, id="239-cap-10000"),
+    pytest.param(triangle_23k(7), 2000, id="237-cap-2000", marks=SEPARATE_COLUMNS),
+    pytest.param(triangle_23k(7), 20_000, id="237-cap-20000", marks=SEPARATE_COLUMNS),
+    pytest.param(triangle_23k(7), 100_000, id="237-cap-100000", marks=SEPARATE_COLUMNS),
+    pytest.param(triangle_23k(8), 10_000, id="238-cap-10000", marks=SEPARATE_COLUMNS),
+    pytest.param(triangle_23k(9), 10_000, id="239-cap-10000", marks=SEPARATE_COLUMNS),
     pytest.param(XYZ, 300, id="xyz-cap-300"),
     pytest.param(XYZ, 3000, id="xyz-cap-3000"),
 ]
 
 
 @pytest.mark.parametrize("pres,max_cosets", FLAGGED_PASS_CASES)
-def test_skipping_passes_match_the_full_passes_on_named_cases(pres, max_cosets):
+def test_skipping_passes_match_the_full_passes_on_named_cases(layout, pres, max_cosets):
     limits = EnumerationLimits(max_cosets)
     assert full_state(_Enumerator(pres, (), limits)) == \
         full_state(FullPassLookahead(pres, (), limits))
@@ -1313,11 +1350,13 @@ class CountingFullPasses(CountsPassCosets, FullPassLookahead):
     pass
 
 
+@SEPARATE_COLUMNS
 @pytest.mark.parametrize("pres,max_cosets", [
     pytest.param(triangle_23k(7), 20_000, id="237-cap-20000"),
     pytest.param(triangle_23k(7), 100_000, id="237-cap-100000"),
 ])
-def test_later_passes_scan_fewer_cosets_than_the_full_passes(monkeypatch, pres, max_cosets):
+def test_later_passes_scan_fewer_cosets_than_the_full_passes(layout, monkeypatch, pres,
+                                                             max_cosets):
     monkeypatch.setattr(coset, "_Changes", CountingChanges)
     limits = EnumerationLimits(max_cosets)
     skipping, full = CountingPasses(pres, (), limits), CountingFullPasses(pres, (), limits)
@@ -1382,7 +1421,7 @@ class ReachCheckedChanges(coset._Changes):
         self._check(start, len(self.p))
 
     def _check(self, start, stop):
-        enum, p, table = self.enum, self.p, self.table
+        enum, p, table = self.enum, self.p, self.enum.table
         if self.needed is None:
             self.needed = ball(table, rows_changed(enum.snapshot, p, table), self.reach)
         skipped = [c for c in range(start, stop) if p[c] == c]
@@ -1408,9 +1447,9 @@ def two_generators(relators):
 
 
 @pytest.mark.parametrize("pres,subgroup,max_cosets", [
-    pytest.param(triangle_23k(7), (), 2000, id="237-cap-2000"),
-    pytest.param(triangle_23k(7), (), 20_000, id="237-cap-20000"),
-    pytest.param(triangle_23k(8), (), 10_000, id="238-cap-10000"),
+    pytest.param(triangle_23k(7), (), 2000, id="237-cap-2000", marks=SEPARATE_COLUMNS),
+    pytest.param(triangle_23k(7), (), 20_000, id="237-cap-20000", marks=SEPARATE_COLUMNS),
+    pytest.param(triangle_23k(8), (), 10_000, id="238-cap-10000", marks=SEPARATE_COLUMNS),
     # A row HLT writes lies within reach of a coset that lies beyond
     # reach of every coset HLT scanned, but within twice the reach.
     pytest.param(two_generators("x^4 y^2*x*y^2*x^-1"), (), 484, id="x4-cap-484"),
@@ -1421,8 +1460,8 @@ def two_generators(relators):
     # that reach past the ball an earlier search flagged around it.
     pytest.param(two_generators("y*x^-1*y*x*y^3"), (), 1915, id="yx7-cap-1915"),
 ])
-def test_a_pass_skips_no_coset_within_reach_of_a_changed_row(monkeypatch, pres, subgroup,
-                                                             max_cosets):
+def test_a_pass_skips_no_coset_within_reach_of_a_changed_row(layout, monkeypatch, pres,
+                                                             subgroup, max_cosets):
     monkeypatch.setattr(coset, "_Changes", ReachCheckedChanges)
     limits = EnumerationLimits(max_cosets)
     enum = ReachChecked(pres, subgroup, limits)
@@ -1631,8 +1670,10 @@ COMPACTION_PATHS = {
 @pytest.mark.parametrize("pres,subgroup,max_cosets,path", [
     # The first pass of (2,3,7) under 2000 kills coset 37 with HLT at 729;
     # the later passes kill only cosets above the pointer.
-    pytest.param(triangle_23k(7), (), 2000, "below-the-pointer", id="237-first-pass"),
-    pytest.param(triangle_23k(7), (), 2000, "above-the-pointer", id="237-later-passes"),
+    pytest.param(triangle_23k(7), (), 2000, "below-the-pointer", id="237-first-pass",
+                 marks=SEPARATE_COLUMNS),
+    pytest.param(triangle_23k(7), (), 2000, "above-the-pointer", id="237-later-passes",
+                 marks=SEPARATE_COLUMNS),
     # x^2 never forces a coincidence: the budget fills with live cosets.
     pytest.param(load_presentation("generators: x y\nrelators: x^2\n"), (), 200,
                  "no-death", id="no-coincidence"),
@@ -1640,25 +1681,34 @@ COMPACTION_PATHS = {
     pytest.param(load_presentation("generators: x y\nrelators: x^5 y^2 (x*y)^2\n"),
                  (Word((1,)) ** 40,), 12, "subgroup-scan", id="subgroup-x40-cap-12"),
 ])
-def test_compaction_paths_keep_the_invariants(pres, subgroup, max_cosets, path):
+def test_compaction_paths_keep_the_invariants(layout, pres, subgroup, max_cosets, path):
     checked = assert_compaction_matches_the_reference(pres, subgroup,
                                                       EnumerationLimits(max_cosets))
     assert any(COMPACTION_PATHS[path](alpha, first) for alpha, first in checked.compactions)
+
+
+def overflow_peak_per_coset(limits):
+    """The tracemalloc peak, in bytes per coset of the budget, of the
+    (2,3,7) run that fills limits and gives up: with x's one column list,
+    and with a list for x and one for x^-1, whose lookahead frees cosets
+    and whose compaction moves them."""
+    peaks = []
+    for layout in (contextlib.nullcontext(), separate_columns()):
+        tracemalloc.start()
+        try:
+            with layout, pytest.raises(LimitExceeded):
+                group_order(triangle_23k(7), limits)
+            peaks.append(tracemalloc.get_traced_memory()[1] / limits.max_cosets)
+        finally:
+            tracemalloc.stop()
+    return peaks
 
 
 def test_overflow_path_keeps_one_table():
     # (2,3,7) is infinite, so this fills the budget, compacts and gives up.
     # A compaction that built a second table next to the first would need
     # well over 300 bytes per coset at its peak.
-    limits = EnumerationLimits(5000)
-    tracemalloc.start()
-    try:
-        with pytest.raises(LimitExceeded):
-            group_order(triangle_23k(7), limits)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / limits.max_cosets < 300
+    assert max(overflow_peak_per_coset(EnumerationLimits(5000))) < 300
 
 
 # -- HLT written out against the reference HLT -----------------------------
@@ -1703,11 +1753,12 @@ def test_hlt_matches_the_reference_hlt(case, max_cosets):
     pytest.param(load_presentation(ORBIFOLD_28_TEXT), (Word((1, 2)),),
                  EnumerationLimits(), False, id="orbifold-28-xy"),
     pytest.param(load_presentation(ORBIFOLD_28_TEXT), (), EnumerationLimits(121), True,
-                 id="orbifold-28-cap-121"),
+                 id="orbifold-28-cap-121", marks=SEPARATE_COLUMNS),
     pytest.param(family_15e(200), (), EnumerationLimits(), False, id="15E-200"),
-    pytest.param(triangle_23k(7), (), EnumerationLimits(2000), True, id="237-cap-2000"),
+    pytest.param(triangle_23k(7), (), EnumerationLimits(2000), True, id="237-cap-2000",
+                 marks=SEPARATE_COLUMNS),
 ])
-def test_hlt_matches_the_reference_hlt_on_named_cases(pres, subgroup, limits, passes):
+def test_hlt_matches_the_reference_hlt_on_named_cases(layout, pres, subgroup, limits, passes):
     hlt = assert_hlt_matches_the_reference(pres, subgroup, limits)
     assert bool(hlt.returns) == passes
 
@@ -1833,7 +1884,10 @@ def test_the_growth_cases_reach_both_endings_one_below_the_peak():
         peak = len(raw_state(_Enumerator(pres, subgroup, EnumerationLimits()))[1])
         state = raw_state(_Enumerator(pres, subgroup, EnumerationLimits(peak - 1)))
         endings.add(state if isinstance(state, str) else "completes")
-    assert endings == {"completes", "coset budget 13 exhausted", "coset budget 39 exhausted"}
+    # orbifold-28 over <x*y> peaks at its index, 60, since y and z share
+    # a list each, so one below that it gives up.
+    assert endings == {"completes", "coset budget 13 exhausted", "coset budget 39 exhausted",
+                       "coset budget 59 exhausted"}
 
 
 # -- the coincidence written out against the reference ---------------------
@@ -1877,7 +1931,8 @@ def test_coincidence_reaches_every_outcome(relators, order, cascade):
     assert group_order(pres) == order
 
 
-def test_lookahead_coincidences_match_the_reference():
+@SEPARATE_COLUMNS
+def test_lookahead_coincidences_match_the_reference(layout):
     # (2,3,7) is infinite: under 2000 cosets it runs the lookahead, whose
     # scans kill cosets, and then gives up.  The lookahead's kills are
     # those recorded between _make_room's start and its _compact call.
@@ -2153,11 +2208,11 @@ class SavesStateBeforeCompaction(_Enumerator):
     pytest.param(load_presentation("generators: x y\nrelators: x^2\n"), (), 200,
                  id="no-coincidence"),
     # Give up after compactions that freed cosets.
-    pytest.param(triangle_23k(7), (), 2000, id="237-after-compactions"),
+    pytest.param(triangle_23k(7), (), 2000, id="237-after-compactions", marks=SEPARATE_COLUMNS),
     pytest.param(load_presentation("generators: x y z\nrelators: y*x^-1*z^-2 x^-40 "
                                    "y*z*y*z^-3*y^-1 x^-25\n"), (), 300, id="xyz-cap-300"),
 ])
-def test_a_compaction_that_gives_up_changes_nothing(pres, subgroup, max_cosets):
+def test_a_compaction_that_gives_up_changes_nothing(layout, pres, subgroup, max_cosets):
     enum = SavesStateBeforeCompaction(pres, subgroup, EnumerationLimits(max_cosets))
     with pytest.raises(LimitExceeded, match=f"coset budget {max_cosets} exhausted"):
         enum.run()
@@ -2166,21 +2221,15 @@ def test_a_compaction_that_gives_up_changes_nothing(pres, subgroup, max_cosets):
 
 def test_the_overflow_path_keeps_105_bytes_per_coset():
     # Under tracemalloc, the (2,3,7) run that fills its budget holds about
-    # 78 bytes per coset: a slot in each of the four column lists and in
-    # p and closed, and the label's int, which p and the table share.
-    # Compaction renumbers p in place and reuses the label ints, so the
-    # run peaks at about 81.  With renumber's two lists and a second int
-    # per moved label it peaked at 141, with separate ints for p and the
-    # table at 161, and with one list per row at 210.
-    limits = EnumerationLimits(20_000)
-    tracemalloc.start()
-    try:
-        with pytest.raises(LimitExceeded):
-            group_order(triangle_23k(7), limits)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / limits.max_cosets <= 105
+    # 69 bytes per coset: a slot in each of the three column lists (x and
+    # x^-1 share one) and in p and closed, and the label's int, which p
+    # and the table share.  It gives up at its first compaction, before
+    # that writes anything.  With a list for x and one for x^-1 it held
+    # about 78 and, since compaction renumbers p in place and reuses the
+    # label ints, peaked at about 81.  With renumber's two lists and a
+    # second int per moved label it peaked at 141, with separate ints for
+    # p and the table at 161, and with one list per row at 210.
+    assert max(overflow_peak_per_coset(EnumerationLimits(20_000))) <= 105
 
 
 # -- indices and coset words read off the regular table ------------------
@@ -2373,3 +2422,131 @@ def test_a_presentation_without_generators_has_one_coset_and_no_columns():
     verify_coset_table(table, Presentation((), ()))
     assert table_to_tsv(table) == "coset\n0\n"
     assert coset_words(table) == (Word(()),)
+
+
+# -- an involution's one column list against a list for g and one for g^-1 --
+
+
+def standardized_or_none(pres, subgroup, limits):
+    try:
+        return enumerate_cosets(pres, subgroup, limits).columns
+    except LimitExceeded:
+        return None
+
+
+@st.composite
+def involution_presentations(draw):
+    """One to three generators, one or more of them with a relator g^2 or
+    g^-2, next to relators that often make the group finite (Coxeter-like
+    (a*b)^m, small powers) or random words, and sometimes subgroup words."""
+    n_gens = draw(st.integers(1, 3))
+    gens = [Word.generator(i) for i in range(n_gens)]
+    letters = st.sampled_from([s * i for i in range(1, n_gens + 1) for s in (1, -1)])
+    words = st.lists(letters, min_size=1, max_size=6).map(lambda ls: Word(tuple(ls)))
+    involutions = draw(st.lists(st.sampled_from(gens), min_size=1, unique=True))
+    relators = [g ** draw(st.sampled_from((2, -2))) for g in involutions]
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            relators.append((a * b) ** draw(st.integers(2, 5)))
+        elif kind == 1:
+            relators.append(a ** draw(st.integers(2, 6)))
+        else:
+            relators.append(draw(words))
+    relators = [r for r in relators if r]
+    draw(st.randoms()).shuffle(relators)
+    subgroup = tuple(draw(st.lists(words, max_size=2)))
+    return Presentation(tuple("xyz"[:n_gens]), tuple(relators)), subgroup
+
+
+@settings(max_examples=150, deadline=None)
+@given(involution_presentations(), st.integers(5, 2000))
+def test_shared_involution_columns_give_the_separate_columns_tables(case, max_cosets):
+    pres, subgroup = case
+    limits = EnumerationLimits(max_cosets)
+    shared = standardized_or_none(pres, subgroup, limits)
+    with separate_columns():
+        separate = standardized_or_none(pres, subgroup, limits)
+    if shared is not None and separate is not None:
+        assert shared == separate
+    if shared is not None:
+        for g in coset._involutions(pres.relator_columns):
+            assert shared[2 * g + 1] is shared[2 * g]
+
+
+@pytest.mark.parametrize("pres,subgroup,gains", [
+    pytest.param(SMALL_FINITE[4], (), [], id="coxeter-s5"),
+    # Its raw table peaks at 121 rows, and at 120, its order, with y and z
+    # sharing a list each: so a budget of 120 completes only that way.
+    pytest.param(load_presentation(ORBIFOLD_28_TEXT), (), [120], id="orbifold-28"),
+    pytest.param(load_presentation(ORBIFOLD_28_TEXT), (Word((1, 2)),), [60],
+                 id="orbifold-28-xy"),
+    pytest.param(triangle_23k(5), (), [], id="235"),
+    pytest.param(load_presentation(D7), (), [], id="dihedral-7"),
+    pytest.param(family_15e(20), (), [], id="15E-20"),
+])
+def test_no_budget_that_separate_columns_complete_under_overflows(pres, subgroup, gains):
+    # Every budget from the index to three times it: what completes with a
+    # list for g and one for g^-1 completes with an involution's one list,
+    # and the budgets gains name complete only with the one list.
+    index = enumerate_cosets(pres, subgroup).n_cosets
+    budgets = range(index, 3 * index + 1)
+    shared = [standardized_or_none(pres, subgroup, EnumerationLimits(b)) for b in budgets]
+    with separate_columns():
+        separate = [standardized_or_none(pres, subgroup, EnumerationLimits(b)) for b in budgets]
+    assert [b for b, columns in zip(budgets, separate) if columns is not None and
+            shared[b - index] is None] == []
+    assert [b for b, columns in zip(budgets, shared) if columns is not None and
+            separate[b - index] is None] == gains
+    assert {columns for columns in shared + separate if columns is not None} == \
+        {enumerate_cosets(pres, subgroup).columns}
+
+
+def shared_generators(enum):
+    """The generators whose two columns are one list in enum's raw table."""
+    table = enum.table
+    return {col >> 1 for col in range(1, len(table), 2) if table[col] is table[col - 1]}
+
+
+@pytest.mark.parametrize("relators,involutions,scanned", [
+    ("x^2 y^3", {0}, ["y^3"]),
+    ("x^-2 y^3", {0}, ["y^3"]),
+    ("y^-2 x^2 (x*y)^3", {0, 1}, ["(x*y)^3"]),
+    ("x^4 y^3", set(), ["x^4", "y^3"]),
+    ("x*x*y", set(), ["x*x*y"]),
+])
+def test_only_a_relator_g2_or_g_inverse_2_shares_a_column(relators, involutions, scanned):
+    pres = load_presentation(f"generators: x y\nrelators: {relators}\n")
+    assert coset._involutions(pres.relator_columns) == involutions
+    enum = _Enumerator(pres, (), EnumerationLimits())
+    assert shared_generators(enum) == involutions
+    assert list(enum.relator_cols) == \
+        [letter_columns(parse_word(w, pres.generator_names)) for w in scanned]
+    # Each distinct list once: _grow, the trim and the coincidence walk these.
+    assert len(enum.lists) == len(enum.pairs) == 4 - len(involutions)
+    with separate_columns():
+        assert shared_generators(_Enumerator(pres, (), EnumerationLimits())) == set()
+
+
+def test_a_subgroup_word_x_squared_shares_no_column():
+    # x*x in the subgroup puts x^2 in it; x still has order 4 in this
+    # dihedral group of order 8, and <x^2> has index 4.  x^2 is central,
+    # so x acts on these cosets as an involution: its columns are equal,
+    # but they are two lists while the enumeration runs.
+    pres = load_presentation("generators: x y\nrelators: x^4 y^2 (x*y)^2\n")
+    subgroup = (Word((1, 1)),)
+    assert shared_generators(_Enumerator(pres, subgroup, EnumerationLimits())) == {1}
+    table = enumerate_cosets(pres, subgroup)
+    assert table.n_cosets == 4
+    assert table.columns[1] is not table.columns[0]
+    assert table.columns[3] is table.columns[2]
+
+
+def test_a_completed_table_has_one_column_tuple_per_involution():
+    table = enumerate_cosets(COXETER_S6)
+    assert table.n_cosets == 720
+    assert all(table.columns[2 * g + 1] is table.columns[2 * g] for g in range(5))
+    orbifold = enumerate_cosets(load_presentation(ORBIFOLD_28_TEXT))
+    assert [orbifold.columns[2 * g + 1] is orbifold.columns[2 * g] for g in range(3)] == \
+        [False, True, True]
