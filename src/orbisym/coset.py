@@ -56,8 +56,8 @@ every coset by construction, so it is left out of the scanned relators
 checks it).  With a list each, HLT would learn that g and g^-1 agree
 only when it scans g^2, and meanwhile define cosets that a coincidence
 then kills: S7's Coxeter presentation takes 12 145 raw rows for 5040
-cosets that way, and 6411 this way.  Whatever walks every list (_grow, run's
-trim, _Changes, the coincidence's pairs) walks each distinct list once.
+cosets that way, and 6411 this way.  Whatever walks every list (_grow,
+run's trim, the coincidence's pairs) walks each distinct list once.
 The coincidence must: a second visit of a shared list would clear the
 entry the first one wrote.  _compact goes a generator at a time, and
 for an involution reads and writes its one list twice, with equal
@@ -95,31 +95,12 @@ scanning everywhere.  Bits are set in two places:
   reaches the coset.
 
 The lookahead starts at HLT's pointer, since every live coset below it
-has had each relator scanned to closure.  The first pass scans every
-live coset from there on.  A later pass scans only those within reach
-of a row changed since the pass before, where the reach r is the length
-of the longest relator or subgroup word less one (an unscanned g^2
-counts, which keeps r at least 1 where a row fill writes); the raw
-state, and where LimitExceeded fires, are those of scanning them all.
-A skipped scan is a no-op: a lookahead scan at c that stops at a gap of
-two or more writes nothing, and it reads only the rows of cosets within
-r steps of c, so until one of those rows changes a scan there stops at
-the same gap again.  A coincidence moves each entry into a coset it
-kills onto that coset's representative, which reads the same, so the
-rows it changes are the representatives'; and paths only shorten as
-cosets merge.
+has had each relator scanned to closure, and each pass scans every live
+coset from there on.
 
-So a pass flags, by breadth-first search (_Changes), the cosets within
-r of the rows changed since the pass before: those that pass changed,
-mapped through its compaction; those of the representatives of the
-cosets that died since; and those HLT wrote.  HLT writes and defines
-cosets only within r of the coset it scans, so the cosets within 2r of
-its pointer range cover those.  Each deduction and coincidence of the
-pass itself flags the cosets within r of it at once.
-
-Compaction then works in place
-from the first dead coset, whose label _coincidence records as it kills
-it.  It relies on three invariants the enumerator keeps:
+Compaction then works in place from the first dead coset, whose label
+_coincidence records as it kills it.  It relies on three invariants the
+enumerator keeps:
 
 - every label below the first dead one is live, because compaction
   leaves no dead label and only a merge kills one;
@@ -170,10 +151,9 @@ every coset.
 from __future__ import annotations
 
 from collections import deque
-import re
 from dataclasses import dataclass
-from itertools import compress, count, islice, repeat
-from operator import eq, ne
+from itertools import repeat
+from operator import eq
 from typing import Iterable, Iterator, Sequence
 
 from .errors import LimitExceeded
@@ -230,18 +210,6 @@ class CosetTable:
 # Shorter powers, such as the (x*y)^7 of the (2,3,7) triangle group, are
 # rescanned: their marks cost more than the scans they save.
 MIN_MARKED_POWER = 16
-
-# A lookahead pass after the first scans only the cosets within reach of
-# the rows changed since the pass before (see the module docstring).  When
-# those rows number more than 1/FULL_PASS_SHARE of the cosets from HLT's
-# pointer on, it scans every coset from there instead, as the first pass
-# does.  The balls around that many rows hold much of the table: with a
-# quarter, the third pass of (2,3,7) under 10^5 cosets flagged 23 000 of
-# its 62 000 cosets and took about as long as a full one.
-FULL_PASS_SHARE = 16
-
-# A nonzero byte: a coset that a lookahead pass flagged (_Changes).
-_NONZERO = re.compile(rb"[^\x00]")
 
 
 def _primitive_root(cols: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -306,15 +274,6 @@ class _Enumerator:
         # below it is live.  No label reaches max_cosets (run), so
         # max_cosets means none has died.
         self.first_dead = limits.max_cosets
-        # A scan at coset c reads only the rows of cosets within reach of
-        # c, and HLT's scans at c write only there (module docstring).
-        self.reach = max(map(len, (*pres.relator_columns, *self.sub_cols)), default=1) - 1
-        # The labels of the rows the last lookahead pass changed, mapped
-        # through its compaction; None before the first pass, and when
-        # there were too many to note, so that the next pass is full.
-        self.changed: list[int] | None = None
-        # Where HLT resumed after the last compaction.
-        self.resumed = 0
 
     def _bind(self, cols: Sequence[int]) -> tuple[tuple[list[int | None], ...],
                                                   tuple[list[int | None], ...]]:
@@ -339,8 +298,7 @@ class _Enumerator:
         A merge keeps the smaller label, records the first dead label and
         hands the dead coset's closed bits to the representative.  An
         edge that forces no merge is a deduction.  self.first_dead is
-        written back before returning.  Returns the cosets killed, in the
-        order killed; HLT ignores them, the lookahead notes them.
+        written back before returning.
         """
         p, closed = self.p, self.closed
         first_dead = self.first_dead
@@ -361,7 +319,7 @@ class _Enumerator:
                 p[b], b = root, p[b]
         b = root
         if a == b:
-            return ()
+            return
         if a > b:
             a, b = b, a
         p[b] = a
@@ -427,7 +385,6 @@ class _Enumerator:
                 if bits:
                     closed[a] |= bits
         self.first_dead = first_dead
-        return queue
 
     # -- space management ----------------------------------------------
 
@@ -435,19 +392,14 @@ class _Enumerator:
         """Lookahead collapse from alpha, then compaction (_compact).
 
         The lookahead scans every relator at each live coset from alpha
-        on that _Changes lists, skips the pairs marked in self.closed,
-        and marks each scan that gets all the way round.  Cosets below
-        alpha need no scan: HLT has scanned every relator there to
-        closure.  The first pass lists every coset; a later one lists
-        only those within reach of a row changed since the pass before,
-        since a scan anywhere else stops at the gap it stopped at then
-        and writes nothing (module docstring).  Its scan is HLT's without
-        the fill, written out on local names: it stops at a gap of two or
-        more, but still applies the one forced deduction and every
-        coincidence, and notes the rows each of those changes.  The
-        marks are read once per coset: a bit that a coincidence adds to
-        the mask meanwhile only lets a relator that already closes be
-        scanned again, which changes nothing.
+        on, skips the pairs marked in self.closed, and marks each scan
+        that gets all the way round.  Cosets below alpha need no scan:
+        HLT has scanned every relator there to closure.  Its scan is
+        HLT's without the fill, written out on local names: it stops at
+        a gap of two or more, but still applies the one forced deduction
+        and every coincidence.  The marks are read once per coset: a bit
+        that a coincidence adds to the mask meanwhile only lets a relator
+        that already closes be scanned again, which changes nothing.
 
         Returns the new index of the first live coset at or after alpha;
         alpha itself may have died in the lookahead.
@@ -456,11 +408,9 @@ class _Enumerator:
         coincidence = self._coincidence
         relators = [(1 << i, *self._bind(cols), len(cols) - 1)
                     for i, cols in enumerate(self.relator_cols)]
-        changes = _Changes(self, alpha)
-        deduced, merged = changes.deduced, changes.merged
         # A scan can store c in the table, so c is p's int for the label,
         # not a second one made by the range.
-        for c, label in changes.cosets(alpha):
+        for c, label in enumerate(_tail(p, alpha), alpha):
             if label != c:
                 continue
             c = label
@@ -478,7 +428,7 @@ class _Enumerator:
                     i += 1
                 if i > j:
                     if f != b:
-                        merged(coincidence(f, b))
+                        coincidence(f, b)
                         if p[c] != c:
                             break
                 else:
@@ -489,21 +439,17 @@ class _Enumerator:
                         b = prv
                         j -= 1
                     if j < i:
-                        merged(coincidence(f, b))
+                        coincidence(f, b)
                         if p[c] != c:
                             break
                     elif j == i:
                         fwd[i][f] = b
                         back[i][b] = f
-                        deduced(f, b)
                     else:
                         # A gap: the relator does not close here yet.
                         continue
                 closed[c] |= bit
-        self.changed = changes.noted
-        del changes, deduced, merged  # its bytes, before compaction's peak
-        self.resumed = self._compact(alpha)
-        return self.resumed
+        return self._compact(alpha)
 
     def _compact(self, alpha: int) -> int:
         """Drop the dead cosets in place, or raise LimitExceeded when every
@@ -554,9 +500,6 @@ class _Enumerator:
         n = new
         del pending  # before the column passes, where the peak is
         # p is now the map from old labels to new ones, the one time it is.
-        changed = self.changed
-        if changed:
-            changed[:] = map(p.__getitem__, changed)
         table = self.table
         # An involution's list is fwd and inv at once; each moved entry
         # then reads and writes the same slots twice, with the same value.
@@ -727,114 +670,6 @@ class _Enumerator:
                 break
             if c > alpha:
                 closed[c] |= bit
-
-
-class _Changes:
-    """One lookahead pass's account of changed rows (module docstring).
-
-    cosets(alpha) lists the cosets the pass scans: every live one from
-    alpha on in a full pass, else the flagged ones.  A pass after the
-    first is flagged unless its seeds number more than 1/FULL_PASS_SHARE
-    of the cosets from alpha on, or twice the reach does not fit in a
-    byte.  The seeds are the labels from where HLT resumed to alpha,
-    flagged within twice the reach, and, flagged within the reach, the
-    labels the last pass noted and those that died since it.  A label is
-    read as its representative.
-
-    deduced and merged note the labels whose rows a deduction or a
-    coincidence of the pass changes: both ends of the deduction, and the
-    cosets the coincidence killed.  A flagged pass flags the cosets
-    within reach of them at once.  Every pass keeps them in noted for
-    the next one, until they number more than the share; noted is then
-    None, and the next pass is full.
-
-    rem holds a byte per coset: rem[c] is one more than the largest
-    radius a search has spread from c with, and 0 when none has reached
-    c.  The cosets flagged are those with a nonzero byte.  A search
-    spreads on from a coset only with a larger radius than rem records,
-    since the ball it would flag is flagged already; but always from a
-    seed, whose row has just changed, so that an earlier ball around it
-    need not hold what its new entries reach.  The finds walk to the
-    root without compressing a path, so p stays as a full pass leaves
-    it.
-    """
-
-    def __init__(self, enum: _Enumerator, alpha: int):
-        p, reach = enum.p, enum.reach
-        self.p, self.lists, self.reach = p, enum.lists, reach
-        self.cap = (len(p) - alpha) // FULL_PASS_SHARE
-        self.noted: list[int] | None = []
-        self.rem = None
-        if enum.changed is None or 2 * reach + 1 > 255:
-            return
-        near = range(enum.resumed, alpha + 1)
-        room = self.cap - len(near) - len(enum.changed)
-        if room < 0:
-            return
-        first = enum.first_dead
-        dead = compress(count(first), map(ne, _tail(p, first), count(first)))
-        far = enum.changed + list(islice(dead, room + 1))
-        if len(near) + len(far) > self.cap:
-            return
-        self.rem = bytearray(len(p))
-        self._spread(near, 2 * reach)
-        self._spread(far, reach)
-
-    def cosets(self, alpha: int) -> Iterator[tuple[int, int]]:
-        """(c, p[c]) for each coset c from alpha on that the pass scans,
-        in ascending order."""
-        if self.rem is None:
-            return enumerate(_tail(self.p, alpha), alpha)
-        return self._flagged(alpha)
-
-    def _flagged(self, c: int) -> Iterator[tuple[int, int]]:
-        # Finds the next flag when the pass asks for it, so a flag that
-        # the pass sets meanwhile is seen.
-        p, rem, search = self.p, self.rem, _NONZERO.search
-        found = search(rem, c)
-        while found:
-            c = found.start()
-            yield c, p[c]
-            found = search(rem, c + 1)
-
-    def deduced(self, f: int, b: int) -> None:
-        self._note((f, b))
-
-    def merged(self, killed: Sequence[int]) -> None:
-        if killed:
-            self._note(killed)
-
-    def _note(self, labels: Sequence[int]) -> None:
-        noted = self.noted
-        if noted is not None:
-            noted += labels
-            if len(noted) > self.cap:
-                self.noted = None
-        if self.rem is not None:
-            self._spread(labels, self.reach)
-
-    def _spread(self, seeds: Iterable[int], radius: int) -> None:
-        """Flag every coset within radius of a seed's representative: one
-        breadth-first search from all of them, a level at a time."""
-        p, lists, rem = self.p, self.lists, self.rem
-        roots = []
-        for c in seeds:
-            while p[c] != c:
-                c = p[c]
-            roots.append(c)
-        frontier = list(dict.fromkeys(roots))
-        for c in frontier:
-            if rem[c] <= radius:
-                rem[c] = radius + 1
-        for level in range(radius, 0, -1):
-            reached = []
-            for c in frontier:
-                for column in lists:
-                    d = column[c]
-                    if d is not None and rem[d] < level:
-                        rem[d] = level
-                        reached.append(d)
-            frontier = reached
 
 
 def _involutions(relator_cols: Iterable[tuple[int, ...]]) -> frozenset[int]:

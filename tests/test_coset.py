@@ -101,6 +101,34 @@ def separate_columns():
 SEPARATE_COLUMNS = pytest.mark.separate_columns
 
 
+class OutOfTime(BaseException):
+    """Raised in a test here that runs past TIME_LIMIT_S.  Not an
+    Exception, so that hypothesis does not catch it and go on shrinking
+    the example, and no `except Exception` swallows it."""
+
+
+# Every test here must finish within this many seconds.  A change that
+# makes finite presentations look infinite can have a test fill the
+# default budget of 10^6 cosets again and again; it then fails at the
+# limit instead of holding up the file.
+TIME_LIMIT_S = 60
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    def out_of_time(signum, frame):
+        raise OutOfTime(f"still running after {TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    # and again each second after, should a finalizer swallow the first
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S, 1)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.fixture
 def layout(request):
     marked = request.node.get_closest_marker("separate_columns")
@@ -267,7 +295,7 @@ class ReferenceCoincidence(ReferenceAssign):
     It also counts, per edge of a dead coset, which way it went
     ("existing": a merge with the representative's entry, "inverse": a
     merge with the inverse entry, "deduction"), and records the cosets
-    each call kills, which it returns, as _coincidence does."""
+    each call kills."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -319,7 +347,6 @@ class ReferenceCoincidence(ReferenceAssign):
                 else:
                     self.outcomes["deduction"] += 1
                     assign(mu, col, nu)
-        return queue
 
 
 # -- Felsch: the reference enumerator HLT is compared against -------------
@@ -434,23 +461,8 @@ COXETER_S7 = load_presentation(
     (family_15e(2000), (), 4000),
 ], ids=["s7", "s7-a", "19-100", "15E-2000"])
 def test_large_tables_are_exact(pres, subgroup, index):
-    # Each must finish within 60 s, as it had to when it ran in a child
-    # process: a run that goes on past that fails, where it would stall
-    # the suite.
-    def out_of_time(signum, frame):
-        raise TimeoutError
-
-    previous = signal.signal(signal.SIGALRM, out_of_time)
-    # and again each second after, should a finalizer swallow the first
-    signal.setitimer(signal.ITIMER_REAL, 60, 1)
-    try:
-        n_cosets = enumerate_cosets(pres, subgroup).n_cosets
-    except TimeoutError:
-        n_cosets = "still running after 60 s"
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    assert n_cosets == index
+    # Each must finish within TIME_LIMIT_S (the time_limit fixture).
+    assert enumerate_cosets(pres, subgroup).n_cosets == index
 
 
 def test_identity_subgroup_word_is_noop():
@@ -1213,69 +1225,17 @@ def test_lookahead_starts_at_the_pointer_and_skips_closed_pairs(layout, pres, ma
     assert sum(incremental.passes) < sum(reference.passes)
 
 
-# -- lookahead passes that skip the cosets out of reach of a change -------
-
-
-class FullPassLookahead(_Enumerator):
-    """_make_room as it was before a pass skipped the cosets out of reach
-    of every changed row: each pass scans every live coset from HLT's
-    pointer on, written out on local names.  Compaction is the
-    enumerator's.  The enumerator's passes must leave the same raw state,
-    since the scans they skip stop at a gap and write nothing."""
-
-    def _make_room(self, alpha):
-        p, closed = self.p, self.closed
-        coincidence = self._coincidence
-        relators = [(1 << i, *self._bind(cols), len(cols) - 1)
-                    for i, cols in enumerate(self.relator_cols)]
-        for c, label in enumerate(coset._tail(p, alpha), alpha):
-            if label != c:
-                continue
-            c = label
-            skip = closed[c]
-            for bit, fwd, back, last in relators:
-                if skip & bit:
-                    continue
-                f = b = c
-                i, j = 0, last
-                while i <= j:
-                    nxt = fwd[i][f]
-                    if nxt is None:
-                        break
-                    f = nxt
-                    i += 1
-                if i > j:
-                    if f != b:
-                        coincidence(f, b)
-                        if p[c] != c:
-                            break
-                else:
-                    while j >= i:
-                        prv = back[j][b]
-                        if prv is None:
-                            break
-                        b = prv
-                        j -= 1
-                    if j < i:
-                        coincidence(f, b)
-                        if p[c] != c:
-                            break
-                    elif j == i:
-                        fwd[i][f] = b
-                        back[i][b] = f
-                    else:
-                        continue
-                closed[c] |= bit
-        return self._compact(alpha)
+# -- lookahead passes on inputs that run many of them --------------------
 
 
 XYZ = load_presentation("generators: x y z\nrelators: y*x^-1*z^-2 x^-40 "
                         "y*z*y*z^-3*y^-1 x^-25\n")
 
-# Budgets under which some pass skips cosets: (2,3,7) with separate columns
-# flags its later passes at 2000 and 20 000 cosets, and at 100 000 as
-# `runaway` did before x shared one list.
-FLAGGED_PASS_CASES = [
+# Budgets under which the lookahead runs several passes, compacting
+# between them: (2,3,7) with separate columns at 2000, 20 000 and 100 000
+# cosets (4, 5 and 6 passes), (2,3,8) and (2,3,9) likewise at 10 000 (5
+# and 4), and xyz at 300 and 3000 cosets (198 and 859).
+MANY_PASS_CASES = [
     pytest.param(triangle_23k(7), 2000, id="237-cap-2000", marks=SEPARATE_COLUMNS),
     pytest.param(triangle_23k(7), 20_000, id="237-cap-20000", marks=SEPARATE_COLUMNS),
     pytest.param(triangle_23k(7), 100_000, id="237-cap-100000", marks=SEPARATE_COLUMNS),
@@ -1286,11 +1246,13 @@ FLAGGED_PASS_CASES = [
 ]
 
 
-@pytest.mark.parametrize("pres,max_cosets", FLAGGED_PASS_CASES)
+# The lookahead as _make_room writes it out against ReferenceScanLookahead,
+# one _scan call per (coset, relator) pair, over every pass of each run.
+@pytest.mark.parametrize("pres,max_cosets", MANY_PASS_CASES)
 def test_skipping_passes_match_the_full_passes_on_named_cases(layout, pres, max_cosets):
     limits = EnumerationLimits(max_cosets)
     assert full_state(_Enumerator(pres, (), limits)) == \
-        full_state(FullPassLookahead(pres, (), limits))
+        full_state(ReferenceScanLookahead(pres, (), limits))
 
 
 @st.composite
@@ -1306,259 +1268,7 @@ def triangle_presentations(draw):
 def test_skipping_passes_match_the_full_passes_on_triangle_groups(pres, max_cosets):
     limits = EnumerationLimits(max_cosets)
     assert full_state(_Enumerator(pres, (), limits)) == \
-        full_state(FullPassLookahead(pres, (), limits))
-
-
-class CountsPassCosets:
-    """Mixin that counts, per _make_room pass, the cosets its loop visits
-    (every live coset from the pointer on for FullPassLookahead, only the
-    flagged ones for the enumerator) and whether the pass was flagged."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.visits = []
-        self.flagged = []
-
-    def _make_room(self, alpha):
-        self.visits.append(sum(1 for c in range(alpha, len(self.p)) if self.p[c] == c))
-        self.flagged.append(False)
-        return super()._make_room(alpha)
-
-
-class CountingChanges(coset._Changes):
-    """_Changes that counts, on its enumerator, the cosets a flagged pass
-    visits."""
-
-    def __init__(self, enum, alpha):
-        super().__init__(enum, alpha)
-        self.enum = enum
-
-    def _flagged(self, c):
-        enum = self.enum
-        enum.flagged[-1] = True
-        enum.visits[-1] = 0
-        for c, label in super()._flagged(c):
-            enum.visits[-1] += label == c
-            yield c, label
-
-
-class CountingPasses(CountsPassCosets, _Enumerator):
-    pass
-
-
-class CountingFullPasses(CountsPassCosets, FullPassLookahead):
-    pass
-
-
-@SEPARATE_COLUMNS
-@pytest.mark.parametrize("pres,max_cosets", [
-    pytest.param(triangle_23k(7), 20_000, id="237-cap-20000"),
-    pytest.param(triangle_23k(7), 100_000, id="237-cap-100000"),
-])
-def test_later_passes_scan_fewer_cosets_than_the_full_passes(layout, monkeypatch, pres,
-                                                             max_cosets):
-    monkeypatch.setattr(coset, "_Changes", CountingChanges)
-    limits = EnumerationLimits(max_cosets)
-    skipping, full = CountingPasses(pres, (), limits), CountingFullPasses(pres, (), limits)
-    assert full_state(skipping) == full_state(full)
-    assert len(skipping.visits) == len(full.visits) > 1
-    assert not skipping.flagged[0] and any(skipping.flagged)
-    assert skipping.visits[0] == full.visits[0]
-    assert sum(skipping.visits[1:]) < sum(full.visits[1:])
-    for visits, full_visits, flagged in zip(skipping.visits, full.visits, skipping.flagged):
-        assert visits < full_visits if flagged else visits == full_visits
-
-
-def rows_changed(snapshot, p, table):
-    """The live cosets whose rows differ from snapshot, the raw table when
-    the last pass ended, read through the union-find: one that absorbed
-    a dead coset, one defined since, and one with an entry that is not
-    the representative of its old entry."""
-    changed = set()
-    for c in range(len(p)):
-        if p[c] != c:
-            changed.add(find(p, c))
-        elif c >= len(snapshot[0]) or any(
-                (None if old[c] is None else find(p, old[c])) != column[c]
-                for old, column in zip(snapshot, table)):
-            changed.add(c)
-    return changed
-
-
-def ball(table, sources, radius):
-    """The cosets within radius steps of a source, by breadth-first search."""
-    seen = set(sources)
-    frontier = list(seen)
-    for _ in range(radius):
-        frontier = [d for c in frontier for column in table
-                    if (d := column[c]) is not None and d not in seen and not seen.add(d)]
-    return seen
-
-
-class ReachCheckedChanges(coset._Changes):
-    """_Changes that checks, each time a flagged pass moves on to its next
-    coset, that none of the live cosets it steps over lies within reach
-    of a row changed since the last pass ended (rows_changed, ball): a
-    scan of each of those reads only unchanged rows, so it stops at the
-    gap it stopped at before.  Counts on its enumerator the cosets
-    stepped over."""
-
-    def __init__(self, enum, alpha):
-        super().__init__(enum, alpha)
-        self.enum = enum
-        self.needed = None
-
-    def _note(self, labels):
-        self.needed = None
-        super()._note(labels)
-
-    def _flagged(self, c):
-        start = c
-        for c, label in super()._flagged(c):
-            self._check(start, c)
-            start = c + 1
-            yield c, label
-        self._check(start, len(self.p))
-
-    def _check(self, start, stop):
-        enum, p, table = self.enum, self.p, self.enum.table
-        if self.needed is None:
-            self.needed = ball(table, rows_changed(enum.snapshot, p, table), self.reach)
-        skipped = [c for c in range(start, stop) if p[c] == c]
-        enum.skipped += len(skipped)
-        assert not self.needed.intersection(skipped)
-
-
-class ReachChecked(_Enumerator):
-    """Keeps a copy of the raw table as each pass leaves it, for
-    ReachCheckedChanges, and counts the cosets it checked."""
-
-    snapshot = None
-    skipped = 0
-
-    def _make_room(self, alpha):
-        start = super()._make_room(alpha)
-        self.snapshot = copy_table(self.table)
-        return start
-
-
-def two_generators(relators):
-    return load_presentation(f"generators: x y\nrelators: {relators}\n")
-
-
-@pytest.mark.parametrize("pres,subgroup,max_cosets", [
-    pytest.param(triangle_23k(7), (), 2000, id="237-cap-2000", marks=SEPARATE_COLUMNS),
-    pytest.param(triangle_23k(7), (), 20_000, id="237-cap-20000", marks=SEPARATE_COLUMNS),
-    pytest.param(triangle_23k(8), (), 10_000, id="238-cap-10000", marks=SEPARATE_COLUMNS),
-    # A row HLT writes lies within reach of a coset that lies beyond
-    # reach of every coset HLT scanned, but within twice the reach.
-    pytest.param(two_generators("x^4 y^2*x*y^2*x^-1"), (), 484, id="x4-cap-484"),
-    # A deduction of a flagged pass changes a row within reach of a
-    # later coset that nothing else flags.
-    pytest.param(two_generators("y*x^-1*y^-2*x^-1*y^-1*x"), (), 1865, id="yx6-cap-1865"),
-    # A coincidence of a flagged pass gives the representative entries
-    # that reach past the ball an earlier search flagged around it.
-    pytest.param(two_generators("y*x^-1*y*x*y^3"), (), 1915, id="yx7-cap-1915"),
-])
-def test_a_pass_skips_no_coset_within_reach_of_a_changed_row(layout, monkeypatch, pres,
-                                                             subgroup, max_cosets):
-    monkeypatch.setattr(coset, "_Changes", ReachCheckedChanges)
-    limits = EnumerationLimits(max_cosets)
-    enum = ReachChecked(pres, subgroup, limits)
-    assert full_state(enum) == full_state(FullPassLookahead(pres, subgroup, limits))
-    assert enum.skipped > 0
-
-
-def path_enumerator(n, reach):
-    """An enumerator over <x, y | x^(reach + 1)> whose raw table is the
-    path 0 - 1 - ... - n-1 along x, with y undefined, at a budget of n,
-    as a pass after the first finds it."""
-    pres = load_presentation(f"generators: x y\nrelators: x^{reach + 1}\n")
-    enum = _Enumerator(pres, (), EnumerationLimits(n))
-    enum.p[:] = range(n)
-    enum.closed[:] = [0] * n
-    x, x_inv, y, y_inv = enum.table
-    x[:] = [*range(1, n), None]
-    x_inv[:] = [None, *range(n - 1)]
-    y[:] = y_inv[:] = [None] * n
-    enum.changed = []
-    return enum
-
-
-def flagged(changes):
-    return {c for c, radius in enumerate(changes.rem) if radius}
-
-
-def interval(a, b):
-    return set(range(a, b + 1))
-
-
-def test_a_pass_flags_the_cosets_within_reach_of_each_seed():
-    # Reach 3 on a path of 200 cosets, HLT's pointer at 40 after resuming
-    # at 38: the pointer range is flagged within 6, and within 3 the
-    # coset the last pass noted (140) and the representative (100) of a
-    # coset that died since (199, whose row still lists 198).
-    enum = path_enumerator(200, 3)
-    enum.resumed = 38
-    enum.changed = [140]
-    enum.table[0][198] = None
-    enum.p[199] = 100
-    enum.first_dead = 199
-    changes = coset._Changes(enum, 40)
-    assert flagged(changes) == interval(32, 46) | interval(97, 103) | interval(137, 143)
-    assert list(changes.cosets(40)) == [(c, c) for c in sorted(flagged(changes)) if c >= 40]
-    # A deduction of the pass flags within 3 of both its ends at once,
-    # and is noted for the next pass.
-    changes.deduced(60, 170)
-    assert flagged(changes) - interval(32, 46) - interval(97, 103) - interval(137, 143) == \
-        interval(57, 63) | interval(167, 173)
-    assert changes.noted == [60, 170]
-
-
-def test_a_coincidence_of_the_pass_flags_around_its_representative_anew():
-    # Coset 44 lies within 2 of the pointer range, so the first search
-    # left it with a radius of 4, more than the reach.  A coincidence
-    # then kills 150 into 44, and 44 takes over 150's y edge to 120: the
-    # search from 44 must flag around 120 too, past the ball it had.
-    enum = path_enumerator(200, 3)
-    enum.resumed = 42
-    changes = coset._Changes(enum, 42)
-    assert flagged(changes) == interval(36, 48)
-    enum.p[150] = 44
-    y, y_inv = enum.table[2:]
-    y[44], y_inv[120] = 120, 44
-    changes.merged([150])
-    assert flagged(changes) == interval(36, 48) | interval(118, 122)
-    assert changes.noted == [150]
-
-
-def test_a_pass_with_too_many_seeds_or_too_long_a_reach_is_full():
-    # A sixteenth of the 160 cosets from HLT's pointer on is 10 seeds:
-    # here 3 in the pointer range, and 8, then 7, noted.
-    enum = path_enumerator(200, 3)
-    enum.resumed = 38
-    enum.changed = list(range(100, 108))
-    assert coset._Changes(enum, 40).rem is None
-    enum.changed.pop()
-    changes = coset._Changes(enum, 40)
-    assert changes.rem is not None
-    # A pass that notes more labels than that leaves the next one full.
-    changes.merged(list(range(150, 160)))
-    assert len(changes.noted) == 10
-    changes.deduced(60, 61)
-    assert changes.noted is None
-    # The cosets that died since the last pass count as seeds too.
-    enum.p[199] = 100
-    enum.first_dead = 199
-    assert coset._Changes(enum, 40).rem is None
-    # With no pass before, or with noted labels past the share, the pass
-    # is full; and so it is when a byte cannot hold twice the reach.
-    enum.changed = None
-    assert coset._Changes(enum, 40).rem is None
-    for reach, full in ((127, False), (128, True)):
-        enum = path_enumerator(200, reach)
-        enum.resumed = 40
-        assert (coset._Changes(enum, 40).rem is None) == full
+        full_state(ReferenceScanLookahead(pres, (), limits))
 
 
 def test_renumber_maps_every_label_to_its_representative():
