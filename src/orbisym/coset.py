@@ -85,11 +85,16 @@ representative), and those scans are skipped: the definition sequence,
 the raw table and the point where LimitExceeded fires are those of
 scanning everywhere.  Bits are set in two places:
 
-- HLT marks long powers along their orbits.  If r = w^k (k >= 2, w
+- HLT marks every power along its orbit.  If r = w^k (k >= 2, w
   primitive) closes at coset a, it also closes at a*w: the path of r
   from a*w is the same cycle entered one copy of w later.  So after r's
   scan at a, the cosets of a's w-orbit that HLT has not yet reached are
-  marked.  Only long powers (MIN_MARKED_POWER letters or more) are.
+  marked, at most k - 1 of them.  Short powers such as (x*y)^7 gain
+  most in the lookahead, which then rescans none that HLT closed.  The
+  walk is written out in run: as a method call per scan, it made HLT on
+  S7's Coxeter presentation, whose powers have 4 and 6 letters, about a
+  fifth slower than marking no short power at all; written out, it is
+  faster than that.
 - The lookahead marks every relator it traces all the way round.  Later
   lookaheads skip that (coset, relator) pair, and so does HLT when it
   reaches the coset.
@@ -205,13 +210,6 @@ class CosetTable:
     subgroup_generators: tuple[Word, ...]
 
 
-# Relators at least this long that are proper powers get their scans
-# skipped where they are known to close (see the module docstring).
-# Shorter powers, such as the (x*y)^7 of the (2,3,7) triangle group, are
-# rescanned: their marks cost more than the scans they save.
-MIN_MARKED_POWER = 16
-
-
 def _primitive_root(cols: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """(w, k) with cols = w^k and w primitive; k = 1 when cols is not a
     proper power."""
@@ -223,10 +221,8 @@ def _primitive_root(cols: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 
 
 def _power_root(cols: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The primitive root w of cols = w^k with k >= 2, for relators of at
-    least MIN_MARKED_POWER letters; None otherwise."""
-    if len(cols) < MIN_MARKED_POWER:
-        return None
+    """The primitive root w of cols = w^k with k >= 2; None when cols is
+    not a proper power."""
     root, k = _primitive_root(cols)
     return root if k >= 2 else None
 
@@ -571,16 +567,19 @@ class _Enumerator:
         table, p, closed, pairs = self.table, self.p, self.closed, self.pairs
         coincidence = self._coincidence
         room = len(p)  # the length of the columns and closed (_grow)
-        # Scans skipped through closed are no-ops (module docstring).
+        # Scans skipped through closed are no-ops (module docstring).  A
+        # power w^k carries w's columns and the k - 1 steps of its orbit
+        # walk; any other relator, None for both.
         scans = []
         for i, cols in enumerate(self.relator_cols):
             root = _power_root(cols)
-            scans.append((1 << i, *self._bind(cols), len(cols) - 1,
-                          root and self._bind(root)[0]))
+            walk = ((self._bind(root)[0], range(len(cols) // len(root) - 1)) if root
+                    else (None, None))
+            scans.append((1 << i, *self._bind(cols), len(cols) - 1, *walk))
         # The subgroup words are coset 0's first scans.  Their bit 0 marks
         # and skips nothing, so after _make_room(0) a word that already
         # closed is scanned again, which changes nothing.
-        first_scans = [(0, *self._bind(cols), len(cols) - 1, None)
+        first_scans = [(0, *self._bind(cols), len(cols) - 1, None, None)
                        for cols in self.sub_cols] + scans
         alpha = 0
         while alpha < len(p):
@@ -593,7 +592,7 @@ class _Enumerator:
             alpha = label
             skip = closed[alpha]
             try:
-                for bit, fwd, back, last, root in scans if alpha else first_scans:
+                for bit, fwd, back, last, root, steps in scans if alpha else first_scans:
                     if skip & bit:
                         continue
                     f = b = alpha
@@ -635,7 +634,16 @@ class _Enumerator:
                     if p[alpha] != alpha:
                         break
                     if root:
-                        self._mark_closed(alpha, root, len(fwd) // len(root), bit)
+                        # w^k closes at alpha, so it closes at each alpha*w^q
+                        # too: mark those HLT has not reached yet.
+                        c = alpha
+                        for _ in steps:
+                            for column in root:
+                                c = column[c]
+                            if c == alpha:
+                                break
+                            if c > alpha:
+                                closed[c] |= bit
                 if p[alpha] == alpha:
                     for fwd, inv in pairs:
                         if fwd[alpha] is not None:
@@ -656,20 +664,6 @@ class _Enumerator:
             del column[n:]
         del closed[n:]
         return table
-
-    def _mark_closed(self, alpha: int, root: Sequence[list[int | None]], k: int,
-                     bit: int) -> None:
-        """Mark the cosets alpha*w^i (0 < i < k) after alpha as closing
-        w^k, which has just closed at alpha; root is w's columns."""
-        closed = self.closed
-        c = alpha
-        for _ in range(k - 1):
-            for column in root:
-                c = column[c]
-            if c == alpha:
-                break
-            if c > alpha:
-                closed[c] |= bit
 
 
 def _involutions(relator_cols: Iterable[tuple[int, ...]]) -> frozenset[int]:

@@ -1,7 +1,7 @@
 """The enumerator on a raw table of rows: the layout the column lists replace.
 
 RowLayoutEnumerator is HLT, its lookahead, its in-place compaction and
-its long-power marks exactly as they ran when the raw table held one list
+its power marks exactly as they ran when the raw table held one list
 per coset: table[c][col] where coset.py now reads table[col][c].  The
 column layout must leave the same raw state as this one (the transposed
 table, p, closed and first_dead), give up at the same point, and

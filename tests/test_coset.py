@@ -5,7 +5,6 @@ from __future__ import annotations
 import collections
 import contextlib
 import functools
-import math
 import random
 import signal
 import struct
@@ -58,6 +57,11 @@ def triangle_presentation(q):
     return load_presentation(TRIANGLE.replace("{q}", str(q)))
 
 
+def triangle_23k(k):
+    """The (2,3,k) triangle group: finite for k <= 5, infinite from 6."""
+    return load_presentation(f"generators: x y\nrelators: x^2 y^3 (x*y)^{k}\n")
+
+
 SMALL_FINITE = (
     *(load_presentation(f"generators: x y\nrelators: x^{n} y^2 (x*y)^2\n") for n in (3, 4, 7)),
     load_presentation("generators: a b c\n"
@@ -69,6 +73,11 @@ SMALL_FINITE = (
     *(family_19(n) for n in (3, 4, 5)),
 )
 SMALL_ORDERS = (6, 8, 14, 24, 120, 6, 8, 12, 9, 16, 25)
+# Every group in SMALL_FINITE has order at most 120.  The oracle tests
+# that enumerate them run under this budget, so that an enumerator that
+# takes them for infinite fails each example in milliseconds, not after
+# filling the default budget of 10^6 cosets.
+SMALL_LIMITS = EnumerationLimits(10_000)
 
 
 # -- the reference HLT, with its filling scan as a method -----------------
@@ -149,9 +158,10 @@ class ReferenceHLT(ReferenceAssign, _Enumerator):
     """HLT as a loop of method calls: the subgroup words are scanned at
     coset 0 first, each to completion, and then every relator at every
     live coset, with every definition through _define and every deduction
-    through _assign.  The lookahead, compaction and long-power marks are
-    the enumerator's.  _Enumerator.run, which writes this scan out on
-    local names, must leave the same raw state."""
+    through _assign, and each power's orbit marked through _mark_closed
+    after its scan closes.  The lookahead and compaction are the
+    enumerator's.  _Enumerator.run, which writes this scan and the mark
+    walk out on local names, must leave the same raw state."""
 
     def _define(self, alpha, col):
         if len(self.p) >= self.limits.max_cosets:
@@ -198,6 +208,19 @@ class ReferenceHLT(ReferenceAssign, _Enumerator):
             if not fill:
                 return
             self._define(f, cols[i])
+
+    def _mark_closed(self, alpha, root, k, bit):
+        """Mark the cosets alpha*w^i (0 < i < k) after alpha as closing
+        w^k, which has just closed at alpha; root is w's columns."""
+        closed = self.closed
+        c = alpha
+        for _ in range(k - 1):
+            for column in root:
+                c = column[c]
+            if c == alpha:
+                break
+            if c > alpha:
+                closed[c] |= bit
 
     def run(self):
         for cols in self.sub_cols:
@@ -508,7 +531,8 @@ def _agree_cases():
     x, y = Word.generator(0), Word.generator(1)
     for index, pres in enumerate(SMALL_FINITE):
         for name, subgroup in (("trivial", ()), ("x", (x,)), ("y,xyx", (y, x * y * x))):
-            yield pytest.param(pres, subgroup, None, id=f"small{index}-{name}")
+            yield pytest.param(pres, subgroup, SMALL_LIMITS.max_cosets,
+                               id=f"small{index}-{name}")
 
 
 @pytest.mark.parametrize("pres,subgroup,max_cosets", _agree_cases())
@@ -647,7 +671,8 @@ def verified_cases():
     cases = {}
     for index, pres in enumerate(SMALL_FINITE):
         for name, subgroup in (("trivial", ()), ("x", (x,)), ("y,xyx", (y, x * y * x))):
-            cases[f"small{index}-{name}"] = (pres, enumerate_cosets(pres, subgroup))
+            cases[f"small{index}-{name}"] = (pres, enumerate_cosets(pres, subgroup,
+                                                                    SMALL_LIMITS))
     orbifold = load_presentation(ORBIFOLD_28_TEXT)
     cases["orbifold-28"] = (orbifold, enumerate_cosets(orbifold))
     cases["orbifold-28-xy"] = (orbifold, enumerate_cosets(orbifold, (Word((1, 2)),)))
@@ -889,10 +914,10 @@ def _cyclically_reduced(letters):
 
 
 @st.composite
-def long_power_presentations(draw):
-    """Long powers w^k (16..60 letters, roots of 1-3 letters) next to
-    short relators that often make the group finite: small powers,
-    dihedral and metacyclic relations, or random words."""
+def power_presentations(draw, min_letters, max_letters):
+    """Powers w^k (k >= 2, min_letters..max_letters letters, roots of 1-3
+    letters) next to short relators that often make the group finite:
+    small powers, dihedral and metacyclic relations, or random words."""
     n_gens = draw(st.integers(1, 3))
     letters = st.sampled_from([s * i for i in range(1, n_gens + 1) for s in (1, -1)])
     gens = [Word.generator(i) for i in range(n_gens)]
@@ -904,7 +929,8 @@ def long_power_presentations(draw):
     for _ in range(draw(st.integers(1, 2))):
         root = Word(tuple(draw(st.lists(letters, min_size=1, max_size=3)
                                .filter(_cyclically_reduced))))
-        k = draw(st.integers(max(2, -(-16 // len(root))), 60 // len(root)))
+        k = draw(st.integers(max(2, -(-min_letters // len(root))),
+                             max_letters // len(root)))
         relators.append(root ** k)
     for _ in range(draw(st.integers(0, 3))):
         a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
@@ -923,13 +949,33 @@ def long_power_presentations(draw):
     return Presentation(tuple("xyz"[:n_gens]), tuple(relators)), subgroup
 
 
+def long_power_presentations():
+    """Powers of 16 to 60 letters, whose scans are long."""
+    return power_presentations(16, 60)
+
+
+def short_power_presentations():
+    """Powers of 2 to 15 letters, such as the (x*y)^7, x^5 and (x*z)^3 of
+    the triangle and orbifold groups."""
+    return power_presentations(2, 15)
+
+
+def marked_state(enum):
+    """full_state without the closed marks, which skipping a power's
+    orbit adds to: the LimitExceeded message, raw table, union-find and
+    first dead label."""
+    message, table, p, _, first_dead = full_state(enum)
+    return message, table, p, first_dead
+
+
 def _assert_skip_changes_nothing(pres, subgroup, limits):
-    # With no relator long enough to mark, HLT scans every relator at
-    # every coset.  Skipping must leave every definition, deduction and
-    # merge, and so the point where a budget runs out, as it was.
-    hlt = raw_state(_Enumerator(pres, subgroup, limits))
-    with mock.patch.object(coset, "MIN_MARKED_POWER", math.inf):
-        assert raw_state(_Enumerator(pres, subgroup, limits)) == hlt
+    # With _power_root finding no power, HLT marks no orbit and scans
+    # every relator at every coset the lookahead has not marked.  Skipping
+    # must leave every definition, deduction and merge, and so the point
+    # where a budget runs out and its message, as they were.
+    hlt = marked_state(_Enumerator(pres, subgroup, limits))
+    with mock.patch.object(coset, "_power_root", lambda cols: None):
+        assert marked_state(_Enumerator(pres, subgroup, limits)) == hlt
     return hlt
 
 
@@ -940,40 +986,62 @@ def _assert_skip_changes_nothing(pres, subgroup, limits):
 REFERENCE_LIMITS = EnumerationLimits(max_cosets=20_000)
 
 
-@settings(max_examples=60, deadline=None)
-@given(long_power_presentations(), st.integers(10, 400))
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(long_power_presentations(), short_power_presentations()),
+       st.integers(10, 400))
 def test_long_power_skip_changes_nothing(case, max_cosets):
     pres, subgroup = case
     limits = EnumerationLimits(max_cosets=max_cosets)
-    hlt = _assert_skip_changes_nothing(pres, subgroup, limits)
-    if isinstance(hlt, str):
+    message, table, p, _ = _assert_skip_changes_nothing(pres, subgroup, limits)
+    if message is not None:
         return
     try:
         felsch = felsch_columns(pres, subgroup, REFERENCE_LIMITS)
     except LimitExceeded:
         return
-    assert coset._standardize(hlt[0], hlt[1]) == felsch
+    assert coset._standardize(table, p) == felsch
 
 
-def test_long_power_is_scanned_once_per_orbit(monkeypatch):
+@pytest.mark.parametrize("pres,max_cosets,overflows", [
+    pytest.param(triangle_23k(7), 2000, True, id="237-cap-2000"),
+    pytest.param(triangle_23k(7), 100_000, True, id="237-cap-100000"),
+    pytest.param(COXETER_S7, 10_000, False, id="coxeter-s7"),
+    pytest.param(load_presentation(ORBIFOLD_28_TEXT), 121, False, id="orbifold-28-cap-121"),
+    pytest.param(load_presentation(D7), 100, False, id="dihedral-7"),
+])
+def test_short_power_skip_changes_nothing_on_named_cases(pres, max_cosets, overflows):
+    assert all(len(cols) < 16 for cols in pres.relator_columns)
+    message, *_ = _assert_skip_changes_nothing(pres, (), EnumerationLimits(max_cosets))
+    assert (message is not None) == overflows
+
+
+class CountingPowerScans(ReferenceHLT):
+    """ReferenceHLT that records the cosets at which it scans one relator."""
+
+    def __init__(self, relator, *args):
+        super().__init__(*args)
+        self.relator = relator
+        self.scans = []
+
+    def _fill_scan(self, alpha, cols, fill=True):
+        if cols == self.relator:
+            self.scans.append(alpha)
+        return super()._fill_scan(alpha, cols, fill)
+
+
+def test_long_power_is_scanned_once_per_orbit():
     # <x, y | x^2, y^200, [x, y]> has 400 cosets in two y-orbits: the
     # y^200 scans at cosets 0 and 0*x close every other coset.  HLT's
-    # scan is written out in run, so its scans of y^200 are counted
-    # through _mark_closed, which runs once after each of them.
+    # scan is written out in run, so its scans of y^200 are counted on
+    # the reference HLT, which must leave the same state.
     pres = family_15e(200)
     power = pres.relator_columns[1]
     assert len(power) == 200
-    scans = []
-    original = _Enumerator._mark_closed
-
-    def counting_mark_closed(self, alpha, root, k, bit):
-        if len(root) * k == len(power):
-            scans.append(alpha)
-        return original(self, alpha, root, k, bit)
-
-    monkeypatch.setattr(_Enumerator, "_mark_closed", counting_mark_closed)
-    assert group_order(pres) == 400
-    assert 1 <= len(scans) <= 2
+    limits = EnumerationLimits(10_000)
+    reference = CountingPowerScans(power, pres, (), limits)
+    assert full_state(reference) == full_state(_Enumerator(pres, (), limits))
+    assert 1 <= len(reference.scans) <= 2
+    assert group_order(pres, limits) == 400
 
 
 def test_tight_cap_with_long_power_marks(monkeypatch):
@@ -1039,7 +1107,7 @@ class ReferenceLookahead(ReferenceScan, _Enumerator):
     relator at every live coset from coset 0 and records no marks, and
     compaction builds each column afresh, renumbering every entry through
     a dict and find(), and copies it into the enumerator's list.  HLT
-    itself, and its long-power marks, are the enumerator's."""
+    itself, and its power marks, are the enumerator's."""
 
     def _make_room(self, alpha):
         for c in range(len(self.p)):
@@ -1080,11 +1148,6 @@ def full_state(enum):
     except LimitExceeded as exc:
         message = str(exc)
     return message, enum.table, enum.p, enum.closed, enum.first_dead
-
-
-def triangle_23k(k):
-    """The (2,3,k) triangle group: finite for k <= 5, infinite from 6."""
-    return load_presentation(f"generators: x y\nrelators: x^2 y^3 (x*y)^{k}\n")
 
 
 @st.composite
@@ -1147,6 +1210,36 @@ def test_inline_lookahead_matches_the_scan_calls(case, max_cosets):
     limits = EnumerationLimits(max_cosets)
     assert full_state(_Enumerator(pres, subgroup, limits)) == \
         full_state(ReferenceScanLookahead(pres, subgroup, limits))
+
+
+class CountingClosingScans(ReferenceScanLookahead):
+    """ReferenceScanLookahead that counts its lookahead scans by relator
+    length: all of them, and those that get all the way round."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.scans = collections.Counter()
+        self.closing = collections.Counter()
+
+    def _scan(self, alpha, fwd, back):
+        closes = super()._scan(alpha, fwd, back)
+        self.scans[len(fwd)] += 1
+        self.closing[len(fwd)] += closes
+        return closes
+
+
+def test_the_lookahead_rescans_no_power_that_hlt_closed():
+    # (2,3,7) under 10^5 cosets, with x's one list, gives up after one
+    # lookahead pass.  HLT marks (x*y)^7's orbit at every coset where it
+    # closes the relator, so the pass scans (x*y)^7 only where it is still
+    # open: no such scan gets all the way round.  While only powers of 16
+    # letters or more were marked, 37 603 of its 61 828 scans did.
+    pres = triangle_23k(7)
+    limits = EnumerationLimits(100_000)
+    reference = CountingClosingScans(pres, (), limits)
+    assert full_state(reference) == full_state(_Enumerator(pres, (), limits))
+    assert reference.scans[14] > 0
+    assert reference.closing[14] == 0
 
 
 class CountingLookahead:
@@ -1946,7 +2039,7 @@ def test_the_overflow_path_keeps_105_bytes_per_coset():
 
 @functools.cache
 def regular_table(index):
-    return enumerate_cosets(SMALL_FINITE[index])
+    return enumerate_cosets(SMALL_FINITE[index], limits=SMALL_LIMITS)
 
 
 @pytest.mark.parametrize("index", range(len(SMALL_FINITE)))
@@ -1987,7 +2080,7 @@ def test_subgroup_index_matches_enumeration(data):
     letter = st.integers(1, k).flatmap(lambda g: st.sampled_from((g, -g)))
     words = data.draw(st.lists(st.lists(letter, max_size=8).map(lambda ls: Word(tuple(ls))),
                                max_size=3))
-    expected = enumerate_cosets(pres, words).n_cosets
+    expected = enumerate_cosets(pres, words, SMALL_LIMITS).n_cosets
     assert subgroup_index(regular_table(index), words) == expected
 
 
