@@ -85,16 +85,29 @@ representative), and those scans are skipped: the definition sequence,
 the raw table and the point where LimitExceeded fires are those of
 scanning everywhere.  Bits are set in two places:
 
-- HLT marks every power along its orbit.  If r = w^k (k >= 2, w
-  primitive) closes at coset a, it also closes at a*w: the path of r
-  from a*w is the same cycle entered one copy of w later.  So after r's
-  scan at a, the cosets of a's w-orbit that HLT has not yet reached are
-  marked, at most k - 1 of them.  Short powers such as (x*y)^7 gain
-  most in the lookahead, which then rescans none that HLT closed.  The
-  walk is written out in run: as a method call per scan, it made HLT on
-  S7's Coxeter presentation, whose powers have 4 and 6 letters, about a
-  fifth slower than marking no short power at all; written out, it is
-  faster than that.
+- HLT marks a relator r wherever its closed loop reads r again.  After
+  r closes at coset a, its loop from a passes through cosets a_0 = a,
+  a_1, ..., a_L = a, and r closes at a_i when r's column lists, read
+  round the loop from a_i, forward or backward, are r's own.  Forward
+  that is every multiple of r's period: if r = w^k (w primitive in
+  lists), r read from a*w is the same cycle entered one copy of w
+  later.  Backward, reading a_i, a_(i-1), ..., takes each edge through
+  its inverse list, and the inverse of r is a rotation of r exactly
+  when w's inverse, read in lists, is a rotation of w.  Shared lists
+  make such mirrors common: with a and b involutions, (a*b)^3 reads
+  again backward from every odd position, and with x one, the
+  commutator x*y*x^-1*y^-1 from position 1.  _mark_walk finds the
+  positions once per relator, in time linear in w (a str.find of w in
+  w's inverse twice over), as hops between them; after r's scan at a,
+  run walks them and marks the cosets HLT has not yet reached, until
+  the walk is back at a.  On S7's Coxeter presentation this marks 58 800
+  of the 75 600 (coset, relator) pairs, against 42 000 for the forward
+  repeats alone.  Short powers such as (x*y)^7 gain most in the
+  lookahead, which then rescans none that HLT closed.  The walk is
+  written out in run: as a method call per scan, it made HLT on S7's
+  Coxeter presentation about a fifth slower than marking no short power
+  at all; written out, it is faster than that.  A walk of one-letter
+  hops, the common case, is walked as one tuple of lists.
 - The lookahead marks every relator it traces all the way round.  Later
   lookaheads skip that (coset, relator) pair, and so does HLT when it
   reaches the coset.
@@ -132,9 +145,10 @@ label, which would cost a live coset 32 bytes more.
 _standardize relies on the second invariant too.  When run returns, a
 breadth-first traversal from coset 0 over the raw labels meets only
 live cosets, so it numbers the completed table in one pass, without the
-union-find and without reading a dead coset's entries.  It then builds
-the standardized columns one at a time, and empties each raw column as
-soon as its standardized column exists, so the completed table and the
+union-find and without reading a dead coset's entries; it walks each
+distinct list once.  It then builds the standardized columns one at a
+time, each with two operator.itemgetter picks, and empties each raw
+column as soon as its entries are picked, so the completed table and the
 whole raw table, which holds about two rows per coset on the family
 tables, are never held at once.
 
@@ -150,7 +164,10 @@ relator r = w^k it composes w once and raises that permutation to the
 k-th power by repeated squaring, about log2(k) compositions.  This is
 exact, not a sample: the composition of r's letters is the composition
 of k copies of w's, so p_w^k and the letter-by-letter trace agree at
-every coset.
+every coset.  Each composition is one operator.itemgetter pick, which
+gives a tuple (_picker), so each permutation is a tuple and is compared
+with the identity as a tuple; an involution's one tuple is range-checked
+once.
 """
 
 from __future__ import annotations
@@ -158,8 +175,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
-from operator import eq
-from typing import Iterable, Iterator, Sequence
+from operator import eq, itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import LimitExceeded
 from .permgroup import PermGroup, Permutation
@@ -220,11 +237,37 @@ def _primitive_root(cols: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return cols, 1
 
 
-def _power_root(cols: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The primitive root w of cols = w^k with k >= 2; None when cols is
-    not a proper power."""
+def _mark_walk(cols: tuple[int, ...], table: Sequence[list[int | None]]
+               ) -> tuple[tuple[list[int | None], ...], ...] | None:
+    """The mark walk of relator cols on the raw table: one tuple of column
+    lists per hop from one position of the relator's loop at which it
+    reads again to the next, in order (module docstring); None when it
+    reads again at no position but 0.
+
+    In lists, cols is u^k with u primitive, and it reads again forward at
+    the multiples of |u|.  It reads again backward where u's inverse,
+    also read in lists, is a rotation of u, and then at one residue class
+    mod |u|; str.find on the lists as characters finds it in O(|u|).
+    """
     root, k = _primitive_root(cols)
-    return root if k >= 2 else None
+
+    def list_of(col: int) -> int:
+        """The first column holding col's list."""
+        return col & ~1 if table[col] is table[col ^ 1] else col
+
+    lists = tuple([list_of(col) for col in root])
+    if lists != root:
+        # An involution's letters can make a primitive root a power in lists.
+        lists, j = _primitive_root(lists)
+        root, k = root[:len(lists)], k * j
+    inverse = "".join([chr(list_of(col ^ 1)) for col in reversed(root)])
+    at = (2 * inverse).find("".join(map(chr, lists)))
+    # Read backward from position i, the loop reads u^-1 rotated by -i.
+    mirror = -at % len(root) if at >= 0 else 0
+    hops = (root[:mirror], root[mirror:]) if mirror else (root,)
+    # The last hop would end where the loop starts, at position 0.
+    walk = (tuple([tuple([table[col] for col in hop]) for hop in hops]) * k)[:-1]
+    return walk or None
 
 
 class _NeedRoom(Exception):
@@ -567,15 +610,18 @@ class _Enumerator:
         table, p, closed, pairs = self.table, self.p, self.closed, self.pairs
         coincidence = self._coincidence
         room = len(p)  # the length of the columns and closed (_grow)
-        # Scans skipped through closed are no-ops (module docstring).  A
-        # power w^k carries w's columns and the k - 1 steps of its orbit
-        # walk; any other relator, None for both.
+        # Scans skipped through closed are no-ops (module docstring).  Each
+        # relator carries its mark walk as steps, one column list per hop,
+        # when every hop is one letter, as hops when one is longer, and as
+        # neither when it has none.  The hops repeat with period 1 or 2,
+        # so the first two are every kind of hop there is.
         scans = []
         for i, cols in enumerate(self.relator_cols):
-            root = _power_root(cols)
-            walk = ((self._bind(root)[0], range(len(cols) // len(root) - 1)) if root
-                    else (None, None))
-            scans.append((1 << i, *self._bind(cols), len(cols) - 1, *walk))
+            hops = _mark_walk(cols, table)
+            steps = None
+            if hops and max(map(len, hops[:2])) == 1:
+                steps, hops = tuple(map(itemgetter(0), hops)), None
+            scans.append((1 << i, *self._bind(cols), len(cols) - 1, steps, hops))
         # The subgroup words are coset 0's first scans.  Their bit 0 marks
         # and skips nothing, so after _make_room(0) a word that already
         # closed is scanned again, which changes nothing.
@@ -592,7 +638,7 @@ class _Enumerator:
             alpha = label
             skip = closed[alpha]
             try:
-                for bit, fwd, back, last, root, steps in scans if alpha else first_scans:
+                for bit, fwd, back, last, steps, hops in scans if alpha else first_scans:
                     if skip & bit:
                         continue
                     f = b = alpha
@@ -633,12 +679,21 @@ class _Enumerator:
                         i += 1
                     if p[alpha] != alpha:
                         break
-                    if root:
-                        # w^k closes at alpha, so it closes at each alpha*w^q
-                        # too: mark those HLT has not reached yet.
+                    # The relator closes at alpha, so it closes where its
+                    # loop reads it again: mark those cosets HLT has not
+                    # reached yet.
+                    if steps:
                         c = alpha
-                        for _ in steps:
-                            for column in root:
+                        for column in steps:
+                            c = column[c]
+                            if c == alpha:
+                                break
+                            if c > alpha:
+                                closed[c] |= bit
+                    elif hops:
+                        c = alpha
+                        for hop in hops:
+                            for column in hop:
                                 c = column[c]
                             if c == alpha:
                                 break
@@ -692,6 +747,16 @@ def _tail(items: list, start: int) -> Iterator:
     return it
 
 
+def _picker(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """itemgetter(*indices), which picks the items at indices as a tuple;
+    with one index, where itemgetter picks the item itself, a function
+    that picks it as a tuple."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda items: (items[i],)
+    return itemgetter(*indices)
+
+
 def _standardize(table: list[list[int | None]], p: list[int]) -> tuple[tuple[int, ...], ...]:
     """Number the live cosets breadth-first from coset 0 in column order,
     and return the standardized columns, one tuple per raw column.
@@ -699,13 +764,17 @@ def _standardize(table: list[list[int | None]], p: list[int]) -> tuple[tuple[int
     One pass over the raw labels: when run returns, no live coset points
     at a dead one (module docstring), so the traversal from coset 0 meets
     only live cosets, and neither the union-find nor the dead cosets'
-    entries are read.  Raises AssertionError when a coset it reaches has
-    an undefined entry or when it does not reach every live coset.
+    entries are read.  It reads each distinct list once: an involution's
+    second column holds the same entries.  Raises AssertionError when a
+    coset it reaches has an undefined entry or when it does not reach
+    every live coset.
 
-    Each raw column is emptied in place as soon as its standardized
-    column is built, so the raw table is gone when this returns.  An
-    involution's one list gives one tuple, which stands for both its
-    columns; it is emptied only after that tuple is built.
+    Each standardized column is two itemgetter picks (_picker): the
+    order's pick of the raw column gives its entries in the new order,
+    and their pick of the new labels gives the column.  Each raw column
+    is emptied in place between the two, so the raw table is gone when
+    this returns.  An involution's one list gives one tuple, which stands
+    for both its columns.
 
     _column_paths relies on this numbering: it reads each coset's
     shortlex path off the labels, with no search of its own.
@@ -714,8 +783,11 @@ def _standardize(table: list[list[int | None]], p: list[int]) -> tuple[tuple[int
     pos = [-1] * len(p)
     pos[0] = 0
     order = [0]
+    # Each distinct list once: an involution's second visit finds nothing new.
+    lists = [column for col, column in enumerate(table)
+             if not col & 1 or column is not table[col - 1]]
     for c in order:
-        for column in table:
+        for column in lists:
             d = column[c]
             if d is None:
                 raise AssertionError("enumeration finished with an incomplete row")
@@ -724,17 +796,19 @@ def _standardize(table: list[list[int | None]], p: list[int]) -> tuple[tuple[int
                 order.append(d)
     if len(order) != sum(map(eq, p, range(len(p)))):
         raise AssertionError("completed table is not transitive")
+    pick = _picker(order)
+    del order
     columns = []
     for col, column in enumerate(table):
         if col & 1 and column is table[col - 1]:
             # An involution's one list, emptied already: its column again.
             columns.append(columns[-1])
             continue
-        standard = [pos[d] for d in map(column.__getitem__, order)]
-        # Emptied before the tuple copy, so the list, the tuple and the
-        # whole raw column are never held at once.
+        entries = pick(column)
+        # Emptied before the labels are picked, so the entries, the new
+        # column and the whole raw column are never held at once.
         column.clear()
-        columns.append(tuple(standard))
+        columns.append(_picker(entries)(pos))
     return tuple(columns)
 
 
@@ -883,35 +957,36 @@ def verify_coset_table(table: CosetTable, pres: Presentation) -> None:
     for col, column in enumerate(columns):
         if len(column) != n:
             raise AssertionError(f"column {col} has {len(column)} rows, n_cosets is {n}")
+        if col & 1 and column is columns[col - 1]:
+            continue  # an involution's one tuple, checked already
         if min(column) < 0 or max(column) >= n:
             c = next(c for c, d in enumerate(column) if not 0 <= d < n)
             raise AssertionError(f"entry ({c},{col}) out of range")
+    # Every composition is a tuple: column after perm is one _picker pick,
+    # _picker(perm)(column).  So the identity it is compared with is one.
+    identity = tuple(range(n))
     # inv o fwd = identity makes fwd injective, so on a finite set both
     # are bijections and fwd o inv = identity as well.
-    identity = list(range(n))
     for col in range(0, ncols, 2):
         fwd, inv = columns[col], columns[col + 1]
-        back = [inv[d] for d in fwd]
+        back = _picker(fwd)(inv)
         if back != identity:
             c = next(c for c in identity if back[c] != c)
             raise AssertionError(f"entry ({c},{col}) has no inverse pairing")
     for r, cols in zip(pres.relators, pres.relator_columns):
         root, k = _primitive_root(cols)
-        # A list, as every composition is: power is compared with the
-        # identity list below, which no tuple equals.
-        perm = list(columns[root[0]])
+        perm = tuple(columns[root[0]])  # the column itself, if a tuple
         for col in root[1:]:
-            column = columns[col]
-            perm = [column[d] for d in perm]
+            perm = _picker(perm)(columns[col])
         # Square-and-multiply: perm runs through p_w^(2^i), power gathers p_w^k.
         power = None
         while True:
             if k & 1:
-                power = perm if power is None else [perm[d] for d in power]
+                power = perm if power is None else _picker(power)(perm)
             k >>= 1
             if not k:
                 break
-            perm = [perm[d] for d in perm]
+            perm = _picker(perm)(perm)
         if power != identity:
             c = next(c for c in identity if power[c] != c)
             raise AssertionError(f"relator {format_word(r, pres.generator_names)} "

@@ -124,6 +124,27 @@ def brute_force_hom2(relator_vectors: list[tuple[int, ...]],
     return None
 
 
+# -- where a closed relator reads again, by brute force --------------------
+
+
+def mark_positions(cols: tuple[int, ...], involutions) -> list[int]:
+    """The positions 0 < i < len(cols) of a relator's closed loop at which
+    the relator reads again, in column lists, where an involution's g and
+    g^-1 are one list: read forward from i, or backward from i, the loop's
+    lists are the relator's.  Compares every rotation of the relator's
+    lists, and of its inverse's, with the relator's lists."""
+    def list_of(col):
+        return col & ~1 if col >> 1 in involutions else col
+
+    lists = [list_of(col) for col in cols]
+    # Read backward from position i, the loop goes through cols[i - 1],
+    # ..., cols[0], cols[-1], ..., cols[i] inverted: inverse rotated.
+    inverse = [list_of(col ^ 1) for col in reversed(cols)]
+    n = len(cols)
+    return [i for i in range(1, n)
+            if lists[i:] + lists[:i] == lists or inverse[n - i:] + inverse[:n - i] == lists]
+
+
 # -- the CLI in a child process, as a user runs it ------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -1,7 +1,7 @@
 """The enumerator on a raw table of rows: the layout the column lists replace.
 
 RowLayoutEnumerator is HLT, its lookahead, its in-place compaction and
-its power marks exactly as they ran when the raw table held one list
+its loop marks exactly as they ran when the raw table held one list
 per coset: table[c][col] where coset.py now reads table[col][c].  The
 column layout must leave the same raw state as this one (the transposed
 table, p, closed and first_dead), give up at the same point, and
@@ -20,8 +20,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from operator import eq
 
-from orbisym.coset import _Enumerator, _NeedRoom, _power_root
+from orbisym.coset import _Enumerator, _NeedRoom
 from orbisym.errors import LimitExceeded
+
+from conftest import mark_positions
 
 
 def renumber(p, start=0):
@@ -54,9 +56,9 @@ class RowLayoutEnumerator(_Enumerator):
         # The involutions, read off the column table before the rows
         # replace it: those whose two columns are one list.
         table = self.table
-        involutions = {col >> 1 for col in range(1, self.ncols, 2)
-                       if table[col] is table[col - 1]}
-        self.mirrored = [col >> 1 in involutions for col in range(self.ncols)]
+        self.involutions = {col >> 1 for col in range(1, self.ncols, 2)
+                            if table[col] is table[col - 1]}
+        self.mirrored = [col >> 1 in self.involutions for col in range(self.ncols)]
         self.table = [[None] * self.ncols]
 
     def _link(self, a, col, b):
@@ -227,9 +229,9 @@ class RowLayoutEnumerator(_Enumerator):
     def run(self):
         ncols = self.ncols
         max_cosets = self.limits.max_cosets
-        relators = [(1 << i, cols, _power_root(cols))
+        relators = [(1 << i, cols, mark_positions(cols, self.involutions))
                     for i, cols in enumerate(self.relator_cols)]
-        first_scans = [(0, cols, None) for cols in self.sub_cols] + relators
+        first_scans = [(0, cols, []) for cols in self.sub_cols] + relators
         table, p, closed = self.table, self.p, self.closed
         alpha = 0
         while alpha < len(table):
@@ -238,7 +240,7 @@ class RowLayoutEnumerator(_Enumerator):
                 continue
             skip = closed[alpha]
             try:
-                for bit, cols, root in relators if alpha else first_scans:
+                for bit, cols, positions in relators if alpha else first_scans:
                     if skip & bit:
                         continue
                     f = b = alpha
@@ -280,8 +282,7 @@ class RowLayoutEnumerator(_Enumerator):
                         i += 1
                     if p[alpha] != alpha:
                         break
-                    if root is not None:
-                        self._mark_closed(alpha, root, len(cols) // len(root), bit)
+                    self._mark_closed(alpha, cols, positions, bit)
                 if p[alpha] == alpha:
                     row = table[alpha]
                     for col, e in enumerate(row):
@@ -301,13 +302,15 @@ class RowLayoutEnumerator(_Enumerator):
             alpha += 1
         return table
 
-    def _mark_closed(self, alpha, root, k, bit):
+    def _mark_closed(self, alpha, cols, positions, bit):
         table = self.table
         closed = self.closed
         c = alpha
-        for _ in range(k - 1):
-            for col in root:
+        at = 0
+        for i in positions:
+            for col in cols[at:i]:
                 c = table[c][col]
+            at = i
             if c == alpha:
                 break
             if c > alpha:

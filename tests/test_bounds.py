@@ -11,6 +11,8 @@ cap, which acts on the child only.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from conftest import run_orbisym
@@ -70,6 +72,27 @@ def test_a_completed_table_stays_under_150_mb(tmp_path):
     status, out, peak_mb = run_order(tmp_path, FAMILY_19_700)
     assert (status, out) == (0, "order: 490000\n")
     assert peak_mb < 150
+
+
+# Where a closed relator reads again is found once per relator, in time
+# linear in its length (coset._mark_walk).  Under a budget of 10 cosets
+# these 60 000-letter relators, one no proper power and one a power of a
+# two-letter root with an involution in it, give up with exit 3 in about
+# 0.13 s each on CPython 3.11; a search of every rotation would take
+# 60 000 comparisons of 60 000 letters each.
+LONG_RELATORS = {
+    "non-power": "generators: x y\nrelators: x^2 x*y^29998*x^-1*y^-30000\n",
+    "power": "generators: x y\nrelators: x^2 (x*y)^30000\n",
+}
+LONG_RELATOR_BOUND_S = 5
+
+
+@pytest.mark.parametrize("kind", sorted(LONG_RELATORS))
+def test_a_long_relator_gives_up_in_time(tmp_path, kind):
+    start = time.monotonic()
+    status, out, _ = run_order(tmp_path, LONG_RELATORS[kind], "--max-cosets", "10")
+    assert (status, out) == (3, "error: coset budget 10 exhausted\n")
+    assert time.monotonic() - start < LONG_RELATOR_BOUND_S
 
 
 @pytest.mark.parametrize("name,text,argv,message", [

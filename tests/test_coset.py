@@ -12,6 +12,7 @@ import sys
 import tracemalloc
 import weakref
 from bisect import bisect_left
+from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -38,7 +39,7 @@ from orbisym.coset import _Enumerator, _NeedRoom, permutation_rep
 from orbisym.permgroup import enumerate_elements
 from orbisym.presentation import Presentation, family_15e, family_19
 from orbisym.words import format_word, letter_columns
-from conftest import (ORBIFOLD_28_TEXT, dihedral_generators, mulclose,
+from conftest import (ORBIFOLD_28_TEXT, dihedral_generators, mark_positions, mulclose,
                       triangle_rotation_generators)
 from row_layout import RowLayoutEnumerator, renumber, row_standardize
 
@@ -87,6 +88,12 @@ def distinct_lists(table):
     """The raw table's column lists, each once: an involution's two
     columns are one list."""
     return list({id(column): column for column in table}.values())
+
+
+def shared_generators(enum):
+    """The generators whose two columns are one list in enum's raw table."""
+    table = enum.table
+    return {col >> 1 for col in range(1, len(table), 2) if table[col] is table[col - 1]}
 
 
 def shares_previous(table, col):
@@ -158,8 +165,9 @@ class ReferenceHLT(ReferenceAssign, _Enumerator):
     """HLT as a loop of method calls: the subgroup words are scanned at
     coset 0 first, each to completion, and then every relator at every
     live coset, with every definition through _define and every deduction
-    through _assign, and each power's orbit marked through _mark_closed
-    after its scan closes.  The lookahead and compaction are the
+    through _assign, and each relator marked through _mark_closed, after
+    its scan closes, wherever its loop reads it again (mark_positions,
+    the brute-force oracle).  The lookahead and compaction are the
     enumerator's.  _Enumerator.run, which writes this scan and the mark
     walk out on local names, must leave the same raw state."""
 
@@ -209,14 +217,17 @@ class ReferenceHLT(ReferenceAssign, _Enumerator):
                 return
             self._define(f, cols[i])
 
-    def _mark_closed(self, alpha, root, k, bit):
-        """Mark the cosets alpha*w^i (0 < i < k) after alpha as closing
-        w^k, which has just closed at alpha; root is w's columns."""
-        closed = self.closed
+    def _mark_closed(self, alpha, cols, positions, bit):
+        """Mark the cosets after alpha at the positions of the loop of
+        relator cols, which has just closed at alpha, as closing it,
+        walking the loop a letter at a time, until it is back at alpha."""
+        table, closed = self.table, self.closed
         c = alpha
-        for _ in range(k - 1):
-            for column in root:
-                c = column[c]
+        at = 0
+        for i in positions:
+            for col in cols[at:i]:
+                c = table[col][c]
+            at = i
             if c == alpha:
                 break
             if c > alpha:
@@ -230,22 +241,21 @@ class ReferenceHLT(ReferenceAssign, _Enumerator):
                     break
                 except _NeedRoom:
                     self._make_room(0)
-        relators = [(1 << i, cols, coset._power_root(cols))
+        involutions = shared_generators(self)
+        relators = [(1 << i, cols, mark_positions(cols, involutions))
                     for i, cols in enumerate(self.relator_cols)]
         alpha = 0
         while alpha < len(self.p):
             if self.p[alpha] == alpha:
                 skip = self.closed[alpha]
                 try:
-                    for bit, cols, root in relators:
+                    for bit, cols, positions in relators:
                         if skip & bit:
                             continue
                         self._fill_scan(alpha, cols)
                         if self.p[alpha] != alpha:
                             break
-                        if root is not None:
-                            self._mark_closed(alpha, self._bind(root)[0],
-                                              len(cols) // len(root), bit)
+                        self._mark_closed(alpha, cols, positions, bit)
                     if self.p[alpha] == alpha:
                         for col in range(self.ncols):
                             if self.table[col][alpha] is None:
@@ -475,17 +485,20 @@ COXETER_S7 = load_presentation(
     "(a*c)^2 (a*d)^2 (a*e)^2 (a*f)^2 (b*d)^2 (b*e)^2 (b*f)^2 (c*e)^2 (c*f)^2 (d*f)^2\n")
 
 
-@pytest.mark.parametrize("pres,subgroup,index", [
-    (COXETER_S7, (), 5040),
-    (COXETER_S7, (Word((1,)),), 2520),
+# Each budget is about three times the run's raw peak (6411, 3155, 19 604
+# and 4000 rows), so that an enumerator that takes these groups for
+# infinite fails in a second, not after filling 10^6 cosets.
+@pytest.mark.parametrize("pres,subgroup,index,max_cosets", [
+    (COXETER_S7, (), 5040, 20_000),
+    (COXETER_S7, (Word((1,)),), 2520, 10_000),
     # 10^4 cosets after 9604 coincidences, each of which kills one coset
-    (family_19(100), (), 10_000),
+    (family_19(100), (), 10_000, 60_000),
     # one 2000-letter relator
-    (family_15e(2000), (), 4000),
+    (family_15e(2000), (), 4000, 12_000),
 ], ids=["s7", "s7-a", "19-100", "15E-2000"])
-def test_large_tables_are_exact(pres, subgroup, index):
+def test_large_tables_are_exact(pres, subgroup, index, max_cosets):
     # Each must finish within TIME_LIMIT_S (the time_limit fixture).
-    assert enumerate_cosets(pres, subgroup).n_cosets == index
+    assert enumerate_cosets(pres, subgroup, EnumerationLimits(max_cosets)).n_cosets == index
 
 
 def test_identity_subgroup_word_is_noop():
@@ -807,15 +820,18 @@ def test_verify_rejects_shapes_the_reference_crashes_on(case_id):
         verify_coset_table(_with_columns(table, columns), pres)
 
 
-@pytest.mark.parametrize("family,n,power", [
-    (family_15e, 6, 5), (family_15e, 6, 3), (family_15e, 6, 4), (family_15e, 64, 63),
-    (family_19, 12, 8), (family_19, 7, 1),
-])
-def test_both_verifiers_reject_a_power_the_cycles_do_not_divide(family, n, power):
+# Each budget is a few times the raw peak: 2n rows for 15E, 74 and 244
+# for 19 at n=7 and 12.
+@pytest.mark.parametrize("family,n,power,max_cosets", [
+    (family_15e, 6, 5, 50), (family_15e, 6, 3, 50), (family_15e, 6, 4, 50),
+    (family_15e, 64, 63, 500), (family_19, 12, 8, 1000), (family_19, 7, 1, 300),
+], ids=["family_15e-6-5", "family_15e-6-3", "family_15e-6-4", "family_15e-64-63",
+        "family_19-12-8", "family_19-7-1"])
+def test_both_verifiers_reject_a_power_the_cycles_do_not_divide(family, n, power, max_cosets):
     # y's permutation on the 15E/19 table has cycles of length n, so
     # y^power acts trivially only when n divides power.
     pres = family(n)
-    table = enumerate_cosets(pres)
+    table = enumerate_cosets(pres, limits=EnumerationLimits(max_cosets))
     relators = list(pres.relators)
     relators[1] = Word.generator(1) ** power
     wrong = Presentation(pres.generator_names, tuple(relators))
@@ -960,23 +976,60 @@ def short_power_presentations():
     return power_presentations(2, 15)
 
 
+@st.composite
+def involution_presentations(draw):
+    """One to three generators, one or more of them with a relator g^2 or
+    g^-2, next to relators that often make the group finite (Coxeter-like
+    (a*b)^m, small powers), relators that read again backward once a and
+    b share their lists (a*b*a*b^-1 and the commutator a*b*a^-1*b^-1), or
+    random words, and sometimes subgroup words."""
+    n_gens = draw(st.integers(1, 3))
+    gens = [Word.generator(i) for i in range(n_gens)]
+    letters = st.sampled_from([s * i for i in range(1, n_gens + 1) for s in (1, -1)])
+    words = st.lists(letters, min_size=1, max_size=6).map(lambda ls: Word(tuple(ls)))
+    involutions = draw(st.lists(st.sampled_from(gens), min_size=1, unique=True))
+    relators = [g ** draw(st.sampled_from((2, -2))) for g in involutions]
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
+            relators.append((a * b) ** draw(st.integers(2, 8)))
+        elif kind == 1:
+            relators.append(a ** draw(st.integers(2, 6)))
+        elif kind == 2:
+            relators.append((a * b * a * ~b) ** draw(st.integers(1, 3)))
+        elif kind == 3:
+            relators.append(a * b * ~a * ~b)
+        else:
+            relators.append(draw(words))
+    relators = [r for r in relators if r]
+    draw(st.randoms()).shuffle(relators)
+    subgroup = tuple(draw(st.lists(words, max_size=2)))
+    return Presentation(tuple("xyz"[:n_gens]), tuple(relators)), subgroup
+
+
 def marked_state(enum):
-    """full_state without the closed marks, which skipping a power's
-    orbit adds to: the LimitExceeded message, raw table, union-find and
-    first dead label."""
+    """full_state without the closed marks, which the mark walk adds to:
+    the LimitExceeded message, raw table, union-find and first dead
+    label."""
     message, table, p, _, first_dead = full_state(enum)
     return message, table, p, first_dead
 
 
 def _assert_skip_changes_nothing(pres, subgroup, limits):
-    # With _power_root finding no power, HLT marks no orbit and scans
-    # every relator at every coset the lookahead has not marked.  Skipping
-    # must leave every definition, deduction and merge, and so the point
-    # where a budget runs out and its message, as they were.
+    # With no mark walk, HLT marks no coset where a relator's loop reads
+    # it again, and scans every relator at every coset the lookahead has
+    # not marked.  Skipping the marked scans must leave every definition,
+    # deduction and merge, and so the point where a budget runs out and
+    # its message, as they were.
     hlt = marked_state(_Enumerator(pres, subgroup, limits))
-    with mock.patch.object(coset, "_power_root", lambda cols: None):
-        assert marked_state(_Enumerator(pres, subgroup, limits)) == hlt
-    return hlt
+    with mock.patch.object(coset, "_mark_walk", lambda cols, table: None):
+        unmarked = RecordingHLT(pres, subgroup, limits)
+        assert marked_state(unmarked) == hlt
+    if hlt[0] is None and not unmarked.returns:
+        # With no lookahead, nothing else marks: the patch took hold.
+        assert not any(unmarked.closed)
+    return hlt, unmarked
 
 
 # The reference never compacts, so its raw table can outgrow a cap that
@@ -986,13 +1039,14 @@ def _assert_skip_changes_nothing(pres, subgroup, limits):
 REFERENCE_LIMITS = EnumerationLimits(max_cosets=20_000)
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.one_of(long_power_presentations(), short_power_presentations()),
+@settings(max_examples=180, deadline=None)
+@given(st.one_of(long_power_presentations(), short_power_presentations(),
+                 involution_presentations()),
        st.integers(10, 400))
 def test_long_power_skip_changes_nothing(case, max_cosets):
     pres, subgroup = case
     limits = EnumerationLimits(max_cosets=max_cosets)
-    message, table, p, _ = _assert_skip_changes_nothing(pres, subgroup, limits)
+    (message, table, p, _), _ = _assert_skip_changes_nothing(pres, subgroup, limits)
     if message is not None:
         return
     try:
@@ -1011,8 +1065,110 @@ def test_long_power_skip_changes_nothing(case, max_cosets):
 ])
 def test_short_power_skip_changes_nothing_on_named_cases(pres, max_cosets, overflows):
     assert all(len(cols) < 16 for cols in pres.relator_columns)
-    message, *_ = _assert_skip_changes_nothing(pres, (), EnumerationLimits(max_cosets))
+    (message, *_), unmarked = _assert_skip_changes_nothing(pres, (), EnumerationLimits(max_cosets))
     assert (message is not None) == overflows
+    # Each completing case runs no lookahead, so its marks-off run ends
+    # with every mask 0.
+    assert overflows or not unmarked.returns
+
+
+XYXY = load_presentation("generators: x y\nrelators: x^2 y^4 (x*y*x*y^-1)^2 (x*y)^4\n")
+
+
+@pytest.mark.parametrize("pres,subgroup,max_cosets,ending", [
+    pytest.param(COXETER_S7, (), 10_000, "completes", id="coxeter-s7"),
+    pytest.param(COXETER_S7, (Word((1,)),), 10_000, "completes", id="coxeter-s7-a"),
+    pytest.param(SMALL_FINITE[4], (), 125, "completes after a lookahead",
+                 id="coxeter-s5-cap-125"),
+    pytest.param(SMALL_FINITE[4], (), 120, "overflows", id="coxeter-s5-cap-120"),
+    pytest.param(family_15e(2000), (), 10_000, "completes", id="15E-2000"),
+    pytest.param(family_15e(40), (), 60, "overflows", id="15E-40-cap-60"),
+    pytest.param(load_presentation(ORBIFOLD_28_TEXT), (), 121, "completes", id="orbifold-28"),
+    # Hops of one letter and of three alternate round (x*y*x*y^-1)^2.
+    pytest.param(XYXY, (), 1000, "completes", id="xyxy"),
+    pytest.param(XYXY, (), 33, "completes after a lookahead", id="xyxy-cap-33"),
+    pytest.param(XYXY, (), 10, "overflows", id="xyxy-cap-10"),
+])
+def test_loop_marks_change_nothing_on_named_cases(pres, subgroup, max_cosets, ending):
+    limits = EnumerationLimits(max_cosets)
+    (message, *_), unmarked = _assert_skip_changes_nothing(pres, subgroup, limits)
+    assert ending == ("overflows" if message else
+                      "completes after a lookahead" if unmarked.returns else "completes")
+    # The marks are those of the reference HLT, which finds its positions
+    # with the brute-force oracle.
+    assert full_state(_Enumerator(pres, subgroup, limits)) == \
+        full_state(ReferenceHLT(pres, subgroup, limits))
+
+
+def test_coxeter_s7_hlt_marks_where_every_loop_reads_again():
+    # 15 relators are scanned (the six a^2 are not) at 5040 cosets: 75 600
+    # pairs.  Marking only the forward repeats of each power marks 42 000
+    # of them; the (a*b)^3 and (a*c)^2 of two involutions read again
+    # backward from every odd position of their loops too.
+    enum = _Enumerator(COXETER_S7, (), EnumerationLimits(10_000))
+    enum.run()
+    assert len(enum.relator_cols) == 15
+    marked = sum(enum.closed[c].bit_count() for c, parent in enumerate(enum.p) if parent == c)
+    assert marked >= 58_800
+
+
+def walk_positions(cols, table):
+    """The positions of cols's loop at which _mark_walk marks, or None when
+    it builds no walk; checks that its hops read the loop's own lists."""
+    walk = coset._mark_walk(cols, table)
+    if walk is None:
+        return None
+    positions = list(accumulate(map(len, walk)))
+    assert [id(column) for hop in walk for column in hop] == \
+        [id(table[col]) for col in cols[:positions[-1]]]
+    return positions
+
+
+@pytest.mark.parametrize("text,relator,positions", [
+    ("generators: a b\nrelators: a^2 b^2 (a*b)^3\n", "(a*b)^3", [1, 2, 3, 4, 5]),
+    ("generators: x y\nrelators: x^2 y^3 (x*y)^7\n", "(x*y)^7", list(range(2, 14, 2))),
+    ("generators: x y\nrelators: x^2 y^5 x*y*x^-1*y^-1\n", "x*y*x^-1*y^-1", [1]),
+    ("generators: x y\nrelators: x^5 y^5 x*y*x^-1*y^-1\n", "x*y*x^-1*y^-1", None),
+    ("generators: x y\nrelators: x^2 y^5 x*y*x^-1*y^-1\n", "y^5", [1, 2, 3, 4]),
+    (ORBIFOLD_28_TEXT, "(y*z^-1)^2", [1, 2, 3]),
+    ("generators: x y\nrelators: x^2 y^4 (x*y*x*y^-1)^2\n", "(x*y*x*y^-1)^2", [1, 4, 5]),
+], ids=["coxeter-ab3", "237-xy7", "15E-commutator", "19-commutator", "15E-y5",
+        "orbifold-28-yz", "xyxy-squared"])
+def test_the_mark_walk_marks_where_the_loop_reads_again(text, relator, positions):
+    pres = load_presentation(text)
+    enum = _Enumerator(pres, (), EnumerationLimits())
+    cols = letter_columns(parse_word(relator, pres.generator_names))
+    assert cols in enum.relator_cols
+    assert walk_positions(cols, enum.table) == positions
+    assert mark_positions(cols, shared_generators(enum)) == (positions or [])
+
+
+@st.composite
+def loops(draw):
+    """(cols, involutions): a relator's columns over 1-3 generators, some
+    of them involutions: a random word, a power, a word followed by its
+    reverse or its inverse, or a commutator of two words, often raised to
+    a power."""
+    n_gens = draw(st.integers(1, 3))
+    involutions = set(draw(st.lists(st.integers(0, n_gens - 1), unique=True)))
+    word = st.lists(st.integers(0, 2 * n_gens - 1), min_size=1, max_size=5).map(tuple)
+    u, v = draw(word), draw(word)
+
+    def inverse(w):
+        return tuple(col ^ 1 for col in reversed(w))
+
+    cols = draw(st.sampled_from([u, u + u[::-1], u + inverse(u), u + v + inverse(u) + inverse(v)]))
+    return cols * draw(st.integers(1, 4)), involutions
+
+
+@settings(max_examples=500, deadline=None)
+@given(loops())
+def test_the_mark_walk_matches_the_brute_force_positions(case):
+    cols, involutions = case
+    table = []
+    for col in range(2 * (max(cols) // 2 + 1)):
+        table.append(table[-1] if col & 1 and col >> 1 in involutions else [])
+    assert (walk_positions(cols, table) or []) == mark_positions(cols, involutions)
 
 
 class CountingPowerScans(ReferenceHLT):
@@ -1553,11 +1709,12 @@ def test_hlt_matches_the_reference_hlt(case, max_cosets):
     pytest.param(load_presentation("generators: x y\nrelators: x^5 y^2 (x*y)^2\n"),
                  (Word((1,)) ** 40,), EnumerationLimits(12), True,
                  id="subgroup-x40-cap-12"),
+    # A few times the raw peak, 60 rows; no lookahead runs.
     pytest.param(load_presentation(ORBIFOLD_28_TEXT), (Word((1, 2)),),
-                 EnumerationLimits(), False, id="orbifold-28-xy"),
+                 EnumerationLimits(200), False, id="orbifold-28-xy"),
     pytest.param(load_presentation(ORBIFOLD_28_TEXT), (), EnumerationLimits(121), True,
                  id="orbifold-28-cap-121", marks=SEPARATE_COLUMNS),
-    pytest.param(family_15e(200), (), EnumerationLimits(), False, id="15E-200"),
+    pytest.param(family_15e(200), (), EnumerationLimits(1200), False, id="15E-200"),
     pytest.param(triangle_23k(7), (), EnumerationLimits(2000), True, id="237-cap-2000",
                  marks=SEPARATE_COLUMNS),
 ])
@@ -1639,21 +1796,30 @@ def test_no_list_grows_past_the_budget(case, max_cosets):
     assert all(room <= max_cosets for room in enum.rooms)
 
 
+# Each with a budget a few times its raw peak (121, 60, 129, 724, 40 and
+# 14 rows), under which no compaction runs.
 GROWTH_CASES = [
-    pytest.param(load_presentation(ORBIFOLD_28_TEXT), (), id="orbifold-28"),
-    pytest.param(load_presentation(ORBIFOLD_28_TEXT), (Word((1, 2)),), id="orbifold-28-xy"),
-    pytest.param(SMALL_FINITE[4], (), id="coxeter-s5"),
-    pytest.param(family_19(20), (), id="19-20"),
-    pytest.param(family_15e(20), (), id="15E-20"),
-    pytest.param(load_presentation(D7), (), id="dihedral-7"),
+    pytest.param(load_presentation(ORBIFOLD_28_TEXT), (), 500, id="orbifold-28"),
+    pytest.param(load_presentation(ORBIFOLD_28_TEXT), (Word((1, 2)),), 200,
+                 id="orbifold-28-xy"),
+    pytest.param(SMALL_FINITE[4], (), 500, id="coxeter-s5"),
+    pytest.param(family_19(20), (), 2500, id="19-20"),
+    pytest.param(family_15e(20), (), 200, id="15E-20"),
+    pytest.param(load_presentation(D7), (), 50, id="dihedral-7"),
 ]
 
 
-@pytest.mark.parametrize("pres,subgroup", GROWTH_CASES)
-def test_a_budget_at_the_raw_peak_needs_no_room(pres, subgroup):
-    # No compaction runs under the default budget, so p never shrinks and
-    # its final length is the raw peak.
-    state, enum = run_checked_growth(pres, subgroup, EnumerationLimits())
+def raw_peak(pres, subgroup, max_cosets):
+    """The raw peak of a run under max_cosets that runs no compaction:
+    p never shrinks, so its final length."""
+    return len(raw_state(_Enumerator(pres, subgroup, EnumerationLimits(max_cosets)))[1])
+
+
+@pytest.mark.parametrize("pres,subgroup,max_cosets", GROWTH_CASES)
+def test_a_budget_at_the_raw_peak_needs_no_room(pres, subgroup, max_cosets):
+    # No compaction runs under max_cosets, so p never shrinks and its
+    # final length is the raw peak.
+    state, enum = run_checked_growth(pres, subgroup, EnumerationLimits(max_cosets))
     assert not enum.returns
     peak = len(state[1])
     state_at_peak, at_peak = run_checked_growth(pres, subgroup, EnumerationLimits(peak))
@@ -1668,9 +1834,9 @@ class ReferenceHLTLookahead(ReferenceLookahead, ReferenceHLT):
     enumerator's."""
 
 
-@pytest.mark.parametrize("pres,subgroup", GROWTH_CASES)
-def test_a_budget_one_below_the_raw_peak_ends_as_the_references_do(pres, subgroup):
-    peak = len(raw_state(_Enumerator(pres, subgroup, EnumerationLimits()))[1])
+@pytest.mark.parametrize("pres,subgroup,max_cosets", GROWTH_CASES)
+def test_a_budget_one_below_the_raw_peak_ends_as_the_references_do(pres, subgroup, max_cosets):
+    peak = raw_peak(pres, subgroup, max_cosets)
     limits = EnumerationLimits(peak - 1)
     state, enum = run_checked_growth(pres, subgroup, limits)
     assert enum.returns or isinstance(state, str)
@@ -1683,8 +1849,8 @@ def test_a_budget_one_below_the_raw_peak_ends_as_the_references_do(pres, subgrou
 def test_the_growth_cases_reach_both_endings_one_below_the_peak():
     endings = set()
     for case in GROWTH_CASES:
-        pres, subgroup = case.values
-        peak = len(raw_state(_Enumerator(pres, subgroup, EnumerationLimits()))[1])
+        pres, subgroup, max_cosets = case.values
+        peak = raw_peak(pres, subgroup, max_cosets)
         state = raw_state(_Enumerator(pres, subgroup, EnumerationLimits(peak - 1)))
         endings.add(state if isinstance(state, str) else "completes")
     # orbifold-28 over <x*y> peaks at its index, 60, since y and z share
@@ -2237,32 +2403,6 @@ def standardized_or_none(pres, subgroup, limits):
         return None
 
 
-@st.composite
-def involution_presentations(draw):
-    """One to three generators, one or more of them with a relator g^2 or
-    g^-2, next to relators that often make the group finite (Coxeter-like
-    (a*b)^m, small powers) or random words, and sometimes subgroup words."""
-    n_gens = draw(st.integers(1, 3))
-    gens = [Word.generator(i) for i in range(n_gens)]
-    letters = st.sampled_from([s * i for i in range(1, n_gens + 1) for s in (1, -1)])
-    words = st.lists(letters, min_size=1, max_size=6).map(lambda ls: Word(tuple(ls)))
-    involutions = draw(st.lists(st.sampled_from(gens), min_size=1, unique=True))
-    relators = [g ** draw(st.sampled_from((2, -2))) for g in involutions]
-    for _ in range(draw(st.integers(0, 3))):
-        a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
-        kind = draw(st.integers(0, 2))
-        if kind == 0:
-            relators.append((a * b) ** draw(st.integers(2, 5)))
-        elif kind == 1:
-            relators.append(a ** draw(st.integers(2, 6)))
-        else:
-            relators.append(draw(words))
-    relators = [r for r in relators if r]
-    draw(st.randoms()).shuffle(relators)
-    subgroup = tuple(draw(st.lists(words, max_size=2)))
-    return Presentation(tuple("xyz"[:n_gens]), tuple(relators)), subgroup
-
-
 @settings(max_examples=150, deadline=None)
 @given(involution_presentations(), st.integers(5, 2000))
 def test_shared_involution_columns_give_the_separate_columns_tables(case, max_cosets):
@@ -2304,12 +2444,6 @@ def test_no_budget_that_separate_columns_complete_under_overflows(pres, subgroup
             separate[b - index] is None] == gains
     assert {columns for columns in shared + separate if columns is not None} == \
         {enumerate_cosets(pres, subgroup).columns}
-
-
-def shared_generators(enum):
-    """The generators whose two columns are one list in enum's raw table."""
-    table = enum.table
-    return {col >> 1 for col in range(1, len(table), 2) if table[col] is table[col - 1]}
 
 
 @pytest.mark.parametrize("relators,involutions,scanned", [
